@@ -6,8 +6,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +16,7 @@
 #include "src/core/crashtuner.h"
 #include "src/core/system_under_test.h"
 #include "src/obs/chrome_trace.h"
+#include "src/obs/dossier.h"
 #include "src/obs/observer.h"
 #include "src/obs/snapshot.h"
 #include "src/systems/cassandra/cass_system.h"
@@ -166,24 +165,8 @@ class BenchObservation {
       ok = writer.WriteFile(trace_out_) && ok;
     }
     if (!dossier_dir_.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(dossier_dir_, ec);
-      if (ec) {
-        return false;
-      }
       for (const auto& [label, observer] : observers_) {
-        for (const ctobs::Dossier& dossier : observer->dossiers()) {
-          const std::filesystem::path path =
-              std::filesystem::path(dossier_dir_) /
-              (label + "-slot" + std::to_string(dossier.slot) + ".json");
-          std::ofstream out(path);
-          if (!out) {
-            ok = false;
-            continue;
-          }
-          out << dossier.ToJson() << "\n";
-          ok = static_cast<bool>(out) && ok;
-        }
+        ok = ctobs::WriteDossiers(dossier_dir_, label, observer->dossiers()) && ok;
       }
     }
     return ok;

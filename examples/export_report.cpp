@@ -4,12 +4,6 @@
 //   $ ./build/examples/export_report /tmp/crashtuner-reports
 //
 // Flags:
-//   --representative           inject one crash point per static equivalence
-//                              class instead of the full dynamic point set
-//                              (reports gain an "equivalence" section);
-//   --validate-representative  inject the full set, partition it, and assert
-//                              per-class outcome equivalence (mismatch counts
-//                              land in the report's equivalence section);
 //   --static-only              enumerate contexts statically, no profiling;
 //   --jobs N                   campaign worker threads (0 = hardware);
 //   --scale N                  deployment scale multiplier: every system's
@@ -23,15 +17,21 @@
 //   --dossier-dir DIR          observe the campaigns and write one
 //                              crashtuner-dossier-v1 JSON per failing run as
 //                              DIR/<system>-slot<N>.json (src/obs/dossier.h).
+//
+// Every report, DOT and dossier write is checked: a path that cannot be
+// written is named on stderr and the exit status is 1.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "src/analysis/log_analysis.h"
 #include "src/core/crashtuner.h"
 #include "src/core/report_writer.h"
 #include "src/fuzz/fuzz_phase.h"
+#include "src/obs/dossier.h"
 #include "src/obs/observer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
@@ -41,7 +41,24 @@
 
 namespace {
 
-void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& base_options,
+bool ReportWriteFailure(const std::string& path) {
+  std::fprintf(stderr, "export_report: cannot write %s\n", path.c_str());
+  return false;
+}
+
+bool WriteText(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) {
+    return ReportWriteFailure(path.string());
+  }
+  return true;
+}
+
+// Runs the pipeline on one system and writes its files. Returns false if
+// any write failed.
+bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& base_options,
             const std::filesystem::path& directory, int fuzz_runs,
             const std::filesystem::path& corpus_dir,
             const std::filesystem::path& dossier_dir) {
@@ -59,11 +76,11 @@ void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
       c = '_';
     }
   }
-  if (!dossier_dir.empty()) {
-    for (const ctobs::Dossier& dossier : observer.dossiers()) {
-      std::ofstream(dossier_dir / (stem + "-slot" + std::to_string(dossier.slot) + ".json"))
-          << dossier.ToJson() << "\n";
-    }
+  bool ok = true;
+  std::string failed_path;
+  if (!dossier_dir.empty() &&
+      !ctobs::WriteDossiers(dossier_dir.string(), stem, observer.dossiers(), &failed_path)) {
+    ok = ReportWriteFailure(failed_path);
   }
   if (fuzz_runs > 0) {
     ctfuzz::FuzzPhaseOptions fuzz_options;
@@ -76,24 +93,25 @@ void Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
     }
     ctfuzz::RunFuzzPhase(system, &report, fuzz_options);
   }
-  std::ofstream(directory / (stem + ".md")) << ctcore::ReportToMarkdown(report);
-  std::ofstream(directory / (stem + ".json")) << ctcore::ReportToJson(report);
-  std::ofstream(directory / (stem + ".dot"))
-      << ctanalysis::MetaInfoGraphToDot(report.log_result.graph);
+  const std::pair<const char*, std::string> files[] = {
+      {".md", ctcore::ReportToMarkdown(report)},
+      {".json", ctcore::ReportToJson(report)},
+      {".dot", ctanalysis::MetaInfoGraphToDot(report.log_result.graph)},
+  };
+  for (const auto& [extension, text] : files) {
+    ok = WriteText(directory / (stem + extension), text) && ok;
+  }
+  if (!ok) {
+    return false;
+  }
   std::printf("%-14s -> %s.{md,json,dot}  (%zu bugs", report.system.c_str(),
               (directory / stem).c_str(), report.bugs.size());
-  if (report.equivalence.active) {
-    std::printf(", %d/%d points injected across %d classes", report.equivalence.injected,
-                report.equivalence.members, report.equivalence.classes);
-    if (report.equivalence.validation_mismatches > 0) {
-      std::printf(", %d VALIDATION MISMATCH(ES)", report.equivalence.validation_mismatches);
-    }
-  }
   if (report.fuzz.active) {
     std::printf(", fuzz: %d runs, corpus %d, %d new pair(s)", report.fuzz.runs,
                 report.fuzz.corpus_size, report.fuzz.new_pairs);
   }
   std::printf(")\n");
+  return true;
 }
 
 }  // namespace
@@ -107,11 +125,7 @@ int main(int argc, char** argv) {
   std::filesystem::path dossier_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--representative") {
-      options.injection_selection = ctcore::InjectionSelection::kRepresentative;
-    } else if (arg == "--validate-representative") {
-      options.injection_selection = ctcore::InjectionSelection::kValidateRepresentative;
-    } else if (arg == "--static-only") {
+    if (arg == "--static-only") {
       options.context_mode = ctcore::ContextMode::kStaticOnly;
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.jobs = std::atoi(argv[++i]);
@@ -133,17 +147,18 @@ int main(int argc, char** argv) {
       }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr,
-                   "usage: export_report [DIR] [--representative | "
-                   "--validate-representative] [--static-only] [--jobs N] [--scale N] "
+                   "usage: export_report [DIR] [--static-only] [--jobs N] [--scale N] "
                    "[--fuzz N] [--corpus-dir DIR] [--dossier-dir DIR]\n");
       return 2;
     } else {
       directory = arg;
     }
   }
-  std::filesystem::create_directories(directory);
-  if (!dossier_dir.empty()) {
-    std::filesystem::create_directories(dossier_dir);
+  std::error_code ec;
+  std::filesystem::create_directories(directory, ec);
+  if (ec) {
+    ReportWriteFailure(directory.string());
+    return 1;
   }
 
   ctyarn::YarnSystem yarn;
@@ -151,10 +166,11 @@ int main(int argc, char** argv) {
   cthbase::HBaseSystem hbase;
   ctzk::ZkSystem zk;
   ctcass::CassSystem cass;
+  bool ok = true;
   for (ctcore::SystemUnderTest* system :
        std::initializer_list<ctcore::SystemUnderTest*>{&yarn, &hdfs, &hbase, &zk, &cass}) {
     system->set_scale(scale);
-    Export(*system, options, directory, fuzz_runs, corpus_dir, dossier_dir);
+    ok = Export(*system, options, directory, fuzz_runs, corpus_dir, dossier_dir) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

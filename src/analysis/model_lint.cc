@@ -2,13 +2,11 @@
 
 #include <cctype>
 #include <cstring>
-#include <map>
 #include <set>
 #include <utility>
 
 #include "src/analysis/call_graph.h"
 #include "src/analysis/crash_point_analysis.h"
-#include "src/analysis/equivalence.h"
 #include "src/common/strings.h"
 #include "src/logging/statement.h"
 
@@ -353,53 +351,6 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
         break;
       }
     }
-  }
-
-  // Equivalence-class duplicates: a decl whose static class key (equivalence.h
-  // over model facts alone — no inference result) repeats an earlier decl's can
-  // never contribute an injection run distinct from the first, so it is dead
-  // weight the model should drop. Pairs compare unordered: declaring both
-  // (A,B) and (B,A) is the classic instance.
-  const EquivalenceAnalysis equivalence(&model, /*metainfo=*/nullptr);
-  std::map<std::string, std::string> first_by_key;
-  auto flag_duplicate = [&](const std::string& key, const std::string& subject) {
-    auto [it, inserted] = first_by_key.emplace(key, subject);
-    if (!inserted) {
-      report("equivalent-crash-point-duplicate", subject,
-             "same equivalence class as " + it->second + " — a dead declaration");
-    }
-  };
-  for (const auto& point : model.access_points()) {
-    if (point.executable) {
-      flag_duplicate("point|" + equivalence.DeclClassKey(point), PointSubject(point));
-    }
-  }
-  for (size_t i = 0; i < model.multi_crash_pairs().size(); ++i) {
-    const ctmodel::MultiCrashPairDecl& pair = model.multi_crash_pairs()[i];
-    if (pair.first_point < 0 || pair.first_point >= num_points || pair.second_point < 0 ||
-        pair.second_point >= num_points) {
-      continue;  // static-pair-unreachable already reports the range violation
-    }
-    std::string ka = equivalence.DeclClassKey(model.access_point(pair.first_point));
-    std::string kb = equivalence.DeclClassKey(model.access_point(pair.second_point));
-    if (kb < ka) {
-      std::swap(ka, kb);
-    }
-    flag_duplicate("pair|" + ka + "&&" + kb,
-                   "pair#" + std::to_string(i) + " (" + std::to_string(pair.first_point) +
-                       " -> " + std::to_string(pair.second_point) + ")");
-  }
-  for (size_t i = 0; i < model.network_fault_windows().size(); ++i) {
-    const ctmodel::NetworkFaultWindowDecl& window = model.network_fault_windows()[i];
-    if (window.point < 0 || window.point >= num_points) {
-      continue;  // network-window-invalid already reports the range violation
-    }
-    // The window's identity (partition length + bug id) is part of its anchor
-    // point's class key, so two windows collide only when both the anchor
-    // class and the declared fault coincide.
-    flag_duplicate("netwindow|" + equivalence.DeclClassKey(model.access_point(window.point)),
-                   "netwindow#" + std::to_string(i) + " (point " +
-                       std::to_string(window.point) + ")");
   }
 
   // Grammar ops must target the declared program model: an RPC op's

@@ -41,14 +41,11 @@
 //                        (the heal coincides with the cut and nothing is ever
 //                        dropped); or an empty bug id (the window would have
 //                        no ground truth to assert against)
-//   equivalent-crash-point-duplicate
-//                        executable access point, multi-crash pair, or
-//                        network-fault window whose static equivalence class
-//                        (equivalence.h, model facts only) repeats an earlier
-//                        declaration's — the duplicate can never contribute a
-//                        run distinct from the first and is a dead decl; pairs
-//                        compare unordered, so a (B,A) decl of a declared
-//                        (A,B) scenario is flagged
+//   scale-invariant-decl
+//                        access point or span whose class, method or name
+//                        embeds a concrete node index or host:port instance —
+//                        under --scale it would match only one replica of a
+//                        replicated role
 //   grammar-op-unknown-target
 //                        fuzz-grammar op whose RPC target is no declared
 //                        method, or whose crash/shutdown target class declares

@@ -4,11 +4,11 @@
 #include <map>
 #include <memory>
 
-#include "src/analysis/equivalence.h"
 #include "src/common/strings.h"
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
 #include "src/obs/span.h"
+#include "src/runtime/tracer.h"
 
 namespace ctcore {
 
@@ -178,8 +178,10 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   if (static_mode) {
     ctanalysis::CallGraph graph(model);
     ctanalysis::ContextEnumeration enumeration(&graph);
+    // Enumerate at the bound the run's tracers record, so static call strings
+    // match the stack keys the profiled and injection runs produce.
     ctanalysis::StaticContextResult contexts = enumeration.EnumerateAll(
-        options.static_context_depth, options.prune_infeasible_contexts);
+        ctrt::AccessTracer::DefaultStackDepth(), /*prune_infeasible=*/true);
     report.context_check =
         ctanalysis::CompareWithProfile(contexts, report.profile.dynamic_access_points);
     std::set<ctrt::DynamicPoint> static_points;
@@ -208,25 +210,6 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   report.profile_virtual_seconds =
       static_cast<double>(report.profile.normal_duration_ms) * report.profile.iterations / 1000.0;
 
-  // --- Phase 1d: equivalence partitioning (representative selection). -------
-  // Purely static — computed from the model, the inference result and the
-  // enumerated call strings, before any injection run launches.
-  ctanalysis::EquivalenceAnalysis equivalence_analysis(&model, &report.metainfo);
-  ctanalysis::EquivalencePartition partition;
-  if (options.injection_selection != InjectionSelection::kExhaustive) {
-    partition = equivalence_analysis.PartitionPoints(report.profile.dynamic_access_points);
-    report.equivalence.active = true;
-    report.equivalence.classes = partition.NumClasses();
-    report.equivalence.members = partition.TotalMembers();
-    for (const auto& cls : partition.classes) {
-      report.equivalence.class_sizes.push_back(static_cast<int>(cls.members.size()));
-    }
-  }
-  ProfileResult injection_profile = report.profile;
-  if (options.injection_selection == InjectionSelection::kRepresentative) {
-    injection_profile.dynamic_access_points = partition.Representatives();
-  }
-
   // --- Phase 2: fault-injection testing. -------------------------------------
   ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(report.log_result);
   FaultInjectionTester tester(&system, &report.crash_points, filter, report.profile.baseline,
@@ -245,7 +228,7 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   driver_span.reset();
   driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "campaign", "driver");
   auto test_wall_start = std::chrono::steady_clock::now();
-  report.injections = tester.TestAll(injection_profile, options.seed + 1000, options.jobs);
+  report.injections = tester.TestAll(report.profile, options.seed + 1000, options.jobs);
   report.test_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - test_wall_start).count();
   report.test_virtual_hours = static_cast<double>(tester.total_virtual_ms()) / 3'600'000.0;
@@ -254,49 +237,6 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
     options.observer->set_system(report.system);
     options.observer->set_jobs(ResolveJobs(options.jobs));
     options.observer->set_campaign_wall_seconds(report.test_wall_seconds);
-  }
-  if (report.equivalence.active) {
-    report.equivalence.injected = static_cast<int>(report.injections.size());
-  }
-  if (options.injection_selection == InjectionSelection::kValidateRepresentative) {
-    // Per-class report equivalence over the exhaustive campaign: every bug
-    // signature a class member produced must also be produced by the class
-    // representative, or injecting only the representative would have lost
-    // it. Signatures use the triage granularity (symptom + first uncommon
-    // exception) — the same notion TriageBugs dedups on.
-    std::map<std::string, const InjectionResult*> injections_by_key;
-    for (const auto& injection : report.injections) {
-      injections_by_key[std::to_string(injection.point.point_id) + "\x1f" +
-                        injection.point.stack_key] = &injection;
-    }
-    auto signature_of = [](const InjectionResult* injection) -> std::string {
-      if (injection == nullptr || !injection->injected || !injection->outcome.IsBug()) {
-        return "";
-      }
-      const std::string exception = injection->outcome.uncommon_exceptions.empty()
-                                        ? ""
-                                        : injection->outcome.uncommon_exceptions.front();
-      return injection->outcome.PrimarySymptom() + "|" + exception;
-    };
-    auto lookup = [&](const ctrt::DynamicPoint& point) -> const InjectionResult* {
-      auto it = injections_by_key.find(std::to_string(point.point_id) + "\x1f" + point.stack_key);
-      return it == injections_by_key.end() ? nullptr : it->second;
-    };
-    for (const auto& cls : partition.classes) {
-      const std::string representative_signature = signature_of(lookup(cls.representative()));
-      bool mismatched = false;
-      for (const auto& member : cls.members) {
-        const std::string member_signature = signature_of(lookup(member));
-        if (!member_signature.empty() && member_signature != representative_signature) {
-          mismatched = true;
-          break;
-        }
-      }
-      if (mismatched) {
-        ++report.equivalence.validation_mismatches;
-        report.equivalence.mismatched_class_keys.push_back(cls.key);
-      }
-    }
   }
 
   // --- Reporting. ------------------------------------------------------------

@@ -41,21 +41,6 @@ struct DetectedBug {
   RunOutcome sample_outcome;
 };
 
-// Summary of the equivalence partition behind a representative or validation
-// campaign (src/analysis/equivalence.h). Inactive (all zeros) under the
-// default exhaustive selection, so exhaustive reports are unchanged.
-struct EquivalenceSummary {
-  bool active = false;
-  int classes = 0;             // behavioral equivalence classes
-  int members = 0;             // dynamic points partitioned
-  int injected = 0;            // points actually injected this campaign
-  std::vector<int> class_sizes;  // per class, in class-key order
-  // kValidateRepresentative only: classes whose members contribute a bug
-  // signature their representative does not (the soundness counterexamples).
-  int validation_mismatches = 0;
-  std::vector<std::string> mismatched_class_keys;
-};
-
 // Summary of a coverage-guided workload-fuzzing phase (src/fuzz/). Inactive
 // (all zeros) unless the driver tool ran with --fuzz N, so default reports
 // are unchanged byte-for-byte.
@@ -112,7 +97,6 @@ struct SystemReport {
   // with equal trace hashes ran schedule-identical campaigns.
   uint64_t trace_hash = 0;
 
-  EquivalenceSummary equivalence;
   FuzzSummary fuzz;
 
   ctanalysis::LogAnalysisResult log_result;
@@ -133,21 +117,11 @@ struct SystemReport {
 //                  still happens and feeds the recall/precision cross-check
 //   kStaticOnly    no instrumented run at all — a single tracer-off run
 //                  provides baseline/duration/logs, contexts are all static
+// The static modes bound call strings at the depth the run's tracers record
+// (AccessTracer::DefaultStackDepth) and always apply the per-call-string
+// feasibility prune: enumerated strings no workload entry can realize are
+// dropped, not only whole points with unreachable anchors.
 enum class ContextMode { kProfiled, kStaticSeeded, kStaticOnly };
-
-// Which dynamic crash points Phase 2 injects at.
-//   kExhaustive      every dynamic point (the paper's campaign; the default)
-//   kRepresentative  partition the point set into behavioral equivalence
-//                    classes (src/analysis/equivalence.h) and inject only the
-//                    representative of each class; class sizes land in the
-//                    report's equivalence summary
-//   kValidateRepresentative
-//                    inject the full set, then assert per-class report
-//                    equivalence: the bug signatures contributed by a class's
-//                    members must all be contributed by its representative.
-//                    Violations are counted in the report — the empirical
-//                    soundness measurement behind kRepresentative.
-enum class InjectionSelection { kExhaustive, kRepresentative, kValidateRepresentative };
 
 struct DriverOptions {
   uint64_t seed = 2019;
@@ -157,16 +131,6 @@ struct DriverOptions {
   int jobs = 1;
   ctanalysis::CrashPointOptions crash_point_options;
   ContextMode context_mode = ContextMode::kProfiled;
-  // Representative injection (--representative in the driver tools): see
-  // InjectionSelection above.
-  InjectionSelection injection_selection = InjectionSelection::kExhaustive;
-  // Call-string bound for the static modes (the tracer's stack depth).
-  int static_context_depth = 5;
-  // Per-call-string feasibility prune (static modes): drop individual
-  // enumerated strings no workload entry can realize — complete strings not
-  // born at a feasible root, truncated strings outside the feasible roots'
-  // sync closure — instead of only whole points with unreachable anchors.
-  bool prune_infeasible_contexts = true;
   // Pre-read trigger wait window (§3.2.2; the paper defaults to 10 s). The
   // window must outlast failure handling for the recovery to race the read.
   ctsim::Time pre_read_wait_ms = FaultInjectionTester::kPreReadWaitMs;

@@ -1,6 +1,5 @@
 #include "src/core/multi_crash.h"
 
-#include <map>
 #include <memory>
 #include <set>
 
@@ -24,59 +23,6 @@ std::vector<CrashPairCandidate> EnumerateCrashPairs(const std::set<ctrt::Dynamic
     }
   }
   return pairs;
-}
-
-std::vector<CrashPairCandidate> EnumerateOrderedCrashPairs(
-    const std::set<ctrt::DynamicPoint>& points, long long max_pairs) {
-  std::vector<CrashPairCandidate> pairs;
-  if (max_pairs == 0) {
-    return pairs;
-  }
-  const std::vector<ctrt::DynamicPoint> ordered(points.begin(), points.end());
-  const size_t cap = max_pairs < 0 ? ordered.size() * ordered.size()
-                                   : static_cast<size_t>(max_pairs);
-  for (size_t i = 0; i < ordered.size() && pairs.size() < cap; ++i) {
-    for (size_t j = 0; j < ordered.size() && pairs.size() < cap; ++j) {
-      if (i == j) {
-        continue;
-      }
-      pairs.push_back({ordered[i], ordered[j]});
-    }
-  }
-  return pairs;
-}
-
-long long PairPartition::TotalPairs() const {
-  long long total = 0;
-  for (const auto& cls : classes) {
-    total += cls.size;
-  }
-  return total;
-}
-
-std::vector<CrashPairCandidate> PairPartition::Representatives() const {
-  std::vector<CrashPairCandidate> pairs;
-  pairs.reserve(classes.size());
-  for (const auto& cls : classes) {
-    pairs.push_back(cls.representative);
-  }
-  return pairs;
-}
-
-PairPartition PartitionCrashPairs(const std::vector<CrashPairCandidate>& pairs,
-                                  const ctanalysis::EquivalenceAnalysis& analysis) {
-  PairPartition partition;
-  std::map<std::string, size_t> index_by_key;
-  for (const CrashPairCandidate& pair : pairs) {
-    const std::string key = analysis.PairClassKey(pair.first, pair.second);
-    auto [it, inserted] = index_by_key.try_emplace(key, partition.classes.size());
-    if (inserted) {
-      partition.classes.push_back({key, pair, 1});
-    } else {
-      ++partition.classes[it->second].size;
-    }
-  }
-  return partition;
 }
 
 double PairSetCrossCheck::Recall() const {
@@ -185,22 +131,11 @@ PairInjectionResult MultiCrashTester::TestPair(const ctrt::DynamicPoint& first,
   return result;
 }
 
-MultiCrashReport MultiCrashTester::TestPairs(const ProfileResult& profile,
-                                             const std::vector<InjectionResult>& single_results,
-                                             int max_pairs, uint64_t seed, int jobs) {
-  // Enumerate the (deterministically ordered, capped) pair list up front so
-  // the runs can fan out across worker threads. The shared enumerator means
-  // a static-only point set feeds the quadratic phase through the very same
-  // walk the profiled set does.
-  return TestPairList(EnumerateCrashPairs(profile.dynamic_access_points, max_pairs),
-                      single_results, seed, jobs);
-}
-
 namespace {
 
 // Content-derived pair seed: FNV-1a over both endpoints, mixed with the base
-// seed. Position-independent, so a pair runs the same simulation whether it
-// sits in the exhaustive walk or alone in a representative list.
+// seed. Position-independent, so a pair runs the same simulation whatever
+// the cap and wherever it sits in the walk.
 uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
   uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](const std::string& text) {
@@ -220,9 +155,9 @@ uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
 
 }  // namespace
 
-MultiCrashReport MultiCrashTester::TestPairList(const std::vector<CrashPairCandidate>& pairs,
-                                                const std::vector<InjectionResult>& single_results,
-                                                uint64_t seed, int jobs) {
+MultiCrashReport MultiCrashTester::TestPairs(const ProfileResult& profile,
+                                             const std::vector<InjectionResult>& single_results,
+                                             int max_pairs, uint64_t seed, int jobs) {
   MultiCrashReport report;
   // Failure signatures already reachable with one crash: a pair only counts
   // as "multi-only" if its signature is new.
@@ -236,6 +171,12 @@ MultiCrashReport MultiCrashTester::TestPairList(const std::vector<CrashPairCandi
     }
   }
 
+  // Enumerate the (deterministically ordered, capped) pair list up front so
+  // the runs can fan out across worker threads. The shared enumerator means
+  // a static-only point set feeds the quadratic phase through the very same
+  // walk the profiled set does.
+  const std::vector<CrashPairCandidate> pairs =
+      EnumerateCrashPairs(profile.dynamic_access_points, max_pairs);
   CampaignEngine engine(jobs);
   std::vector<PairInjectionResult> results =
       engine.Map(static_cast<int>(pairs.size()), [&](int i) {

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/analysis/crash_point_analysis.h"
-#include "src/analysis/equivalence.h"
 #include "src/core/crashtuner.h"
 #include "src/core/executor.h"
 #include "src/core/profiler.h"
@@ -60,32 +59,6 @@ struct CrashPairCandidate {
 // differ only in where the points came from.
 std::vector<CrashPairCandidate> EnumerateCrashPairs(
     const std::set<ctrt::DynamicPoint>& points, long long max_pairs);
-
-// The full ordered walk (i != j): both (A,B) and (B,A). This is the
-// pre-dedupe exhaustive pair space; bench_representative runs it as the
-// ground-truth baseline the representative pair set is scored against.
-std::vector<CrashPairCandidate> EnumerateOrderedCrashPairs(
-    const std::set<ctrt::DynamicPoint>& points, long long max_pairs);
-
-// Equivalence partition of a pair list (equivalence.h): pairs grouped by
-// unordered pair class key; the representative of a class is its first pair
-// in walk order. Deterministic for a deterministically ordered input list.
-struct PairClass {
-  std::string key;
-  CrashPairCandidate representative;
-  int size = 0;
-};
-
-struct PairPartition {
-  std::vector<PairClass> classes;  // in walk order of their representatives
-
-  int NumClasses() const { return static_cast<int>(classes.size()); }
-  long long TotalPairs() const;
-  std::vector<CrashPairCandidate> Representatives() const;
-};
-
-PairPartition PartitionCrashPairs(const std::vector<CrashPairCandidate>& pairs,
-                                  const ctanalysis::EquivalenceAnalysis& analysis);
 
 // Static-vs-profiled cross-check over the *uncapped* pair sets.
 struct PairSetCrossCheck {
@@ -142,22 +115,14 @@ class MultiCrashTester {
 
   // Walks the unordered pairs of the dynamic crash-point set (deterministic
   // order) up to `max_pairs` runs fanned across `jobs` worker threads
-  // (campaign.h; seeds derive from pair content and aggregation is pair-index
-  // ordered, so the report is identical at any thread count), comparing
-  // failing pairs against the single-injection outcomes from
-  // `single_results`.
+  // (campaign.h; aggregation is pair-index ordered, so the report is
+  // identical at any thread count), comparing failing pairs against the
+  // single-injection outcomes from `single_results`. Each pair's seed derives
+  // from the pair itself (point ids + call strings), not its list position,
+  // so a pair runs the same simulation under any cap.
   MultiCrashReport TestPairs(const ProfileResult& profile,
                              const std::vector<InjectionResult>& single_results, int max_pairs,
                              uint64_t seed, int jobs = 1);
-
-  // Same campaign over an explicit pair list (a representative set, or the
-  // ordered exhaustive walk). Each pair's seed derives from the pair itself
-  // (point ids + call strings), not its list position, so the same pair runs
-  // the same simulation in any list — which is what lets a representative
-  // campaign be compared run-for-run against the exhaustive one.
-  MultiCrashReport TestPairList(const std::vector<CrashPairCandidate>& pairs,
-                                const std::vector<InjectionResult>& single_results,
-                                uint64_t seed, int jobs = 1);
 
  private:
   ctanalysis::CrashPointKind KindOf(int point_id, std::string* location) const;

@@ -63,15 +63,6 @@ std::string ReportToMarkdown(const SystemReport& report) {
         << report.static_infeasible_points << " infeasible, "
         << report.static_pruned_call_strings << " call strings pruned).\n\n";
   }
-  if (report.equivalence.active) {
-    out << "Equivalence partition: " << report.equivalence.classes << " classes over "
-        << report.equivalence.members << " dynamic points, " << report.equivalence.injected
-        << " injected";
-    if (report.equivalence.validation_mismatches > 0) {
-      out << ", " << report.equivalence.validation_mismatches << " validation mismatch(es)";
-    }
-    out << ".\n\n";
-  }
   if (report.fuzz.active) {
     out << "Workload fuzzing: " << report.fuzz.runs << " runs, corpus " << report.fuzz.corpus_size
         << ", coverage " << report.fuzz.coverage_pairs << " pairs (" << report.fuzz.baseline_pairs
@@ -133,20 +124,6 @@ std::string ReportToJson(const SystemReport& report) {
       << ",\"profile_virtual_s\":" << report.profile_virtual_seconds
       << ",\"test_virtual_h\":" << report.test_virtual_hours << "},";
   out << "\"trace_hash\":\"" << TraceHashHex(report.trace_hash) << "\",";
-  // Emitted only for representative/validation campaigns: exhaustive reports
-  // (and their checked-in goldens) serialize exactly as before.
-  if (report.equivalence.active) {
-    out << "\"equivalence\":{\"classes\":" << report.equivalence.classes
-        << ",\"members\":" << report.equivalence.members
-        << ",\"injected\":" << report.equivalence.injected << ",\"class_sizes\":[";
-    for (size_t i = 0; i < report.equivalence.class_sizes.size(); ++i) {
-      if (i > 0) {
-        out << ",";
-      }
-      out << report.equivalence.class_sizes[i];
-    }
-    out << "],\"validation_mismatches\":" << report.equivalence.validation_mismatches << "},";
-  }
   // Emitted only when a fuzz phase ran (--fuzz N): default reports and their
   // goldens serialize exactly as before.
   if (report.fuzz.active) {

@@ -1,6 +1,8 @@
 #include "src/obs/dossier.h"
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "src/obs/json.h"
@@ -120,6 +122,32 @@ Dossier Dossier::FromJson(const JsonValue& value) {
 
 Dossier Dossier::FromJsonText(const std::string& text) {
   return FromJson(ParseJson(text));
+}
+
+bool WriteDossiers(const std::string& directory, const std::string& label,
+                   const std::vector<Dossier>& dossiers, std::string* failed_path) {
+  auto fail = [failed_path](const std::string& path) {
+    if (failed_path != nullptr) {
+      *failed_path = path;
+    }
+    return false;
+  };
+  std::error_code ec;
+  std::filesystem::create_directories(directory, ec);
+  if (ec) {
+    return fail(directory);
+  }
+  for (const Dossier& dossier : dossiers) {
+    const std::filesystem::path path = std::filesystem::path(directory) /
+                                       (label + "-slot" + std::to_string(dossier.slot) + ".json");
+    std::ofstream out(path);
+    out << dossier.ToJson() << "\n";
+    out.close();
+    if (!out) {
+      return fail(path.string());
+    }
+  }
+  return true;
 }
 
 }  // namespace ctobs

@@ -48,6 +48,12 @@ struct Dossier {
   static Dossier FromJsonText(const std::string& text);
 };
 
+// Writes one file per dossier, DIRECTORY/<label>-slot<N>.json, creating
+// DIRECTORY first. Returns false at the first directory or file that cannot
+// be written, storing its path in *failed_path when that is non-null.
+bool WriteDossiers(const std::string& directory, const std::string& label,
+                   const std::vector<Dossier>& dossiers, std::string* failed_path = nullptr);
+
 }  // namespace ctobs
 
 #endif  // SRC_OBS_DOSSIER_H_

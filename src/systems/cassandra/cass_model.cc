@@ -178,8 +178,9 @@ CassArtifacts* Build() {
                  "gossip digest application on a peer"});
   model.AddSpan({"hints.store", "HintsService.write",
                  "hint storage for an unreachable replica"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name.
+  // Recovery-phase anchors of the remaining executable crash points, so every
+  // injection is labelled "inject:<span>" in campaign traces, not by a raw
+  // frame.
   model.AddSpan({"coordinator.read", "StorageProxy.readRegular",
                  "coordinator read against the replica ring"});
   // Component span on its own anchor method (no existing injection anchor

@@ -228,8 +228,9 @@ HBaseArtifacts* Build() {
                  "balancer scan over the online region servers"});
   model.AddSpan({"rs.open-region", "HRegion.openRegionRebalance",
                  "destination RS opening a region moved by the balancer"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name.
+  // Recovery-phase anchors of the remaining executable crash points, so every
+  // injection is labelled "inject:<span>" in campaign traces, not by a raw
+  // frame.
   model.AddSpan({"rs.open-region-assign", "HRegion.openRegion",
                  "RS opening a region on initial assignment"});
   model.AddSpan({"rs.init-metrics", "HRegionServer.initializeMetrics",

@@ -226,8 +226,9 @@ HdfsArtifacts* Build() {
   // the report feeds (the ROADMAP's "HDFS block-report handling" hot path).
   model.AddSpan({"dn.block-report", "BPOfferService.blockReport",
                  "full block report from a DN to the NameNode", "DatanodeManager"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name.
+  // Recovery-phase anchors of the remaining executable crash points, so every
+  // injection is labelled "inject:<span>" in campaign traces, not by a raw
+  // frame.
   model.AddSpan({"nn.edit-replay", "FSEditLogLoader.replay",
                  "edit-log replay during namespace recovery"});
   model.AddSpan({"nn.fs-status", "FSNamesystem.getFsStatus",

@@ -640,8 +640,8 @@ void BuildSpans(YarnArtifacts* artifacts) {
   model.AddSpan({"rm.allocate-opportunistic", "OpportunisticContainerAllocator.allocateNodes",
                  "opportunistic allocation over the candidate node set"});
   // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name (falling back to the raw
-  // frame), so every injectable anchor gets the model's vocabulary.
+  // injection label falls back to the raw frame without a span, so every
+  // injectable anchor gets the model's vocabulary.
   model.AddSpan({"rm.complete-container", "AbstractYarnScheduler.completeContainer",
                  "scheduler-side container completion bookkeeping"});
   model.AddSpan({"rm.confirm-container", "AbstractYarnScheduler.confirmContainer",

@@ -210,8 +210,9 @@ ZkArtifacts* Build() {
                  "znode commit into the data tree"});
   model.AddSpan({"quorum.update-vote", "QuorumPeer.updateElectionVote",
                  "quorum view/vote update during election recovery"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // equivalence partition keys on the span name.
+  // Recovery-phase anchors of the remaining executable crash points, so every
+  // injection is labelled "inject:<span>" in campaign traces, not by a raw
+  // frame.
   model.AddSpan({"tree.get-znode", "DataTree.getData",
                  "znode read out of the data tree"});
   // Component span: each quorum-broadcast round a peer runs (the O(peers²)

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/analysis/log_analysis.h"
 #include "src/core/crashtuner.h"
@@ -94,6 +96,66 @@ TEST(MultiCrash, ReportSeparatesMultiOnlyFailures) {
   EXPECT_EQ(report.pairs_tested, 6);
   EXPECT_LE(report.multi_only.size(), report.failing.size());
   EXPECT_GT(report.virtual_hours, 0.0);
+}
+
+// Every field of a multi-crash report row, flattened for exact comparison.
+std::string RowKey(const PairInjectionResult& row) {
+  std::string key = std::to_string(row.first.point_id) + "|" + row.first.stack_key + "|" +
+                    std::to_string(row.second.point_id) + "|" + row.second.stack_key + "|" +
+                    row.first_location + "|" + row.second_location + "|" +
+                    (row.first_injected ? "1" : "0") + (row.second_injected ? "1" : "0") + "|" +
+                    row.first_target + "|" + row.second_target + "|" +
+                    row.outcome.PrimarySymptom() + "|" +
+                    std::to_string(row.outcome.virtual_duration_ms);
+  for (const auto& exception : row.outcome.uncommon_exceptions) {
+    key += "|" + exception;
+  }
+  return key;
+}
+
+std::vector<std::string> RowKeys(const std::vector<PairInjectionResult>& rows) {
+  std::vector<std::string> keys;
+  for (const auto& row : rows) {
+    keys.push_back(RowKey(row));
+  }
+  return keys;
+}
+
+// Pair seeds derive from pair content, not list position, and results are
+// aggregated in pair order: a capped campaign reproduces the matching prefix
+// of a longer one row for row, and no report field depends on the thread
+// count. No mini system draws from its run seed in crash mode, so what these
+// rows pin down is the pair walk and the aggregation order.
+TEST(MultiCrash, CappedCampaignIsPrefixAndJobsInvariant) {
+  ctyarn::YarnSystem yarn;
+  const SystemReport& single = CachedReport();
+  ctanalysis::LogAnalysis log_analysis(&yarn.model(), {"master", "node1", "node2", "node3"});
+  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(single.log_result);
+  MultiCrashTester tester(&yarn, &single.crash_points, filter, single.profile.baseline);
+
+  MultiCrashReport six = tester.TestPairs(single.profile, single.injections, 6, 888, /*jobs=*/1);
+  MultiCrashReport three =
+      tester.TestPairs(single.profile, single.injections, 3, 888, /*jobs=*/1);
+  EXPECT_EQ(three.pairs_tested, 3);
+  const std::vector<CrashPairCandidate> prefix =
+      EnumerateCrashPairs(single.profile.dynamic_access_points, 3);
+  std::vector<PairInjectionResult> six_in_prefix;
+  for (const auto& row : six.failing) {
+    for (const auto& pair : prefix) {
+      if (row.first == pair.first && row.second == pair.second) {
+        six_in_prefix.push_back(row);
+      }
+    }
+  }
+  ASSERT_FALSE(three.failing.empty()) << "the prefix property needs a failing pair to compare";
+  EXPECT_EQ(RowKeys(three.failing), RowKeys(six_in_prefix));
+
+  ASSERT_FALSE(six.multi_only.empty()) << "the jobs comparison needs a multi-only row";
+  MultiCrashReport parallel =
+      tester.TestPairs(single.profile, single.injections, 6, 888, /*jobs=*/4);
+  EXPECT_EQ(RowKeys(parallel.failing), RowKeys(six.failing));
+  EXPECT_EQ(RowKeys(parallel.multi_only), RowKeys(six.multi_only));
+  EXPECT_EQ(parallel.virtual_hours, six.virtual_hours);
 }
 
 TEST(ReportWriter, MarkdownContainsBugsAndCounts) {

@@ -105,20 +105,17 @@ void CheckAgainstGolden(const std::string& name, const std::string& serialized) 
   EXPECT_EQ(serialized, golden) << name;
 }
 
-SystemReport RunSystem(const ctcore::SystemUnderTest& system, ContextMode mode, int jobs,
-                       ctcore::InjectionSelection selection) {
+SystemReport RunSystem(const ctcore::SystemUnderTest& system, ContextMode mode, int jobs) {
   DriverOptions options;
   options.context_mode = mode;
   options.jobs = jobs;
-  options.injection_selection = selection;
   return CrashTunerDriver().Run(system, options);
 }
 
 void CheckSystem(const ctcore::SystemUnderTest& system, ContextMode mode,
-                 const std::string& golden_name,
-                 ctcore::InjectionSelection selection = ctcore::InjectionSelection::kExhaustive) {
-  std::string seq = Serialize(RunSystem(system, mode, 1, selection));
-  std::string par = Serialize(RunSystem(system, mode, 4, selection));
+                 const std::string& golden_name) {
+  std::string seq = Serialize(RunSystem(system, mode, 1));
+  std::string par = Serialize(RunSystem(system, mode, 4));
   EXPECT_EQ(seq, par) << golden_name << " differs between jobs=1 and jobs=4";
   CheckAgainstGolden(golden_name, seq);
 }
@@ -152,31 +149,6 @@ TEST(GoldenReport, CassandraProfiled) {
 }
 TEST(GoldenReport, CassandraStaticOnly) {
   CheckSystem(ctcass::CassSystem(), ContextMode::kStaticOnly, "cassandra_static_only");
-}
-
-// Representative campaigns: the static-only pipeline injecting one point per
-// equivalence class. These goldens pin the partition itself (the report's
-// equivalence section: class count and sizes) along with the bug set the
-// reduced campaign must keep.
-TEST(GoldenReport, YarnRepresentative) {
-  CheckSystem(ctyarn::YarnSystem(), ContextMode::kStaticOnly, "yarn_representative",
-              ctcore::InjectionSelection::kRepresentative);
-}
-TEST(GoldenReport, HdfsRepresentative) {
-  CheckSystem(cthdfs::HdfsSystem(), ContextMode::kStaticOnly, "hdfs_representative",
-              ctcore::InjectionSelection::kRepresentative);
-}
-TEST(GoldenReport, HBaseRepresentative) {
-  CheckSystem(cthbase::HBaseSystem(), ContextMode::kStaticOnly, "hbase_representative",
-              ctcore::InjectionSelection::kRepresentative);
-}
-TEST(GoldenReport, ZooKeeperRepresentative) {
-  CheckSystem(ctzk::ZkSystem(), ContextMode::kStaticOnly, "zookeeper_representative",
-              ctcore::InjectionSelection::kRepresentative);
-}
-TEST(GoldenReport, CassandraRepresentative) {
-  CheckSystem(ctcass::CassSystem(), ContextMode::kStaticOnly, "cassandra_representative",
-              ctcore::InjectionSelection::kRepresentative);
 }
 
 }  // namespace

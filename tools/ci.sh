@@ -67,16 +67,6 @@ echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
 ./build/tools/ctstat build/metrics_snapshot.json --check \
   --json build/BENCH_observability.json | tail -n 3
 
-echo "== stage 4e: representative injection smoke (equivalence classes vs exhaustive) =="
-# Partitions crash points and pairs into static equivalence classes on every
-# system and runs the representative campaign against the exhaustive one,
-# leaving classes / reduction / recall / wall numbers in
-# BENCH_representative.json. The bench exits nonzero if any system falls
-# below 100% recall or the 2x multi-crash reduction; per-class equivalence
-# itself is asserted by equivalence_test and representative_property_test.
-./build/bench/bench_representative --jobs 0 --json build/BENCH_representative.json \
-  | tail -n 12
-
 echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sweep) =="
 # Microbenches the ladder-queue/slab event loop against the embedded legacy
 # priority-queue baseline (>=10x events/sec bar), then sweeps replicated
