@@ -12,7 +12,7 @@
 //   2. Dwell attribution: the quorum-broadcast component span absorbs >= 50%
 //      of the campaign's virtual time (ZooKeeper's only component sweep is
 //      the peer-heartbeat fan-out, and scaled quorums spend their lives
-//      gossiping — ROADMAP item 1b's superlinear chatter made visible).
+//      gossiping — their superlinear chatter made visible).
 //   3. Flows: deliveries were recorded, a majority resolve to an originating
 //      span, and causal chains actually nest (max depth >= 2).
 //   4. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 
+#include "src/common/fnv.h"
 #include "src/common/strings.h"
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
@@ -255,14 +256,11 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   // Campaign fingerprint: FNV-1a mix of the per-run trace hashes in
   // injection (index) order, so it is jobs-count independent like everything
   // else in the report.
-  uint64_t combined = 1469598103934665603ull;
+  ctcommon::Fnv1a combined;
   for (const auto& injection : report.injections) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      combined ^= (injection.trace_hash >> shift) & 0xffull;
-      combined *= 1099511628211ull;
-    }
+    combined.AddU64(injection.trace_hash);
   }
-  report.trace_hash = report.injections.empty() ? 0 : combined;
+  report.trace_hash = report.injections.empty() ? 0 : combined.value();
 
   report.bugs = TriageBugs(system, report.injections);
   for (const auto& injection : report.injections) {

@@ -49,6 +49,13 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
         [observer] { return observer->current_span_id(); },
         [observer, &loop](uint64_t flow_id, uint64_t parent_flow, uint64_t origin_span,
                           const ctsim::Message& message) {
+          ctobs::FlowRecorder& flows = observer->flows();
+          if (flows.full()) {
+            // Past the per-run cap only the counters move: no record, no
+            // string copies.
+            flows.CountDropped(parent_flow, origin_span, message.method.str());
+            return;
+          }
           ctobs::FlowRecord record;
           record.id = flow_id;
           record.parent = parent_flow;
@@ -57,7 +64,7 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
           record.from = message.from.str();
           record.to = message.to.str();
           record.sim_ms = loop.Now();
-          observer->flows().Record(std::move(record));
+          flows.Record(std::move(record));
         });
   }
   {

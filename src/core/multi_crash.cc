@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 
+#include "src/common/fnv.h"
 #include "src/core/campaign.h"
 #include "src/sim/exception.h"
 
@@ -137,20 +138,16 @@ namespace {
 // seed. Position-independent, so a pair runs the same simulation whatever
 // the cap and wherever it sits in the walk.
 uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
-  uint64_t hash = 1469598103934665603ull;
+  ctcommon::Fnv1a hash;
   auto mix = [&hash](const std::string& text) {
-    for (char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-    hash ^= 0xff;
-    hash *= 1099511628211ull;
+    hash.Add(text);
+    hash.AddByte(0xff);
   };
   mix(std::to_string(pair.first.point_id));
   mix(pair.first.stack_key);
   mix(std::to_string(pair.second.point_id));
   mix(pair.second.stack_key);
-  return seed + (hash >> 1);
+  return seed + (hash.value() >> 1);
 }
 
 }  // namespace

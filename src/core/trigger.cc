@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
@@ -41,7 +42,8 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
 
   // Recorder before the run: the cluster holds a raw pointer to it, so it
   // must outlive the run. Every run is traced (the hash lands in the result);
-  // replay mode additionally verifies each event against the stored trace.
+  // the events themselves are kept only for a record store, and replay mode
+  // verifies each one against the stored trace.
   const ctsim::Trace* expected = nullptr;
   if (replay_store_ != nullptr) {
     expected = replay_store_->Get(trace_slot);
@@ -50,8 +52,10 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
                                    std::to_string(trace_slot));
     }
   }
-  ctsim::TraceRecorder recorder =
-      expected != nullptr ? ctsim::TraceRecorder(expected) : ctsim::TraceRecorder();
+  const bool recording = record_store_ != nullptr && trace_slot >= 0;
+  ctsim::TraceRecorder recorder = expected != nullptr
+                                      ? ctsim::TraceRecorder(expected)
+                                      : ctsim::TraceRecorder(/*keep_events=*/recording);
 
   auto run = system_->NewRun(system_->default_workload_size(), seed);
   ctsim::Cluster& cluster = run->cluster();
@@ -146,8 +150,8 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   result.point_hit = result.point_hit || tracer.trigger_fired();
   total_virtual_ms_.fetch_add(result.outcome.virtual_duration_ms, std::memory_order_relaxed);
   recorder.FinishReplay();  // a recording longer than the run is a divergence
-  result.trace_hash = recorder.trace().Hash();
-  if (record_store_ != nullptr && trace_slot >= 0) {
+  result.trace_hash = recorder.hash();
+  if (recording) {
     record_store_->Put(trace_slot, recorder.trace());
   }
 
@@ -163,7 +167,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     if (expected != nullptr) {
       metrics.Add("runs.replayed");
     }
-    metrics.Add("trace.events", recorder.trace().size());
+    metrics.Add("trace.events", recorder.size());
     if (result.outcome.IsBug()) {
       // Failure dossier: the canonical signature of this failing run —
       // everything downstream dedup clustering keys on and a replay tool
@@ -217,7 +221,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
           system_->workload_name() + " x" + std::to_string(system_->default_workload_size());
       observer_->AbsorbDossier(trace_slot, std::move(dossier));
     }
-    observer_->AbsorbRun(trace_slot, *run_observer);
+    observer_->AbsorbRun(trace_slot, std::move(*run_observer));
   }
   // No reset needed: the tracer — armed trigger and all — dies with the run.
   return result;

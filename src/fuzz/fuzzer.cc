@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "src/common/fnv.h"
 #include "src/core/campaign.h"
 #include "src/core/executor.h"
 #include "src/fuzz/generator.h"
@@ -17,22 +19,12 @@ namespace {
 // global run index — disjoint by construction from the workload stream
 // (raw seed) and the network stream ("net-flt" salt in the cluster).
 constexpr uint64_t kFuzzSalt = 0x66757a7a2d6f7073ull;
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-uint64_t MixHash(uint64_t acc, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    acc ^= (value >> (i * 8)) & 0xff;
-    acc *= kFnvPrime;
-  }
-  return acc;
 }
 
 std::string ReplaceAll(std::string text, const std::string& what, const std::string& with) {
@@ -155,13 +147,13 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
 
   RunRecord record;
   record.keys = HarvestCoverage(run->context().tracer());
-  record.trace_hash = recorder.trace().Hash();
+  record.trace_hash = recorder.hash();
   record.is_bug = outcome.IsBug();
   if (observer != nullptr && slot >= 0) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
     metrics.Add("fuzz.ops", workload.ops.size());
-    metrics.Add("trace.events", recorder.trace().size());
-    observer->AbsorbRun(slot, *run_observer);
+    metrics.Add("trace.events", recorder.size());
+    observer->AbsorbRun(slot, std::move(*run_observer));
   }
   return record;
 }
@@ -185,7 +177,7 @@ FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
       options.workload_size > 0 ? options.workload_size : system.default_workload_size();
   const int batch_size = options.batch_size > 0 ? options.batch_size : 8;
   ctcore::CampaignEngine engine(options.jobs);
-  uint64_t trace_hash = kFnvBasis;
+  ctcommon::Fnv1a trace_hash;
 
   struct Batched {
     FuzzWorkload workload;
@@ -219,7 +211,7 @@ FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
     for (int i = 0; i < n; ++i) {
       const int g = produced + i;
       Batched& b = batch[static_cast<size_t>(i)];
-      trace_hash = MixHash(trace_hash, b.record.trace_hash);
+      trace_hash.AddU64(b.record.trace_hash);
       int fresh = 0;
       for (const CoverageKey& key : b.record.keys) {
         if (result.coverage.Add(key)) {
@@ -243,7 +235,7 @@ FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
     }
     produced += n;
   }
-  result.trace_hash = trace_hash;
+  result.trace_hash = trace_hash.value();
   return result;
 }
 

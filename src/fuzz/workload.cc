@@ -4,12 +4,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/common/fnv.h"
+
 namespace ctfuzz {
 
 namespace {
-
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 // Reads one "<tag> <value>" line; throws naming the expected tag.
 uint64_t ReadTagged(std::istringstream& in, const std::string& tag) {
@@ -33,12 +32,9 @@ uint64_t ReadTagged(std::istringstream& in, const std::string& tag) {
 }  // namespace
 
 uint64_t FnvHash(const std::string& bytes) {
-  uint64_t hash = kFnvBasis;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  return hash;
+  ctcommon::Fnv1a hash;
+  hash.Add(bytes);
+  return hash.value();
 }
 
 bool FuzzOp::operator<(const FuzzOp& other) const {

@@ -11,7 +11,8 @@
 //
 // Raw records are capped per run (kMaxRecords); the aggregate counters keep
 // counting past the cap so campaign-level statistics stay exact while the
-// per-run memory stays bounded at scale.
+// per-run memory stays bounded at scale. Past the cap a delivery is only
+// counted (CountDropped), so no FlowRecord is built for it.
 #ifndef SRC_OBS_FLOW_H_
 #define SRC_OBS_FLOW_H_
 
@@ -21,6 +22,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/common/check.h"
 
 namespace ctobs {
 
@@ -44,28 +47,25 @@ class FlowRecorder {
  public:
   static constexpr size_t kMaxRecords = 4096;
 
+  // True once the run holds kMaxRecords records: every later delivery is
+  // dropped, and its caller can count it with CountDropped instead.
+  bool full() const { return records_.size() >= kMaxRecords; }
+
+  // Counts one delivery and keeps its record, or drops it once full().
   void Record(FlowRecord record) {
-    ++messages_;
-    if (record.parent == 0) {
-      ++roots_;
+    if (full()) {
+      CountDropped(record.parent, record.origin_span, record.method);
+      return;
     }
-    if (record.origin_span != 0) {
-      ++span_resolved_;
-    }
-    // Flow ids are allocated sequentially from 1 and a parent is always
-    // delivered before its children, so depth is a single lookup.
-    uint32_t depth = 1;
-    if (record.parent != 0 && record.parent <= depth_by_id_.size()) {
-      depth = depth_by_id_[record.parent - 1] + 1;
-    }
-    depth_by_id_.push_back(depth);
-    max_depth_ = std::max<uint64_t>(max_depth_, depth);
-    ++per_method_[record.method];
-    if (records_.size() < kMaxRecords) {
-      records_.push_back(std::move(record));
-    } else {
-      ++dropped_;
-    }
+    Count(record.parent, record.origin_span, record.method);
+    records_.push_back(std::move(record));
+  }
+
+  // What Record does with a delivery once full(), without the FlowRecord.
+  void CountDropped(uint64_t parent, uint64_t origin_span, const std::string& method) {
+    CT_CHECK(full());
+    Count(parent, origin_span, method);
+    ++dropped_;
   }
 
   const std::vector<FlowRecord>& records() const { return records_; }
@@ -87,6 +87,25 @@ class FlowRecorder {
   bool empty() const { return messages_ == 0; }
 
  private:
+  void Count(uint64_t parent, uint64_t origin_span, const std::string& method) {
+    ++messages_;
+    if (parent == 0) {
+      ++roots_;
+    }
+    if (origin_span != 0) {
+      ++span_resolved_;
+    }
+    // Flow ids are allocated sequentially from 1 and a parent is always
+    // delivered before its children, so depth is a single lookup.
+    uint32_t depth = 1;
+    if (parent != 0 && parent <= depth_by_id_.size()) {
+      depth = depth_by_id_[parent - 1] + 1;
+    }
+    depth_by_id_.push_back(depth);
+    max_depth_ = std::max<uint64_t>(max_depth_, depth);
+    ++per_method_[method];
+  }
+
   std::vector<FlowRecord> records_;
   std::vector<uint32_t> depth_by_id_;
   std::map<std::string, uint64_t> per_method_;

@@ -41,17 +41,16 @@ void RunObserver::EndSpan(SpanEvent event) {
   spans_.Append(std::move(event));
 }
 
-void CampaignObserver::AbsorbRun(int slot, const RunObserver& run) {
+void CampaignObserver::AbsorbRun(int slot, RunObserver run) {
   std::lock_guard<std::mutex> lock(mu_);
-  MetricsShard shard = run.metrics();
   if (run.spans().dropped() > 0) {
-    shard.Add("spans.dropped", run.spans().dropped());
+    run.metrics().Add("spans.dropped", run.spans().dropped());
   }
-  registry_.shard(slot) = std::move(shard);
-  spans_by_slot_[slot] = run.spans().events();
+  registry_.shard(slot) = std::move(run.metrics());
+  spans_by_slot_[slot] = std::move(run.spans());
   span_tree_by_slot_[slot] = run.span_tree();
   if (!run.flows().empty()) {
-    flows_by_slot_[slot] = run.flows();
+    flows_by_slot_[slot] = std::move(run.flows());
   }
 }
 
@@ -89,8 +88,8 @@ SystemMetrics CampaignObserver::Finalize() const {
   // their identity as per-span counters. Component spans stay out of the
   // phase histograms — they live in the span tree and the component.*
   // dwell counters instead.
-  for (const auto& [slot, events] : spans_by_slot_) {
-    for (const SpanEvent& event : events) {
+  for (const auto& [slot, spans] : spans_by_slot_) {
+    for (const SpanEvent& event : spans.events()) {
       if (event.category == "component") {
         continue;
       }
@@ -173,10 +172,10 @@ void CampaignObserver::AppendChromeTrace(ChromeTraceWriter* writer, int pid,
     }
   }
   // One thread per injection slot on the virtual-time axis (deterministic).
-  for (const auto& [slot, events] : spans_by_slot_) {
+  for (const auto& [slot, spans] : spans_by_slot_) {
     const int tid = slot + 1;
     writer->AddThreadName(pid, tid, "run #" + std::to_string(slot) + " (virtual)");
-    for (const SpanEvent& event : events) {
+    for (const SpanEvent& event : spans.events()) {
       writer->AddCompleteEvent(pid, tid, event, static_cast<double>(event.sim_begin_ms) * 1e3,
                                static_cast<double>(event.sim_duration_ms()) * 1e3);
     }

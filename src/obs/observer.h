@@ -94,8 +94,9 @@ class CampaignObserver {
   CampaignObserver() { driver_observer_.Enable(); }
 
   // Stores the run's shard, spans, span tree and flows under `slot` (the
-  // injection index).
-  void AbsorbRun(int slot, const RunObserver& run);
+  // injection index). A run that retires passes its observer by move, so
+  // its recorded spans and flows are not copied.
+  void AbsorbRun(int slot, RunObserver run);
 
   // Stores a failing run's dossier under its slot.
   void AbsorbDossier(int slot, Dossier dossier);
@@ -129,7 +130,7 @@ class CampaignObserver {
  private:
   mutable std::mutex mu_;
   MetricsRegistry registry_;
-  std::map<int, std::vector<SpanEvent>> spans_by_slot_;
+  std::map<int, SpanRecorder> spans_by_slot_;
   std::map<int, std::map<std::string, SpanAggregate>> span_tree_by_slot_;
   std::map<int, FlowRecorder> flows_by_slot_;
   std::map<int, Dossier> dossiers_by_slot_;

@@ -18,20 +18,20 @@ uint64_t WallNowNs() {
 
 }  // namespace
 
-ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string name,
-                       std::string category)
-    : ScopedSpan(observer, loop, std::move(name), std::move(category), std::string()) {}
+ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
+                       std::string_view category)
+    : ScopedSpan(observer, loop, name, category, std::string_view()) {}
 
-ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string name,
-                       std::string category, std::string component) {
+ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
+                       std::string_view category, std::string_view component) {
   if (observer == nullptr || !observer->enabled()) {
     return;
   }
   observer_ = observer;
   loop_ = loop;
-  event_.name = std::move(name);
-  event_.category = std::move(category);
-  event_.component = std::move(component);
+  event_.name = name;
+  event_.category = category;
+  event_.component = component;
   event_.sim_begin_ms = loop_ != nullptr ? loop_->Now() : 0;
   event_.wall_begin_ns = WallNowNs();
   observer_->BeginSpan(&event_);

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -79,12 +80,14 @@ class SpanRecorder {
 // instrumented code paths cost two branches when observability is off.
 class ScopedSpan {
  public:
-  ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string name,
-             std::string category);
+  // The strings are copied only when the observer is recording, so an
+  // unobserved span allocates nothing.
+  ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
+             std::string_view category);
   // Component-span variant: tags the span with the model role class whose
   // work it covers and feeds the observer's per-component dwell attribution.
-  ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string name,
-             std::string category, std::string component);
+  ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
+             std::string_view category, std::string_view component);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

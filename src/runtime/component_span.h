@@ -5,7 +5,8 @@
 // span nested under whatever phase span is open, tagged with the model role
 // class doing the work. The observer comes off the thread-bound RunContext
 // (the executor binds it for the duration of the run), so node code needs no
-// plumbing and unobserved runs pay one thread-local read plus two branches.
+// plumbing and unobserved runs pay one thread-local read plus two branches,
+// with no string built.
 //
 // Usage, inside a node handler or timer body:
 //   ctrt::ComponentSpan span(&loop(), "quorum-broadcast", "QuorumPeer");
@@ -13,6 +14,7 @@
 #define SRC_RUNTIME_COMPONENT_SPAN_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/obs/span.h"
 #include "src/runtime/run_context.h"
@@ -21,9 +23,8 @@ namespace ctrt {
 
 class ComponentSpan {
  public:
-  ComponentSpan(const ctsim::EventLoop* loop, std::string name, std::string component)
-      : span_(&RunContext::Current().observer(), loop, std::move(name), "component",
-              std::move(component)) {}
+  ComponentSpan(const ctsim::EventLoop* loop, std::string_view name, std::string_view component)
+      : span_(&RunContext::Current().observer(), loop, name, "component", component) {}
 
   void AddArg(std::string key, std::string value) {
     span_.AddArg(std::move(key), std::move(value));

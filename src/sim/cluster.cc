@@ -13,7 +13,7 @@ Cluster::Cluster(uint64_t seed)
   loop_.SetOwnerAliveCheck([this](NodeId owner) { return IsAlive(owner); });
   loop_.SetTraceHook([this](Time at, NodeId owner) {
     if (trace_ != nullptr) {
-      trace_->Record(at, "timer", owner);
+      trace_->Record(at, "timer", owner.str());
     }
   });
   loop_.SetDrainHook([this](Time limit, bool has_limit) {
@@ -160,9 +160,7 @@ void Cluster::Post(Message message) {
   // partition would heal before the link latency elapses.
   if (!partitions_.empty() && LinkCut(message.from, message.to)) {
     ++plan_dropped_messages_;
-    if (trace_ != nullptr) {
-      TraceRecord("drop.partition", message.from + ">" + message.to + " " + message.method);
-    }
+    TraceMessage("drop.partition", message);
     return;
   }
   Time delay = latency_ms_;
@@ -170,9 +168,7 @@ void Cluster::Post(Message message) {
     const LinkFault& fault = plan_.LinkFor(message.from, message.to);
     if (fault.drop_probability > 0.0 && net_rng_.Chance(fault.drop_probability)) {
       ++plan_dropped_messages_;
-      if (trace_ != nullptr) {
-        TraceRecord("drop.link", message.from + ">" + message.to + " " + message.method);
-      }
+      TraceMessage("drop.link", message);
       return;
     }
     delay += fault.extra_delay_ms;
@@ -190,9 +186,7 @@ void Cluster::Post(Message message) {
         dup_delay += net_rng_.Uniform(0, fault.reorder_window_ms);
       }
       ++duplicated_messages_;
-      if (trace_ != nullptr) {
-        TraceRecord("dup", message.from + ">" + message.to + " " + message.method);
-      }
+      TraceMessage("dup", message);
       ScheduleDelivery(message, dup_delay);
     }
   }
@@ -252,15 +246,11 @@ void Cluster::DeliverNow(const Message& message) {
     // A duplicate is subject to the same check, so duplication can never
     // resurrect a message for a node that died before delivery.
     ++dropped_messages_;
-    if (trace_ != nullptr) {
-      TraceRecord("drop.dead", message.from + ">" + message.to + " " + message.method);
-    }
+    TraceMessage("drop.dead", message);
     return;
   }
   ++delivered_messages_;
-  if (trace_ != nullptr) {
-    TraceRecord("deliver", message.from + ">" + message.to + " " + message.method);
-  }
+  TraceMessage("deliver", message);
   const NodeId previous = current_node_;
   current_node_ = message.to;
   if (flow_delivery_hook_) {
@@ -333,9 +323,17 @@ Time Cluster::SkewedDelay(const std::string& owner, Time delay) const {
   return delay * static_cast<Time>(it->second) / 1000;
 }
 
-void Cluster::TraceRecord(const char* kind, std::string detail) {
+void Cluster::TraceRecord(const char* kind, std::string_view detail) {
   if (trace_ != nullptr) {
-    trace_->Record(loop_.Now(), kind, std::move(detail));
+    trace_->Record(loop_.Now(), kind, detail);
+  }
+}
+
+void Cluster::TraceMessage(const char* kind, const Message& message) {
+  if (trace_ != nullptr) {
+    // In pieces: a hash-only recorder hashes the symbols' own text in place.
+    trace_->Record(loop_.Now(), kind,
+                   {message.from.str(), ">", message.to.str(), " ", message.method.str()});
   }
 }
 

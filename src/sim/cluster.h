@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -211,7 +212,9 @@ class Cluster {
   void ScheduleDelivery(Message message, Time delay);
   void RunBatch(DeliveryBatch* batch);
   void DeliverNow(const Message& message);
-  void TraceRecord(const char* kind, std::string detail);
+  void TraceRecord(const char* kind, std::string_view detail);
+  // Records "<from>><to> <method>" for a message event.
+  void TraceMessage(const char* kind, const Message& message);
   bool IsHeartbeatMethod(Symbol method);
 
   ctcommon::InternTable interner_;

@@ -1,6 +1,9 @@
 #include "src/sim/trace.h"
 
+#include <charconv>
 #include <utility>
+
+#include "src/common/check.h"
 
 namespace ctsim {
 
@@ -8,6 +11,22 @@ namespace {
 
 std::string EventLine(const TraceEvent& event) {
   return std::to_string(event.at) + " " + event.kind + " " + event.detail + "\n";
+}
+
+// Feeds the bytes of EventLine — "<at> <kind> <detail>\n", the detail given
+// in pieces — into `hash` without building the line.
+void HashEventLine(ctcommon::Fnv1a* hash, uint64_t at, std::string_view kind,
+                   const std::string_view* pieces, size_t count) {
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), at).ptr;
+  hash->Add(std::string_view(digits, static_cast<size_t>(end - digits)));
+  hash->AddByte(' ');
+  hash->Add(kind);
+  hash->AddByte(' ');
+  for (size_t i = 0; i < count; ++i) {
+    hash->Add(pieces[i]);
+  }
+  hash->AddByte('\n');
 }
 
 }  // namespace
@@ -58,20 +77,32 @@ Trace Trace::Parse(const std::string& text) {
 }
 
 uint64_t Trace::Hash() const {
-  // FNV-1a 64-bit over the serialized form.
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : Serialize()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
+  ctcommon::Fnv1a hash;
+  for (const auto& event : events_) {
+    const std::string_view detail = event.detail;
+    HashEventLine(&hash, event.at, event.kind, &detail, 1);
   }
-  return hash;
+  return hash.value();
 }
 
-void TraceRecorder::Record(uint64_t at, const char* kind, std::string detail) {
+const Trace& TraceRecorder::trace() const {
+  CT_CHECK_MSG(keep_events_, "this TraceRecorder only hashes; it keeps no events");
+  return trace_;
+}
+
+void TraceRecorder::RecordPieces(uint64_t at, const char* kind, const std::string_view* pieces,
+                                 size_t count) {
+  HashEventLine(&hash_, at, kind, pieces, count);
+  ++size_;
+  if (!keep_events_) {
+    return;
+  }
   TraceEvent event;
   event.at = at;
   event.kind = kind;
-  event.detail = std::move(detail);
+  for (size_t i = 0; i < count; ++i) {
+    event.detail += pieces[i];
+  }
   if (expected_ != nullptr) {
     size_t index = trace_.size();
     if (index >= expected_->size()) {

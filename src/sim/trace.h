@@ -9,13 +9,22 @@
 // TraceDivergence the moment execution departs from the recording (including
 // when the recording is truncated or corrupted), instead of silently
 // producing a different run.
+//
+// Most runs only need the trace's hash, so a recorder hashes as it records
+// and keeps the events themselves only for record/replay: a hash-only
+// recording costs no allocation per event.
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/common/fnv.h"
 
 namespace ctsim {
 
@@ -41,7 +50,8 @@ class Trace {
   std::string Serialize() const;
   static Trace Parse(const std::string& text);
 
-  // FNV-1a 64 over the serialized form.
+  // FNV-1a 64 over the serialized form, fed line by line without building
+  // it; equal to the hash a recorder computed for the same events.
   uint64_t Hash() const;
 
   std::vector<TraceEvent>* mutable_events() { return &events_; }
@@ -60,17 +70,28 @@ class TraceDivergence : public std::runtime_error {
 
 class TraceRecorder {
  public:
-  // Record mode: accumulate events.
-  TraceRecorder() = default;
+  // Record mode. Every event is folded into hash() and counted by size();
+  // with `keep_events` it is also stored in trace(), for a TraceStore.
+  explicit TraceRecorder(bool keep_events = false) : keep_events_(keep_events) {}
   // Replay mode: verify each emitted event against `expected` (which must
-  // outlive the recorder). Events still accumulate, so trace() is usable in
-  // both modes.
-  explicit TraceRecorder(const Trace* expected) : expected_(expected) {}
+  // outlive the recorder). Events are kept, so trace() is usable here too.
+  explicit TraceRecorder(const Trace* expected) : expected_(expected), keep_events_(true) {}
 
-  bool replaying() const { return expected_ != nullptr; }
-  const Trace& trace() const { return trace_; }
+  // FNV-1a 64 of the events recorded so far: what trace().Hash() returns
+  // for a recorder that keeps them.
+  uint64_t hash() const { return hash_.value(); }
+  size_t size() const { return size_; }
+  // The recorded events. Fails a CT_CHECK on a hash-only recorder.
+  const Trace& trace() const;
 
-  void Record(uint64_t at, const char* kind, std::string detail);
+  // Records one event. The detail may be passed in pieces, which are
+  // concatenated; a hash-only recorder hashes them in place.
+  void Record(uint64_t at, const char* kind, std::string_view detail) {
+    RecordPieces(at, kind, &detail, 1);
+  }
+  void Record(uint64_t at, const char* kind, std::initializer_list<std::string_view> detail) {
+    RecordPieces(at, kind, detail.begin(), detail.size());
+  }
 
   // Replay mode: throws TraceDivergence if the recording has events the run
   // never produced (a longer recording means the run diverged or the
@@ -78,8 +99,13 @@ class TraceRecorder {
   void FinishReplay() const;
 
  private:
+  void RecordPieces(uint64_t at, const char* kind, const std::string_view* pieces, size_t count);
+
+  ctcommon::Fnv1a hash_;
+  size_t size_ = 0;
   Trace trace_;
   const Trace* expected_ = nullptr;
+  bool keep_events_ = false;
 };
 
 }  // namespace ctsim

@@ -1,5 +1,7 @@
 #include "src/systems/cassandra/cass_nodes.h"
 
+#include <algorithm>
+
 #include "src/runtime/component_span.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
@@ -43,9 +45,10 @@ CassNode::CassNode(ctsim::Cluster* cluster, std::string id, std::vector<std::str
       // Hints already settled: benign restart path.
     }
     gossip_fd_->Heartbeat(m.from);
-    if (std::find(ring_.begin(), ring_.end(), m.from) == ring_.end()) {
-      ring_.push_back(m.from);
-      std::sort(ring_.begin(), ring_.end());
+    // ring_ stays sorted: a new peer is inserted at its place.
+    auto slot = std::lower_bound(ring_.begin(), ring_.end(), m.from.str());
+    if (slot == ring_.end() || *slot != m.from.str()) {
+      ring_.insert(slot, m.from);
       // Benign post-write: losing the freshly-seen peer just re-runs the
       // gossip round.
       CT_POST_WRITE(artifacts_->points.gossip_state_write, m.from);

@@ -42,7 +42,7 @@ class CassNode : public ctsim::Node {
   const CassArtifacts* artifacts_;
   const CassConfig* config_;
 
-  std::vector<std::string> ring_;                // TokenMetadata.ring (live view)
+  std::vector<std::string> ring_;                // TokenMetadata.ring (live view), sorted
   // Peers markDead already expired, by expiry time. Gossip from one can
   // only arrive through a healed partition (a crashed peer never gossips
   // again, a leaving one announces first) — the seeded message race of

@@ -216,7 +216,7 @@ ZkArtifacts* Build() {
   model.AddSpan({"tree.get-znode", "DataTree.getData",
                  "znode read out of the data tree"});
   // Component span: each quorum-broadcast round a peer runs (the O(peers²)
-  // heartbeat fan-out, ROADMAP item 1b). Anchored at its own method decl so
+  // heartbeat fan-out). Anchored at its own method decl so
   // existing injection-span anchors are untouched; the component attribute
   // is what `ctstat --top` attributes virtual-time dwell to.
   model.AddSpan({"quorum-broadcast", "QuorumPeer.broadcastHeartbeats",

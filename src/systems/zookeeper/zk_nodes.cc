@@ -24,7 +24,8 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
       peers_(std::move(peers)),
       artifacts_(artifacts),
       config_(config),
-      shared_(shared) {
+      shared_(shared),
+      current_leader_(LeaderId()) {
   peer_fd_ = std::make_unique<ctsim::FailureDetector>(
       this, config_->fd_timeout_ms, config_->fd_sweep_ms,
       [this](const std::string& peer) { PeerLost(peer); });
@@ -47,9 +48,12 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
       }
       // Election already reconverged: the peer is re-admitted benignly.
     }
-    alive_peers_.insert(m.from);
+    // The election view changes only when a peer is (re-)admitted, so the
+    // leader is recomputed then and not on every heartbeat.
+    if (alive_peers_.insert(m.from).second) {
+      current_leader_ = LeaderId();
+    }
     peer_fd_->Heartbeat(m.from);
-    current_leader_ = LeaderId();
     if (IsLeader() && !announced_leading_) {
       announced_leading_ = true;
       log().Log(artifacts_->stmts.leading, {this->id()});
@@ -82,8 +86,8 @@ void ZkPeer::OnStart() {
   current_leader_ = LeaderId();
   log().Log(artifacts_->stmts.peer_up, {id(), std::to_string(myid_)});
   Every(config_->gossip_ms, [this] {
-    // One quorum-broadcast round: the O(peers²) heartbeat fan-out the
-    // scale-out profiling work targets (ROADMAP item 1b).
+    // One quorum-broadcast round: every peer heartbeats every other, so a
+    // round is O(peers²) messages cluster-wide.
     ctrt::ComponentSpan round(&this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
     for (const auto& peer : peers_) {
       if (peer != id()) {
@@ -97,7 +101,8 @@ void ZkPeer::OnStart() {
 std::string ZkPeer::LeaderId() const {
   // Deterministic election: the highest-id live peer leads; every replica
   // holds the full state, so no data transfer is needed (the property the
-  // paper credits for ZooKeeper's resilience to single crashes).
+  // paper credits for ZooKeeper's resilience to single crashes). O(peers):
+  // called only when alive_peers_ changes, and current_leader_ caches it.
   std::string leader;
   for (const auto& peer : peers_) {
     if ((peer == id() || alive_peers_.count(peer) > 0) && peer > leader) {
@@ -107,7 +112,7 @@ std::string ZkPeer::LeaderId() const {
   return leader;
 }
 
-bool ZkPeer::IsLeader() const { return LeaderId() == id(); }
+bool ZkPeer::IsLeader() const { return current_leader_ == id(); }
 
 void ZkPeer::OnHandlerException(const std::string& context, const ctsim::SimException& e) {
   // Quorum-layer exceptions are logged and the peer keeps serving: the next

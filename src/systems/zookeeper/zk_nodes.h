@@ -63,6 +63,8 @@ class ZkPeer : public ctsim::Node {
   std::map<std::string, ctsim::Time> lost_peers_;
   std::map<std::string, std::string> znodes_;    // DataTree.nodes (full replica)
   std::map<std::string, std::string> sessions_;  // SessionTracker.sessionsById
+  // LeaderId(), recomputed whenever alive_peers_ changes (the peer itself
+  // until it has heard from anyone).
   std::string current_leader_;
   std::set<std::string> pending_commits_;
   bool announced_leading_ = false;

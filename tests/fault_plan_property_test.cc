@@ -2,7 +2,10 @@
 //
 // Run-level: 25 seeded random fault plans are applied to each of the five
 // systems; the same ⟨seed, plan⟩ must produce the same event trace hash on a
-// second run (the determinism contract of fault_plan.h).
+// second run (the determinism contract of fault_plan.h). The first run's
+// recorder only hashes and the second keeps its events, so the sweep also
+// checks that hashing while recording gives the hash of the serialized
+// trace, over every kind of record the plans produce.
 //
 // Driver-level: a network-fault campaign recorded at jobs=1 replays at
 // jobs=4 with a byte-identical SystemReport, the replayed campaign includes
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,13 +86,12 @@ PlannedFaults DrawPlan(ctcommon::Rng& rng) {
   return drawn;
 }
 
-// One traced run of `system` under `drawn`; returns the trace hash.
-uint64_t TracedRun(const ctcore::SystemUnderTest& system, const PlannedFaults& drawn,
-                   uint64_t seed) {
+// One run of `system` under `drawn`, traced into `recorder`.
+void TracedRun(const ctcore::SystemUnderTest& system, const PlannedFaults& drawn, uint64_t seed,
+               ctsim::TraceRecorder* recorder) {
   auto run = system.NewRun(system.default_workload_size(), seed);
   ctsim::Cluster& cluster = run->cluster();
-  ctsim::TraceRecorder recorder;
-  cluster.set_trace_recorder(&recorder);
+  cluster.set_trace_recorder(recorder);
   FaultPlan plan = drawn.plan;
   std::vector<std::string> eligible;
   for (ctsim::Node* node : cluster.nodes()) {
@@ -109,7 +112,6 @@ uint64_t TracedRun(const ctcore::SystemUnderTest& system, const PlannedFaults& d
   }
   cluster.InstallFaultPlan(plan);
   ctcore::Executor::Execute(*run, /*baseline=*/nullptr);
-  return recorder.trace().Hash();
 }
 
 TEST(FaultPlanProperty, SameSeedAndPlanYieldTheSameTraceHash) {
@@ -118,14 +120,32 @@ TEST(FaultPlanProperty, SameSeedAndPlanYieldTheSameTraceHash) {
   for (int i = 0; i < 25; ++i) {
     plans.push_back(DrawPlan(rng));
   }
+  std::set<std::string> kinds;
   for (const auto& system : AllSystems()) {
     for (size_t p = 0; p < plans.size(); ++p) {
       const uint64_t seed = 4242 + 31ull * p;
-      uint64_t first = TracedRun(*system, plans[p], seed);
-      uint64_t second = TracedRun(*system, plans[p], seed);
-      EXPECT_EQ(first, second)
+      ctsim::TraceRecorder hash_only;
+      TracedRun(*system, plans[p], seed, &hash_only);
+      ctsim::TraceRecorder keeping(/*keep_events=*/true);
+      TracedRun(*system, plans[p], seed, &keeping);
+      const ctsim::Trace& trace = keeping.trace();
+      EXPECT_EQ(hash_only.hash(), keeping.hash())
           << system->name() << " plan#" << p << " diverged on an identical ⟨seed, plan⟩";
+      EXPECT_EQ(hash_only.size(), trace.size()) << system->name() << " plan#" << p;
+      EXPECT_EQ(hash_only.hash(), trace.Hash())
+          << system->name() << " plan#" << p << ": streamed hash differs from the kept trace's";
+      EXPECT_EQ(hash_only.hash(), ctsim::Trace::Parse(trace.Serialize()).Hash())
+          << system->name() << " plan#" << p << ": streamed hash differs from the serialized trace's";
+      for (const ctsim::TraceEvent& event : trace.events()) {
+        kinds.insert(event.kind);
+      }
     }
+  }
+  // The sweep reaches every record kind a fault plan produces. Nothing
+  // crashes in these runs; the crash-mode campaign below covers those kinds.
+  for (const char* kind : {"deliver", "drop.partition", "drop.link", "dup", "timer", "start",
+                           "partition", "partition.oneway", "timer-skew"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << "no plan produced a \"" << kind << "\" record";
   }
 }
 
@@ -133,6 +153,36 @@ std::string Serialize(SystemReport report) {
   report.analysis_wall_seconds = 0;
   report.test_wall_seconds = 0;
   return ctcore::ReportToJson(report);
+}
+
+// An injection run keeps its events only for a record store and otherwise
+// just hashes them. Both paths must give every run the same hash, over the
+// crash, shutdown and dead-node records of the paper's own trigger.
+TEST(FaultPlanProperty, CrashCampaignHashesMatchItsRecordedTraces) {
+  std::set<std::string> kinds;
+  for (const auto& system : AllSystems()) {
+    const SystemReport hashed = CrashTunerDriver().Run(*system, DriverOptions());
+    ctcore::TraceStore recorded;
+    DriverOptions record;
+    record.record_traces = &recorded;
+    const SystemReport kept = CrashTunerDriver().Run(*system, record);
+    EXPECT_EQ(Serialize(hashed), Serialize(kept)) << system->name();
+    ASSERT_EQ(recorded.size(), hashed.injections.size()) << system->name();
+    for (size_t slot = 0; slot < hashed.injections.size(); ++slot) {
+      const ctsim::Trace* trace = recorded.Get(static_cast<int>(slot));
+      ASSERT_NE(trace, nullptr) << system->name() << " slot " << slot;
+      EXPECT_EQ(hashed.injections[slot].trace_hash, trace->Hash())
+          << system->name() << " slot " << slot;
+      EXPECT_EQ(hashed.injections[slot].trace_hash, ctsim::Trace::Parse(trace->Serialize()).Hash())
+          << system->name() << " slot " << slot;
+      for (const ctsim::TraceEvent& event : trace->events()) {
+        kinds.insert(event.kind);
+      }
+    }
+  }
+  for (const char* kind : {"crash", "shutdown", "drop.dead", "cluster-down"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << "no injection run produced a \"" << kind << "\" record";
+  }
 }
 
 TEST(FaultPlanProperty, RecordedCampaignReplaysByteIdentically) {

@@ -151,4 +151,19 @@ TEST(GoldenReport, CassandraStaticOnly) {
   CheckSystem(ctcass::CassSystem(), ContextMode::kStaticOnly, "cassandra_static_only");
 }
 
+// Scale 8 pins the many-peer paths: 24 ZooKeeper peers elect and track a
+// leader, and 24 Cassandra nodes grow their gossip rings. At scale 1 there
+// are three of each, too few to tell an incremental bookkeeping bug apart
+// from a full rescan.
+TEST(GoldenReport, ZooKeeperScale8) {
+  ctzk::ZkSystem system;
+  system.set_scale(8);
+  CheckSystem(system, ContextMode::kProfiled, "zookeeper_scale8");
+}
+TEST(GoldenReport, CassandraScale8) {
+  ctcass::CassSystem system;
+  system.set_scale(8);
+  CheckSystem(system, ContextMode::kProfiled, "cassandra_scale8");
+}
+
 }  // namespace

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repository CI: warnings-as-errors build, tier-1 tests, model lint, a
-# jobs=1-vs-jobs=hw smoke of the parallel injection campaign, then ASan+UBSan
+# Repository CI: warnings-as-errors build, tier-1 tests, the benchmark's
+# recorded-output checks, model lint, a jobs=1-vs-jobs=hw smoke of the
+# parallel injection campaign and the other bench smokes, then ASan+UBSan
 # and TSan builds of the same tree (the two sanitizers cannot share a build).
 # Run from the repository root:
 #   tools/ci.sh [--skip-sanitizers]
@@ -25,6 +26,21 @@ echo "== stage 2: tests =="
 # property tests, and the golden-report regression (and again under both
 # sanitizer builds in stages 5-6).
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== stage 2b: benchmark outputs (recorded bug ids and trace hashes) =="
+# perfbench checks every pass against the bug ids and campaign trace hashes
+# recorded for seed 2019. Its smoke (the benchmark's own test) checks the
+# scale-1 campaign; one full scale8 pass then checks the 8x campaign of all
+# five systems (stage 2's goldens pin only ZooKeeper and Cassandra at scale
+# 8). This runs before the bench smokes of stage 4, so it reports even while
+# one of them fails.
+python3 perfbench/run.py --smoke
+scale8_result="$(python3 perfbench/run.py --workload scale8 --seconds 0 | tail -n 1)"
+echo "$scale8_result"
+python3 -c 'import json, sys
+result = json.loads(sys.argv[1])
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)' "$scale8_result" \
+  || { echo "scale8 pass does not match the recorded outputs" >&2; exit 1; }
 
 echo "== stage 3: model lint =="
 ./build/tools/ctlint --summary
