@@ -25,9 +25,5 @@ int main(int argc, char** argv) {
   }
   ctrt::AccessTracer::SetDefaultStackDepth(ctrt::CallStack::kMaxDepth);
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

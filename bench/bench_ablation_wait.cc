@@ -27,9 +27,5 @@ int main(int argc, char** argv) {
               "that invalidate the read (remove the node, fail the attempt, kill the\n"
               "container); post-write bugs are crash-immediate and survive wait=0.\n");
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

@@ -87,9 +87,5 @@ int main(int argc, char** argv) {
     std::printf("  %-42s -> %s\n", value.c_str(), node.c_str());
   }
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

@@ -7,15 +7,13 @@
 // trace hash (the determinism contract fuzz_property_test pins in CI's
 // stage 2 — here cross-checked against a live campaign), or — on machines
 // with >= 4 hardware threads — if jobs=4 is not >= 2x faster overall.
-// Results land in BENCH_fuzz.json.
+// --json FILE writes the results as BenchRecords.
 //
 // Usage: bench_fuzz [budget] [--jobs N] [--json FILE]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/campaign.h"
@@ -53,7 +51,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::string json_path = flags.json_path.empty() ? "BENCH_fuzz.json" : flags.json_path;
 
   ctbench::PrintHeader("Coverage-guided workload fuzzing: " + std::to_string(budget) +
                        "-run smoke per system");
@@ -61,7 +58,7 @@ int main(int argc, char** argv) {
               "baseline", "new_pairs", "bugs", "wall_s(1)", "runs/sec");
 
   auto systems = ctbench::AllSystems();
-  std::vector<SystemRow> rows;
+  ctbench::BenchRecords records;
   double serial_total = 0, parallel_total = 0;
   for (const auto& system : systems) {
     SystemRow row;
@@ -98,7 +95,18 @@ int main(int argc, char** argv) {
     std::printf("%-22s %6d %8d %10d %10d %8d %10.3f %10.1f\n", row.name.c_str(), row.runs,
                 row.corpus_size, row.baseline_pairs, row.new_pairs, row.bug_runs,
                 row.serial_seconds, row.runs_per_sec());
-    rows.push_back(row);
+    const std::string prefix = row.name + ".";
+    records.Add(prefix + "runs", "count", row.runs);
+    records.Add(prefix + "corpus", "count", row.corpus_size);
+    records.Add(prefix + "baseline_pairs", "count", row.baseline_pairs);
+    records.AddBar(prefix + "new_pairs", "count", row.new_pairs, ">= 1", row.new_pairs >= 1);
+    records.Add(prefix + "bug_runs", "count", row.bug_runs);
+    records.Add(prefix + "wall_s.jobs1", "s", row.serial_seconds);
+    records.Add(prefix + "wall_s.jobs4", "s", row.parallel_seconds);
+    records.Add(prefix + "runs_per_s", "runs/s", row.runs_per_sec());
+    // Whether jobs=1 and jobs=4 agree on corpus, new pairs and trace hash.
+    records.AddBar(prefix + "deterministic", "bool", row.deterministic, "== 1",
+                   row.deterministic);
   }
 
   ctbench::PrintRule();
@@ -109,41 +117,7 @@ int main(int argc, char** argv) {
               "thread(s))\n",
               speedup, enforce_speedup ? "enforced" : "not enforced", hardware_threads);
 
-  int failures = 0;
-  for (const SystemRow& row : rows) {
-    if (row.new_pairs < 1) {
-      std::printf("FAIL: %s discovered no pair beyond the fixed script\n", row.name.c_str());
-      ++failures;
-    }
-    if (!row.deterministic) {
-      std::printf("FAIL: %s diverged between jobs=1 and jobs=4\n", row.name.c_str());
-      ++failures;
-    }
-  }
-  failures += enforce_speedup && speedup < 2.0 ? 1 : 0;
-
-  std::ofstream json(json_path);
-  json << "{\n  \"schema\": \"crashtuner-bench-fuzz-v1\",\n";
-  json << "  \"budget_per_system\": " << budget << ",\n";
-  json << "  \"systems\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SystemRow& row = rows[i];
-    json << "    {\"system\": \"" << row.name << "\", \"runs\": " << row.runs
-         << ", \"corpus_size\": " << row.corpus_size
-         << ", \"baseline_pairs\": " << row.baseline_pairs
-         << ", \"new_pairs\": " << row.new_pairs << ", \"bug_runs\": " << row.bug_runs
-         << ", \"serial_seconds\": " << row.serial_seconds
-         << ", \"parallel_seconds\": " << row.parallel_seconds
-         << ", \"runs_per_sec\": " << row.runs_per_sec()
-         << ", \"deterministic\": " << (row.deterministic ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n";
-  json << "  \"jobs4_speedup\": " << speedup << ",\n";
-  json << "  \"hardware_threads\": " << hardware_threads << ",\n";
-  json << "  \"speedup_bar_enforced\": " << (enforce_speedup ? "true" : "false") << ",\n";
-  json << "  \"pass\": " << (failures == 0 ? "true" : "false") << "\n}\n";
-  std::printf("wrote %s\n", json_path.c_str());
-
-  return failures;
+  records.AddBar("jobs4_speedup", "x", speedup, ">= 2", speedup >= 2.0, enforce_speedup);
+  records.Add("hardware_threads", "count", hardware_threads);
+  return records.Finish(flags.json_path);
 }

@@ -7,9 +7,9 @@
 // contexts (ContextMode::kStaticOnly) instead of profiled runs — the
 // quadratic phase then needs zero profiling workloads. --json FILE
 // additionally runs the profiled and static pipelines on all five systems
-// and writes the pair-set precision/recall cross-check per system.
+// and writes the pair-set precision/recall cross-check per system as
+// BenchRecords.
 #include <chrono>
-#include <fstream>
 
 #include "bench/bench_util.h"
 #include "src/analysis/log_analysis.h"
@@ -122,38 +122,30 @@ int main(int argc, char** argv) {
                     : "DIVERGED");
   }
 
+  ctbench::BenchRecords records;
   if (!flags.json_path.empty()) {
     ctbench::PrintRule();
     std::printf("pair-set cross-check (uncapped): static-only vs profiled per system\n");
     std::printf("%-16s %8s %8s %8s %8s %10s %6s\n", "system", "prof-pts", "stat-pts",
                 "prof-prs", "stat-prs", "recall", "prec");
-    std::ofstream json(flags.json_path);
-    json << "[";
-    bool first = true;
     for (const auto& system : ctbench::AllSystems()) {
       PairCrossRow row = CrossCheckSystem(*system);
       std::printf("%-16s %8d %8d %8lld %8lld %9.1f%% %5.3f\n", row.system.c_str(),
                   row.profiled_points, row.static_points, row.check.profiled,
                   row.check.enumerated, 100.0 * row.check.Recall(), row.check.Precision());
-      if (!first) {
-        json << ",";
-      }
-      first = false;
-      json << "\n  {\"system\":\"" << row.system << "\",\"profiled_points\":"
-           << row.profiled_points << ",\"static_points\":" << row.static_points
-           << ",\"profiled_pairs\":" << row.check.profiled
-           << ",\"static_pairs\":" << row.check.enumerated
-           << ",\"matched_pairs\":" << row.check.matched << ",\"recall\":" << row.check.Recall()
-           << ",\"precision\":" << row.check.Precision()
-           << ",\"static_instrumented_runs\":" << row.instrumented_runs << "}";
+      const std::string prefix = row.system + ".";
+      records.Add(prefix + "profiled_points", "count", row.profiled_points);
+      records.Add(prefix + "static_points", "count", row.static_points);
+      records.Add(prefix + "profiled_pairs", "count", row.check.profiled);
+      records.Add(prefix + "static_pairs", "count", row.check.enumerated);
+      records.Add(prefix + "matched_pairs", "count", row.check.matched);
+      records.Add(prefix + "recall", "frac", row.check.Recall());
+      records.Add(prefix + "precision", "frac", row.check.Precision());
+      records.Add(prefix + "static_instrumented_runs", "count", row.instrumented_runs);
     }
-    json << "\n]\n";
-    std::printf("wrote %s\n", flags.json_path.c_str());
   }
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  int status = records.Finish(flags.json_path);
+  status += observation.Write() ? 0 : 1;
+  return status;
 }

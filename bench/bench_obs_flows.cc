@@ -26,11 +26,10 @@
 //   bench_obs_flows [--jobs N] [--json FILE] [--metrics-out FILE]
 //                   [--trace-out FILE] [--dossier-dir DIR] [SCALE]
 //
-// Writes BENCH_obs_flows.json (or --json FILE). Exit status is the number of
-// violated criteria.
+// --json FILE writes the results as BenchRecords. Exit status is the number
+// of violated criteria, plus one per failed write.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -57,8 +56,6 @@ int main(int argc, char** argv) {
     }
   }
   const int jobs = flags.jobs > 1 ? flags.jobs : 4;
-  const std::string json_path =
-      flags.json_path.empty() ? "BENCH_obs_flows.json" : flags.json_path;
 
   ctbench::PrintHeader("Observability at scale: flows, dwell profile, dossiers");
   std::printf("zookeeper @ scale %d, jobs=%d\n", scale, jobs);
@@ -91,7 +88,9 @@ int main(int argc, char** argv) {
       ctcore::CrashTunerDriver().Run(observed_system, on_options);
   const double on_wall = Wall(on_start);
 
-  int failures = 0;
+  ctbench::BenchRecords records;
+  records.Add("scale", "x", scale);
+  records.Add("jobs", "count", jobs);
 
   // 1. Passivity. Wall-clock timings are the one legitimately nondeterministic
   // part of a report; zero them before the byte comparison like the
@@ -107,7 +106,7 @@ int main(int argc, char** argv) {
               reports_identical ? "byte-identical" : "DIVERGED",
               static_cast<unsigned long long>(report_off.trace_hash),
               static_cast<unsigned long long>(report_on.trace_hash));
-  failures += reports_identical ? 0 : 1;
+  records.AddBar("reports_identical", "bool", reports_identical, "== 1", reports_identical);
 
   // Finalize() the observer copy we keep for assertions. BenchObservation
   // owns the observer when file output was requested; Finalize is const-safe
@@ -131,7 +130,10 @@ int main(int argc, char** argv) {
           : 0.0;
   std::printf("dwell: quorum-broadcast %llu ms of %llu virtual ms (%.1f%%, bar >= 50%%)\n",
               broadcast_dwell_ms, total_virtual_ms, 100.0 * dwell_share);
-  failures += dwell_share >= 0.5 ? 0 : 1;
+  records.Add("dwell.total_virtual_ms", "ms", total_virtual_ms);
+  records.Add("dwell.quorum_broadcast_ms", "ms", broadcast_dwell_ms);
+  records.AddBar("dwell.quorum_broadcast_share", "frac", dwell_share, ">= 0.5",
+                 dwell_share >= 0.5);
 
   // 3. Flows.
   const ctobs::FlowStats& flows = metrics.flows;
@@ -142,7 +144,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(flows.roots),
               static_cast<unsigned long long>(flows.span_resolved),
               static_cast<unsigned long long>(flows.max_depth), flows_ok ? "ok" : "FAIL");
-  failures += flows_ok ? 0 : 1;
+  records.Add("flows.messages", "count", flows.messages);
+  records.Add("flows.roots", "count", flows.roots);
+  records.Add("flows.span_resolved", "count", flows.span_resolved);
+  records.Add("flows.max_depth", "count", flows.max_depth);
+  records.AddBar("flows.ok", "bool", flows_ok, "== 1", flows_ok);
 
   // 4. Dossiers. ZooKeeper's campaign recovers cleanly (Table 5 finds no new
   // ZooKeeper bugs, so no injection earns a bug verdict), so the dossier
@@ -181,7 +187,10 @@ int main(int argc, char** argv) {
   std::printf(
       "dossiers (yarn @ scale 1): %zu emitted for %d bug runs, %d round-trip failure(s) — %s\n",
       dossiers.size(), bug_runs, roundtrip_failures, dossiers_ok ? "ok" : "FAIL");
-  failures += dossiers_ok ? 0 : 1;
+  records.Add("dossiers.bug_runs", "count", bug_runs);
+  records.Add("dossiers.emitted", "count", dossiers.size());
+  records.Add("dossiers.roundtrip_failures", "count", roundtrip_failures);
+  records.AddBar("dossiers.ok", "bool", dossiers_ok, "== 1", dossiers_ok);
 
   // 5. Overhead.
   const double overhead = off_wall > 0 ? (on_wall - off_wall) / off_wall : 0.0;
@@ -191,34 +200,13 @@ int main(int argc, char** argv) {
               "hardware thread(s))\n",
               on_wall, off_wall, 100.0 * overhead,
               enforce_overhead ? "enforced" : "not enforced", hardware_threads);
-  failures += enforce_overhead && overhead > 0.10 ? 1 : 0;
+  records.Add("overhead.baseline_wall_s", "s", off_wall);
+  records.Add("overhead.observed_wall_s", "s", on_wall);
+  records.AddBar("overhead.frac", "frac", overhead, "<= 0.1", overhead <= 0.10,
+                 enforce_overhead);
+  records.Add("hardware_threads", "count", hardware_threads);
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace/dossier output\n");
-    ++failures;
-  }
-
-  std::ofstream json(json_path);
-  json << "{\n  \"schema\": \"crashtuner-bench-obs-flows-v1\",\n";
-  json << "  \"system\": \"zookeeper\",\n";
-  json << "  \"scale\": " << scale << ",\n  \"jobs\": " << jobs << ",\n";
-  json << "  \"baseline_wall_seconds\": " << off_wall << ",\n";
-  json << "  \"observed_wall_seconds\": " << on_wall << ",\n";
-  json << "  \"overhead\": " << overhead << ",\n";
-  json << "  \"overhead_bar_enforced\": " << (enforce_overhead ? "true" : "false") << ",\n";
-  json << "  \"reports_identical\": " << (reports_identical ? "true" : "false") << ",\n";
-  json << "  \"total_virtual_ms\": " << total_virtual_ms << ",\n";
-  json << "  \"quorum_broadcast_dwell_ms\": " << broadcast_dwell_ms << ",\n";
-  json << "  \"quorum_broadcast_dwell_share\": " << dwell_share << ",\n";
-  json << "  \"flow_messages\": " << flows.messages << ",\n";
-  json << "  \"flow_roots\": " << flows.roots << ",\n";
-  json << "  \"flow_span_resolved\": " << flows.span_resolved << ",\n";
-  json << "  \"flow_max_depth\": " << flows.max_depth << ",\n";
-  json << "  \"dossier_system\": \"yarn\",\n";
-  json << "  \"bug_runs\": " << bug_runs << ",\n";
-  json << "  \"dossiers\": " << dossiers.size() << ",\n";
-  json << "  \"pass\": " << (failures == 0 ? "true" : "false") << "\n}\n";
-  std::printf("wrote %s\n", json_path.c_str());
-
-  return failures;
+  int status = observation.Write() ? 0 : 1;
+  status += records.Finish(flags.json_path);
+  return status;
 }

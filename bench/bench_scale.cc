@@ -21,10 +21,9 @@
 //
 //   bench_scale [--json FILE] [SCALE...]        (default levels: 1 2 8)
 //
-// Writes BENCH_scale.json (or --json FILE). Exit status is the number of
-// violated criteria.
+// --json FILE writes the results as BenchRecords. Exit status is the number
+// of violated criteria.
 #include <chrono>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -247,7 +246,6 @@ int main(int argc, char** argv) {
   if (levels.empty()) {
     levels = {1, 2, 8};
   }
-  const std::string json_path = flags.json_path.empty() ? "BENCH_scale.json" : flags.json_path;
 
   ctbench::PrintHeader("Scale-out simulator core: scheduler + campaign sweep");
 
@@ -310,38 +308,22 @@ int main(int argc, char** argv) {
               hardware_threads);
   std::printf("per-run event counts identical across jobs: %s\n", deterministic ? "yes" : "NO");
 
-  int failures = 0;
-  failures += ratio < 10.0 ? 1 : 0;
-  failures += enforce_speedup && jobs4_speedup < 2.0 ? 1 : 0;
-  failures += deterministic ? 0 : 1;
-
-  std::ofstream json(json_path);
-  json << "{\n  \"schema\": \"crashtuner-bench-scale-v1\",\n";
-  json << "  \"microbench\": {\n";
-  json << "    \"events\": " << kMicroEvents << ",\n";
-  json << "    \"live_window\": " << kWindow << ",\n";
-  json << "    \"cancel_pct\": " << kCancelPct << ",\n";
-  json << "    \"legacy_events_per_sec\": " << legacy.events_per_sec() << ",\n";
-  json << "    \"ladder_events_per_sec\": " << ladder.events_per_sec() << ",\n";
-  json << "    \"ratio\": " << ratio << "\n  },\n";
-  json << "  \"campaigns\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& cell = cells[i];
-    json << "    {\"scale\": " << cell.scale << ", \"jobs\": " << cell.jobs
-         << ", \"runs\": " << cell.runs << ", \"wall_seconds\": " << cell.wall_seconds
-         << ", \"runs_per_sec\": " << cell.runs_per_sec()
-         << ", \"events_per_sec\": " << cell.events_per_sec()
-         << ", \"peak_pending\": " << cell.peak_pending << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
+  ctbench::BenchRecords records;
+  records.Add("micro.legacy_events_per_s", "events/s", legacy.events_per_sec());
+  records.Add("micro.ladder_events_per_s", "events/s", ladder.events_per_sec());
+  records.AddBar("micro.speedup", "x", ratio, ">= 10", ratio >= 10.0);
+  for (const CellResult& cell : cells) {
+    const std::string prefix =
+        "sweep.scale" + std::to_string(cell.scale) + ".jobs" + std::to_string(cell.jobs) + ".";
+    records.Add(prefix + "runs", "count", cell.runs);
+    records.Add(prefix + "wall_s", "s", cell.wall_seconds);
+    records.Add(prefix + "runs_per_s", "runs/s", cell.runs_per_sec());
+    records.Add(prefix + "events_per_s", "events/s", cell.events_per_sec());
+    records.Add(prefix + "peak_pending", "count", cell.peak_pending);
   }
-  json << "  ],\n";
-  json << "  \"largest_scale\": " << last_seq.scale << ",\n";
-  json << "  \"jobs4_speedup_at_largest\": " << jobs4_speedup << ",\n";
-  json << "  \"hardware_threads\": " << hardware_threads << ",\n";
-  json << "  \"speedup_bar_enforced\": " << (enforce_speedup ? "true" : "false") << ",\n";
-  json << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n";
-  json << "  \"pass\": " << (failures == 0 ? "true" : "false") << "\n}\n";
-  std::printf("wrote %s\n", json_path.c_str());
-
-  return failures;
+  records.AddBar("sweep.jobs4_speedup", "x", jobs4_speedup, ">= 2", jobs4_speedup >= 2.0,
+                 enforce_speedup);
+  records.AddBar("sweep.deterministic", "bool", deterministic, "== 1", deterministic);
+  records.Add("hardware_threads", "count", hardware_threads);
+  return records.Finish(flags.json_path);
 }

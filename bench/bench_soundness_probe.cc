@@ -59,9 +59,5 @@ int main(int argc, char** argv) {
               100.0 * (1.0 - static_cast<double>(with_opts.injections.size()) /
                                  static_cast<double>(without_opts.injections.size())));
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "src/analysis/call_graph.h"
 #include "src/analysis/context_enumeration.h"
+#include "src/runtime/tracer.h"
 
 namespace {
 
@@ -40,17 +41,23 @@ int main(int argc, char** argv) {
     double t_profiled = WallSeconds([&] { profiled = driver.Run(*system, profiled_options); });
 
     ctcore::DriverOptions options;
-    options.context_mode = ctcore::ContextMode::kStaticSeeded;
+    options.context_mode = ctcore::ContextMode::kStaticOnly;
     options.observer = observation.ObserverFor(system->name() + "/static");
-    ctcore::SystemReport seeded;
-    double t_static = WallSeconds([&] { seeded = driver.Run(*system, options); });
+    ctcore::SystemReport enumerated;
+    double t_static = WallSeconds([&] { enumerated = driver.Run(*system, options); });
+
+    // The driver's enumeration, checked against the profiled fixpoint.
+    ctanalysis::CallGraph graph(system->model());
+    const ctanalysis::ContextCrossCheck check = ctanalysis::CompareWithProfile(
+        ctanalysis::ContextEnumeration(&graph).EnumerateAll(
+            ctrt::AccessTracer::DefaultStackDepth(), /*prune_infeasible=*/true),
+        profiled.profile.dynamic_access_points);
 
     std::printf("%-14s | %8d %6d | %8d %6d %8d | %6.1f%% %8.1f%% | %7.2fs %7.2fs\n",
                 system->name().c_str(), profiled.dynamic_crash_points,
-                profiled.profile.iterations, seeded.static_contexts,
-                seeded.static_unreachable_points, seeded.static_pruned_call_strings,
-                100.0 * seeded.context_check.Recall(),
-                100.0 * seeded.context_check.Precision(), t_profiled, t_static);
+                profiled.profile.iterations, enumerated.static_contexts,
+                enumerated.static_unreachable_points, enumerated.static_pruned_call_strings,
+                100.0 * check.Recall(), 100.0 * check.Precision(), t_profiled, t_static);
   }
   std::printf("Recall: profiled pairs the enumeration reproduces (must be 100%%).\n");
   std::printf("Precision: enumerated pairs over profiled points the workload exercised.\n");
@@ -84,9 +91,5 @@ int main(int argc, char** argv) {
   std::printf("Counts cover every modelled access point (catalog included); the\n");
   std::printf("unreach column is the access points whose anchor no entry reaches.\n");
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

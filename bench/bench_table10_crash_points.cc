@@ -92,9 +92,5 @@ int main(int argc, char** argv) {
   }
   std::printf("(paper: 3.76x overall)\n");
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

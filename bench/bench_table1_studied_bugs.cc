@@ -57,9 +57,5 @@ int main(int argc, char** argv) {
   std::printf("  (the remaining Table 1 entries are carried as study data; the seven the\n"
               "   paper could not reproduce are annotated with its reasons)\n");
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

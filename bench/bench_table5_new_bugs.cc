@@ -3,10 +3,11 @@
 // detected bugs with priority, scenario, status, symptom and meta-info, plus
 // the §4.1.3 timeout issues.
 //
-// With `--speedup [--jobs N] [--json FILE]` the bench also times the Phase-2
-// injection campaign sequentially and at N worker threads. A single campaign
-// is only ~40 simulated runs, so the timing repeats the campaign for enough
-// rounds to get wall-clock numbers above scheduler noise.
+// With `--speedup [--jobs N]` the bench also times the Phase-2 injection
+// campaign sequentially and at N worker threads. A single campaign is only
+// ~40 simulated runs, so the timing repeats the campaign for enough rounds to
+// get wall-clock numbers above scheduler noise. `--json FILE` writes the
+// issue counts, and the timings when measured, as BenchRecords.
 #include <chrono>
 
 #include "bench/bench_util.h"
@@ -85,13 +86,18 @@ int main(int argc, char** argv) {
               "3-node cluster)\n",
               total_test_hours);
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
+  if (!observation.Write()) {
     return 1;
   }
 
+  ctbench::BenchRecords records;
+  records.Add("issues", "count", total_bug_rows);
+  records.Add("exposing_points", "count", grouped_points);
+  records.Add("critical", "count", critical);
+  records.Add("timeout_issues", "count", timeout_issues);
+  records.Add("test_virtual_h", "h", total_test_hours);
   if (!flags.speedup) {
-    return 0;
+    return records.Finish(flags.json_path);
   }
 
   // Without an explicit --jobs the comparison runs against the hardware.
@@ -104,13 +110,9 @@ int main(int argc, char** argv) {
               "speedup");
   ctbench::PrintRule();
 
-  struct SpeedupRow {
-    std::string system;
-    int runs_per_round = 0;
-    double sequential_s = 0;
-    double parallel_s = 0;
-  };
-  std::vector<SpeedupRow> speedups;
+  records.Add("jobs", "count", jobs);
+  records.Add("rounds", "count", rounds);
+  records.Add("hardware_threads", "count", ctcore::ResolveJobs(0));
   double total_seq = 0;
   double total_par = 0;
   for (size_t i = 0; i < systems.size(); ++i) {
@@ -128,17 +130,19 @@ int main(int argc, char** argv) {
                                         report.profile.baseline,
                                         report.profile.normal_duration_ms);
 
-    SpeedupRow row;
-    row.system = system.name();
-    row.runs_per_round = static_cast<int>(report.injections.size());
-    row.sequential_s = TimeCampaignRounds(tester, report.profile, rounds, /*jobs=*/1);
-    row.parallel_s = TimeCampaignRounds(tester, report.profile, rounds, jobs);
-    std::printf("%-14s %10d %12.3f %12.3f %8.2fx\n", row.system.c_str(), row.runs_per_round,
-                row.sequential_s, row.parallel_s,
-                row.parallel_s > 0 ? row.sequential_s / row.parallel_s : 0.0);
-    total_seq += row.sequential_s;
-    total_par += row.parallel_s;
-    speedups.push_back(row);
+    const int runs_per_round = static_cast<int>(report.injections.size());
+    const double sequential_s = TimeCampaignRounds(tester, report.profile, rounds, /*jobs=*/1);
+    const double parallel_s = TimeCampaignRounds(tester, report.profile, rounds, jobs);
+    const double speedup = parallel_s > 0 ? sequential_s / parallel_s : 0.0;
+    std::printf("%-14s %10d %12.3f %12.3f %8.2fx\n", system.name().c_str(), runs_per_round,
+                sequential_s, parallel_s, speedup);
+    const std::string prefix = system.name() + ".";
+    records.Add(prefix + "runs_per_round", "count", runs_per_round);
+    records.Add(prefix + "sequential_s", "s", sequential_s);
+    records.Add(prefix + "parallel_s", "s", parallel_s);
+    records.Add(prefix + "speedup", "x", speedup);
+    total_seq += sequential_s;
+    total_par += parallel_s;
   }
   ctbench::PrintRule();
   const double total_speedup = total_par > 0 ? total_seq / total_par : 0.0;
@@ -148,29 +152,8 @@ int main(int argc, char** argv) {
               " per-round worker spawn plus the tail of the longest run in each wave)\n",
               jobs);
 
-  if (!flags.json_path.empty()) {
-    std::FILE* out = std::fopen(flags.json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\"bench\":\"parallel_campaign\",\"jobs\":%d,\"rounds\":%d,"
-                 "\"hardware_threads\":%d,\"systems\":[",
-                 jobs, rounds, ctcore::ResolveJobs(0));
-    for (size_t i = 0; i < speedups.size(); ++i) {
-      const SpeedupRow& row = speedups[i];
-      std::fprintf(out,
-                   "%s{\"system\":\"%s\",\"runs_per_round\":%d,\"sequential_s\":%.6f,"
-                   "\"parallel_s\":%.6f,\"speedup\":%.3f}",
-                   i == 0 ? "" : ",", row.system.c_str(), row.runs_per_round, row.sequential_s,
-                   row.parallel_s, row.parallel_s > 0 ? row.sequential_s / row.parallel_s : 0.0);
-    }
-    std::fprintf(out,
-                 "],\"total\":{\"sequential_s\":%.6f,\"parallel_s\":%.6f,\"speedup\":%.3f}}\n",
-                 total_seq, total_par, total_speedup);
-    std::fclose(out);
-    std::printf("wrote %s\n", flags.json_path.c_str());
-  }
-  return 0;
+  records.Add("total.sequential_s", "s", total_seq);
+  records.Add("total.parallel_s", "s", total_par);
+  records.Add("total.speedup", "x", total_speedup);
+  return records.Finish(flags.json_path);
 }

@@ -34,9 +34,5 @@ int main(int argc, char** argv) {
               "meta-info abstraction transfers beyond the JVM ecosystem.\n",
               ctstudy::KubernetesBugs().size());
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  return observation.Write() ? 0 : 1;
 }

@@ -10,12 +10,10 @@
 // races: the guided driver (InjectionMode::kNetworkFault) arms a partition
 // in each meta-info window and reproduces every declared race in one pass
 // per dynamic point, while blind partition trials have to get victim, cut
-// time, and window length right at once. `--json FILE` emits the comparison
-// (BENCH_network_faults.json in CI).
+// time, and window length right at once. `--json FILE` writes the comparison
+// as BenchRecords (BENCH_network_faults.json in CI).
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "bench/bench_util.h"
 
@@ -85,7 +83,8 @@ int main(int argc, char** argv) {
               "RandBugs", "FirstRaceTrial");
   ctbench::PrintRule();
 
-  std::vector<NetworkRow> rows;
+  ctbench::BenchRecords records;
+  records.Add("trials", "count", trials);
   double wall_total = 0;
   for (const auto& system : ctbench::AllSystems()) {
     auto wall_start = std::chrono::steady_clock::now();
@@ -117,7 +116,15 @@ int main(int argc, char** argv) {
 
     std::printf("%-14s %8d %9d %12d %10d %14d\n", row.system.c_str(), row.guided_injections,
                 row.guided_race_hits, row.random_failing, row.random_bugs, row.first_race_trial);
-    rows.push_back(row);
+    const std::string prefix = row.system + ".";
+    records.Add(prefix + "guided_injections", "count", row.guided_injections);
+    records.Add(prefix + "guided_race_found", "bool", row.guided_race_found);
+    records.Add(prefix + "guided_race_hits", "count", row.guided_race_hits);
+    records.Add(prefix + "random_trials", "count", row.random_trials);
+    records.Add(prefix + "random_failing", "count", row.random_failing);
+    records.Add(prefix + "random_dedup_bugs", "count", row.random_bugs);
+    records.Add(prefix + "random_first_race_trial", "index", row.first_race_trial);
+    records.Add(prefix + "wall_s", "s", row.wall_seconds);
   }
   ctbench::PrintRule();
   std::printf("guided mode reproduces each declared race within one campaign "
@@ -125,34 +132,9 @@ int main(int argc, char** argv) {
               "window drawn right at once (-1: never in %d trials)\n",
               trials);
 
-  if (!flags.json_path.empty()) {
-    std::ostringstream json;
-    json << "{\"bench\":\"network_faults\",\"trials\":" << trials
-         << ",\"wall_seconds\":" << wall_total << ",\"systems\":[";
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const NetworkRow& row = rows[i];
-      if (i > 0) {
-        json << ",";
-      }
-      json << "{\"system\":\"" << row.system << "\""
-           << ",\"guided_injections\":" << row.guided_injections
-           << ",\"guided_race_found\":" << (row.guided_race_found ? "true" : "false")
-           << ",\"guided_race_hits\":" << row.guided_race_hits
-           << ",\"random_trials\":" << row.random_trials
-           << ",\"random_failing\":" << row.random_failing
-           << ",\"random_dedup_bugs\":" << row.random_bugs
-           << ",\"random_first_race_trial\":" << row.first_race_trial
-           << ",\"wall_seconds\":" << row.wall_seconds << "}";
-    }
-    json << "]}";
-    std::ofstream out(flags.json_path);
-    out << json.str() << "\n";
-    std::printf("wrote %s\n", flags.json_path.c_str());
-  }
+  records.Add("wall_s", "s", wall_total);
 
-  if (observation.enabled() && !observation.Write()) {
-    std::fprintf(stderr, "cannot write metrics/trace output\n");
-    return 1;
-  }
-  return 0;
+  int status = records.Finish(flags.json_path);
+  status += observation.Write() ? 0 : 1;
+  return status;
 }

@@ -1,9 +1,10 @@
-// Shared helpers for the experiment benches: cached per-system CrashTuner
-// reports (each bench binary reruns the pipeline it needs) and tabular
-// printing that mirrors the paper's table layout.
+// Shared helpers for the experiment benches: the five systems, tabular
+// printing that mirrors the paper's table layout, the shared flags, the
+// observability outputs, and the one --json record format.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -17,6 +18,7 @@
 #include "src/core/system_under_test.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/dossier.h"
+#include "src/obs/json.h"
 #include "src/obs/observer.h"
 #include "src/obs/snapshot.h"
 #include "src/systems/cassandra/cass_system.h"
@@ -68,7 +70,8 @@ inline void PrintRule() {
 
 // Flags shared by the bench binaries: `--jobs N` (campaign worker threads,
 // 0 = hardware concurrency), `--speedup` (time the campaign sequential vs
-// parallel), `--json FILE` (machine-readable results for CI),
+// parallel), `--json FILE` (the bench's BenchRecords; nothing is written
+// without it),
 // `--metrics-out FILE` (campaign metrics snapshot, see src/obs/snapshot.h),
 // `--trace-out FILE` (Chrome-trace export for Perfetto) and
 // `--dossier-dir DIR` (one crashtuner-dossier-v1 JSON per failing run, see
@@ -144,9 +147,16 @@ class BenchObservation {
     return observers_.back().second.get();
   }
 
-  // Emits the requested files. Returns false if any write failed.
+  // Emits the requested files, naming each path that cannot be written on
+  // stderr. Returns false if any write failed (true when nothing was asked).
   bool Write() const {
     bool ok = true;
+    auto check = [&ok](bool written, const std::string& path) {
+      if (!written) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        ok = false;
+      }
+    };
     if (!metrics_out_.empty()) {
       ctobs::MetricsSnapshot snapshot;
       for (const auto& [label, observer] : observers_) {
@@ -154,7 +164,7 @@ class BenchObservation {
         system.system = label;  // the bench's label, not the driver's
         snapshot.systems.push_back(std::move(system));
       }
-      ok = snapshot.WriteFile(metrics_out_) && ok;
+      check(ctobs::WriteTextFile(metrics_out_, snapshot.ToJson()), metrics_out_);
     }
     if (!trace_out_.empty()) {
       ctobs::ChromeTraceWriter writer;
@@ -162,11 +172,13 @@ class BenchObservation {
       for (const auto& [label, observer] : observers_) {
         observer->AppendChromeTrace(&writer, pid++, label);
       }
-      ok = writer.WriteFile(trace_out_) && ok;
+      check(ctobs::WriteTextFile(trace_out_, writer.ToJson()), trace_out_);
     }
     if (!dossier_dir_.empty()) {
       for (const auto& [label, observer] : observers_) {
-        ok = ctobs::WriteDossiers(dossier_dir_, label, observer->dossiers()) && ok;
+        std::string failed_path;
+        check(ctobs::WriteDossiers(dossier_dir_, label, observer->dossiers(), &failed_path),
+              failed_path);
       }
     }
     return ok;
@@ -178,6 +190,76 @@ class BenchObservation {
   std::string dossier_dir_;
   std::map<std::string, int> name_uses_;
   std::vector<std::pair<std::string, std::unique_ptr<ctobs::CampaignObserver>>> observers_;
+};
+
+// A bench's machine-readable results, the one format of every `--json FILE`:
+// a JSON array of flat {"name", "unit", "value"} records. A record that is a
+// bar also carries "bar" (its threshold, e.g. ">= 2") and "pass".
+class BenchRecords {
+ public:
+  void Add(std::string name, std::string unit, double value) {
+    records_.push_back({std::move(name), std::move(unit), value, "", true});
+  }
+  // A bar that is not `enforced` (a wall-clock bar on a host EnforceSpeedupBar
+  // rejects) is recorded as a plain value and cannot fail.
+  void AddBar(std::string name, std::string unit, double value, std::string bar, bool pass,
+              bool enforced = true) {
+    if (!enforced) {
+      bar.clear();
+      pass = true;
+    }
+    records_.push_back({std::move(name), std::move(unit), value, std::move(bar), pass});
+  }
+
+  // Prints each failed bar, writes the records to `json_path` unless it is
+  // empty, and returns the bench's exit status: the number of failed bars,
+  // plus one if the file cannot be written (its path goes to stderr).
+  int Finish(const std::string& json_path) const {
+    int status = 0;
+    ctobs::JsonWriter json;
+    json.BeginArray();
+    for (const Record& record : records_) {
+      json.BeginObject();
+      json.Key("name").String(record.name);
+      json.Key("unit").String(record.unit);
+      // Counts stay exact; everything else keeps %g's six significant digits.
+      if (std::fabs(record.value) < 1e15 && record.value == std::floor(record.value)) {
+        json.Key("value").Int(static_cast<long long>(record.value));
+      } else {
+        json.Key("value").Double(record.value);
+      }
+      if (!record.bar.empty()) {
+        json.Key("bar").String(record.bar);
+        json.Key("pass").Bool(record.pass);
+      }
+      json.EndObject();
+      if (!record.pass) {
+        std::printf("FAIL: %s = %g %s (bar: %s)\n", record.name.c_str(), record.value,
+                    record.unit.c_str(), record.bar.c_str());
+        ++status;
+      }
+    }
+    json.EndArray();
+    if (json_path.empty()) {
+      return status;
+    }
+    if (!ctobs::WriteTextFile(json_path, json.str())) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return status + 1;
+    }
+    std::printf("wrote %s\n", json_path.c_str());
+    return status;
+  }
+
+ private:
+  struct Record {
+    std::string name;
+    std::string unit;
+    double value = 0;
+    std::string bar;  // "" = not a bar
+    bool pass = true;
+  };
+  std::vector<Record> records_;
 };
 
 }  // namespace ctbench

@@ -13,17 +13,18 @@
 //                              guided workload-fuzzing phase per system
 //                              (reports gain a "fuzz" section);
 //   --corpus-dir DIR           save each system's fuzz corpus under
-//                              DIR/<system>/ (implies nothing without --fuzz);
+//                              DIR/<stem>/ (implies nothing without --fuzz);
 //   --dossier-dir DIR          observe the campaigns and write one
 //                              crashtuner-dossier-v1 JSON per failing run as
-//                              DIR/<system>-slot<N>.json (src/obs/dossier.h).
+//                              DIR/<stem>-slot<N>.json (src/obs/dossier.h).
+//
+// File names use the system's FileStem ("Hadoop2/Yarn" -> "Hadoop2_Yarn").
 //
 // Every report, DOT and dossier write is checked: a path that cannot be
 // written is named on stderr and the exit status is 1.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <utility>
 
@@ -32,6 +33,7 @@
 #include "src/core/report_writer.h"
 #include "src/fuzz/fuzz_phase.h"
 #include "src/obs/dossier.h"
+#include "src/obs/json.h"
 #include "src/obs/observer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
@@ -44,16 +46,6 @@ namespace {
 bool ReportWriteFailure(const std::string& path) {
   std::fprintf(stderr, "export_report: cannot write %s\n", path.c_str());
   return false;
-}
-
-bool WriteText(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-  out.close();
-  if (!out) {
-    return ReportWriteFailure(path.string());
-  }
-  return true;
 }
 
 // Runs the pipeline on one system and writes its files. Returns false if
@@ -70,16 +62,12 @@ bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
   }
   ctcore::SystemReport report = driver.Run(system, options);
 
-  std::string stem = report.system;
-  for (char& c : stem) {
-    if (c == '/' || c == ' ') {
-      c = '_';
-    }
-  }
+  const std::string stem = ctobs::FileStem(report.system);
   bool ok = true;
   std::string failed_path;
   if (!dossier_dir.empty() &&
-      !ctobs::WriteDossiers(dossier_dir.string(), stem, observer.dossiers(), &failed_path)) {
+      !ctobs::WriteDossiers(dossier_dir.string(), report.system, observer.dossiers(),
+                            &failed_path)) {
     ok = ReportWriteFailure(failed_path);
   }
   if (fuzz_runs > 0) {
@@ -99,7 +87,10 @@ bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
       {".dot", ctanalysis::MetaInfoGraphToDot(report.log_result.graph)},
   };
   for (const auto& [extension, text] : files) {
-    ok = WriteText(directory / (stem + extension), text) && ok;
+    const std::string path = (directory / (stem + extension)).string();
+    if (!ctobs::WriteTextFile(path, text)) {
+      ok = ReportWriteFailure(path);
+    }
   }
   if (!ok) {
     return false;

@@ -143,7 +143,7 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   seed_fields.insert(options.annotated_seed_fields.begin(), options.annotated_seed_fields.end());
   report.metainfo = inference.Infer(seed_types, seed_fields);
 
-  const bool static_mode = options.context_mode != ContextMode::kProfiled;
+  const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
   ctanalysis::CrashPointOptions crash_point_options = options.crash_point_options;
   if (static_mode) {
     crash_point_options.prune_statically_unreachable = true;
@@ -160,31 +160,19 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
 
   // --- Phase 1c: dynamic crash points (profiled or enumerated). -------------
   Profiler profiler;
-  switch (options.context_mode) {
-    case ContextMode::kProfiled:
-      report.profile =
-          profiler.Profile(system, report.crash_points.PointIds(), /*io_points=*/{}, options.seed);
-      break;
-    case ContextMode::kStaticSeeded:
-      // One instrumented run: its observations feed the cross-check below.
-      report.profile = profiler.Profile(system, report.crash_points.PointIds(), /*io_points=*/{},
-                                        options.seed, /*max_iterations=*/1);
-      break;
-    case ContextMode::kStaticOnly:
-      // No instrumentation at all; the run supplies baseline/duration/logs.
-      report.profile = profiler.Profile(system, /*access_points=*/{}, /*io_points=*/{},
-                                        options.seed, /*max_iterations=*/1);
-      break;
-  }
-  if (static_mode) {
+  if (!static_mode) {
+    report.profile =
+        profiler.Profile(system, report.crash_points.PointIds(), /*io_points=*/{}, options.seed);
+  } else {
+    // No instrumentation at all; the run supplies baseline and duration.
+    report.profile = profiler.Profile(system, /*access_points=*/{}, /*io_points=*/{},
+                                      options.seed, /*max_iterations=*/1);
     ctanalysis::CallGraph graph(model);
     ctanalysis::ContextEnumeration enumeration(&graph);
     // Enumerate at the bound the run's tracers record, so static call strings
     // match the stack keys the profiled and injection runs produce.
     ctanalysis::StaticContextResult contexts = enumeration.EnumerateAll(
         ctrt::AccessTracer::DefaultStackDepth(), /*prune_infeasible=*/true);
-    report.context_check =
-        ctanalysis::CompareWithProfile(contexts, report.profile.dynamic_access_points);
     std::set<ctrt::DynamicPoint> static_points;
     for (int id : report.crash_points.PointIds()) {
       const ctmodel::AccessPointDecl& point = model.access_point(id);

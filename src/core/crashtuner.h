@@ -85,12 +85,11 @@ struct SystemReport {
   double profile_virtual_seconds = 0;
   double test_virtual_hours = 0;
 
-  // Static context enumeration (context modes other than kProfiled).
+  // Static context enumeration (kStaticOnly).
   int static_contexts = 0;            // enumerated ⟨point, context⟩ pairs in use
   int static_unreachable_points = 0;  // executable candidates with no reachable anchor
   int static_infeasible_points = 0;   // reachable anchors whose strings all pruned
   int static_pruned_call_strings = 0;  // individual strings removed by feasibility
-  ctanalysis::ContextCrossCheck context_check;  // vs the profiled set (kStaticSeeded)
 
   // Combined FNV-1a mix of the per-injection trace hashes, in injection
   // order: a fingerprint of every event the campaign scheduled. Two reports
@@ -111,17 +110,18 @@ struct SystemReport {
 };
 
 // Where the driver's dynamic crash points come from (Definition 1 pairs).
-//   kProfiled      workload-doubling profiling fixpoint (§3.1.3; the default)
-//   kStaticSeeded  bounded call-string enumeration over the declared call
-//                  graph replaces the profiled set; one instrumented run
-//                  still happens and feeds the recall/precision cross-check
-//   kStaticOnly    no instrumented run at all — a single tracer-off run
-//                  provides baseline/duration/logs, contexts are all static
-// The static modes bound call strings at the depth the run's tracers record
-// (AccessTracer::DefaultStackDepth) and always apply the per-call-string
+//   kProfiled    workload-doubling profiling fixpoint (§3.1.3; the default)
+//   kStaticOnly  bounded call-string enumeration over the declared call graph
+//                replaces the profiled set; no instrumented run at all — a
+//                single tracer-off run provides the oracle baseline and the
+//                fault-free duration
+// kStaticOnly bounds call strings at the depth the run's tracers record
+// (AccessTracer::DefaultStackDepth) and always applies the per-call-string
 // feasibility prune: enumerated strings no workload entry can realize are
-// dropped, not only whole points with unreachable anchors.
-enum class ContextMode { kProfiled, kStaticSeeded, kStaticOnly };
+// dropped, not only whole points with unreachable anchors. To measure the
+// enumeration's recall and precision, pass a profiled report's dynamic points
+// to ctanalysis::CompareWithProfile.
+enum class ContextMode { kProfiled, kStaticOnly };
 
 struct DriverOptions {
   uint64_t seed = 2019;

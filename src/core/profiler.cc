@@ -35,7 +35,6 @@ ProfileResult Profiler::Profile(const SystemUnderTest& system, const std::set<in
 
     if (iteration == 0) {
       result.normal_duration_ms = outcome.virtual_duration_ms;
-      result.default_run_logs = run->cluster().logs().instances();
     }
 
     size_t before =

@@ -5,17 +5,15 @@
 // crash point. Starting from the system's default workload size, the size is
 // doubled until an iteration adds no new dynamic points (the paper observes
 // convergence within 2-3 iterations). The same runs also yield the
-// common-exception baseline for the oracle, the fault-free runtime used for
-// deadlines, and the logs the offline log analysis mines.
+// common-exception baseline for the oracle and the fault-free runtime used
+// for deadlines.
 #ifndef SRC_CORE_PROFILER_H_
 #define SRC_CORE_PROFILER_H_
 
 #include <set>
-#include <vector>
 
 #include "src/core/executor.h"
 #include "src/core/system_under_test.h"
-#include "src/logging/log_store.h"
 #include "src/runtime/tracer.h"
 
 namespace ctcore {
@@ -30,8 +28,6 @@ struct ProfileResult {
   // points to instrument the workload executes tracer-off, so a static-only
   // pipeline can prove it ran zero profiling workloads.
   int instrumented_runs = 0;
-  // Logs of the default-size run, input to offline log analysis.
-  std::vector<ctlog::Instance> default_run_logs;
 };
 
 class Profiler {
@@ -41,8 +37,8 @@ class Profiler {
   // `access_points` / `io_points` are the static point ids to instrument
   // (static crash points for CrashTuner, static IO points for the IO
   // baseline; either may be empty). `max_iterations` caps the workload
-  // doubling; 1 yields a single observation run (the static-context modes
-  // need the baseline/duration/logs but not the fixpoint).
+  // doubling; 1 yields a single observation run (the static-only context mode
+  // needs the baseline and duration but not the fixpoint).
   ProfileResult Profile(const SystemUnderTest& system, const std::set<int>& access_points,
                         const std::set<int>& io_points, uint64_t seed,
                         int max_iterations = kMaxIterations) const;

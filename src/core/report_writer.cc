@@ -1,38 +1,11 @@
 #include "src/core/report_writer.h"
 
+#include <cstdio>
 #include <sstream>
 
-namespace ctcore {
+#include "src/obs/json.h"
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace ctcore {
 
 namespace {
 
@@ -99,59 +72,75 @@ std::string ReportToMarkdown(const SystemReport& report) {
 }
 
 std::string ReportToJson(const SystemReport& report) {
-  std::ostringstream out;
-  out << "{";
-  out << "\"system\":\"" << JsonEscape(report.system) << "\",";
-  out << "\"totals\":{\"types\":" << report.total_types << ",\"fields\":" << report.total_fields
-      << ",\"access_points\":" << report.total_access_points << "},";
-  out << "\"metainfo\":{\"types\":" << report.metainfo_types
-      << ",\"fields\":" << report.metainfo_fields
-      << ",\"access_points\":" << report.metainfo_access_points << "},";
-  out << "\"crash_points\":{\"static\":" << report.static_crash_points
-      << ",\"dynamic\":" << report.dynamic_crash_points << "},";
-  out << "\"pruned\":{\"constructor\":" << report.pruned_constructor
-      << ",\"unused\":" << report.pruned_unused
-      << ",\"sanity_checked\":" << report.pruned_sanity_checked << "},";
-  out << "\"static_analysis\":{\"contexts\":" << report.static_contexts
-      << ",\"unreachable_points\":" << report.static_unreachable_points
-      << ",\"infeasible_points\":" << report.static_infeasible_points
-      << ",\"pruned_call_strings\":" << report.static_pruned_call_strings << "},";
-  out << "\"profile\":{\"iterations\":" << report.profile.iterations
-      << ",\"instrumented_runs\":" << report.profile.instrumented_runs
-      << ",\"dynamic_points\":" << report.profile.dynamic_access_points.size() << "},";
-  out << "\"times\":{\"analysis_wall_s\":" << report.analysis_wall_seconds
-      << ",\"test_wall_s\":" << report.test_wall_seconds
-      << ",\"profile_virtual_s\":" << report.profile_virtual_seconds
-      << ",\"test_virtual_h\":" << report.test_virtual_hours << "},";
-  out << "\"trace_hash\":\"" << TraceHashHex(report.trace_hash) << "\",";
+  ctobs::JsonWriter json;
+  json.BeginObject();
+  json.Key("system").String(report.system);
+  json.Key("totals").BeginObject();
+  json.Key("types").Int(report.total_types);
+  json.Key("fields").Int(report.total_fields);
+  json.Key("access_points").Int(report.total_access_points);
+  json.EndObject();
+  json.Key("metainfo").BeginObject();
+  json.Key("types").Int(report.metainfo_types);
+  json.Key("fields").Int(report.metainfo_fields);
+  json.Key("access_points").Int(report.metainfo_access_points);
+  json.EndObject();
+  json.Key("crash_points").BeginObject();
+  json.Key("static").Int(report.static_crash_points);
+  json.Key("dynamic").Int(report.dynamic_crash_points);
+  json.EndObject();
+  json.Key("pruned").BeginObject();
+  json.Key("constructor").Int(report.pruned_constructor);
+  json.Key("unused").Int(report.pruned_unused);
+  json.Key("sanity_checked").Int(report.pruned_sanity_checked);
+  json.EndObject();
+  json.Key("static_analysis").BeginObject();
+  json.Key("contexts").Int(report.static_contexts);
+  json.Key("unreachable_points").Int(report.static_unreachable_points);
+  json.Key("infeasible_points").Int(report.static_infeasible_points);
+  json.Key("pruned_call_strings").Int(report.static_pruned_call_strings);
+  json.EndObject();
+  json.Key("profile").BeginObject();
+  json.Key("iterations").Int(report.profile.iterations);
+  json.Key("instrumented_runs").Int(report.profile.instrumented_runs);
+  json.Key("dynamic_points").Int(report.profile.dynamic_access_points.size());
+  json.EndObject();
+  json.Key("times").BeginObject();
+  json.Key("analysis_wall_s").Double(report.analysis_wall_seconds);
+  json.Key("test_wall_s").Double(report.test_wall_seconds);
+  json.Key("profile_virtual_s").Double(report.profile_virtual_seconds);
+  json.Key("test_virtual_h").Double(report.test_virtual_hours);
+  json.EndObject();
+  json.Key("trace_hash").String(TraceHashHex(report.trace_hash));
   // Emitted only when a fuzz phase ran (--fuzz N): default reports and their
   // goldens serialize exactly as before.
   if (report.fuzz.active) {
-    out << "\"fuzz\":{\"runs\":" << report.fuzz.runs
-        << ",\"corpus_size\":" << report.fuzz.corpus_size
-        << ",\"baseline_pairs\":" << report.fuzz.baseline_pairs
-        << ",\"coverage_pairs\":" << report.fuzz.coverage_pairs
-        << ",\"new_pairs\":" << report.fuzz.new_pairs
-        << ",\"new_coverage_runs\":" << report.fuzz.new_coverage_runs
-        << ",\"bug_runs\":" << report.fuzz.bug_runs << ",\"trace_hash\":\""
-        << TraceHashHex(report.fuzz.trace_hash) << "\"},";
+    json.Key("fuzz").BeginObject();
+    json.Key("runs").Int(report.fuzz.runs);
+    json.Key("corpus_size").Int(report.fuzz.corpus_size);
+    json.Key("baseline_pairs").Int(report.fuzz.baseline_pairs);
+    json.Key("coverage_pairs").Int(report.fuzz.coverage_pairs);
+    json.Key("new_pairs").Int(report.fuzz.new_pairs);
+    json.Key("new_coverage_runs").Int(report.fuzz.new_coverage_runs);
+    json.Key("bug_runs").Int(report.fuzz.bug_runs);
+    json.Key("trace_hash").String(TraceHashHex(report.fuzz.trace_hash));
+    json.EndObject();
   }
-  out << "\"bugs\":[";
-  for (size_t i = 0; i < report.bugs.size(); ++i) {
-    const auto& bug = report.bugs[i];
-    if (i > 0) {
-      out << ",";
-    }
-    out << "{\"id\":\"" << JsonEscape(bug.bug_id) << "\",\"priority\":\""
-        << JsonEscape(bug.priority) << "\",\"scenario\":\"" << JsonEscape(bug.scenario)
-        << "\",\"symptom\":\"" << JsonEscape(bug.symptom) << "\",\"location\":\""
-        << JsonEscape(bug.location) << "\",\"exposing_points\":" << bug.exposing_points.size()
-        << "}";
+  json.Key("bugs").BeginArray();
+  for (const auto& bug : report.bugs) {
+    json.BeginObject();
+    json.Key("id").String(bug.bug_id);
+    json.Key("priority").String(bug.priority);
+    json.Key("scenario").String(bug.scenario);
+    json.Key("symptom").String(bug.symptom);
+    json.Key("location").String(bug.location);
+    json.Key("exposing_points").Int(bug.exposing_points.size());
+    json.EndObject();
   }
-  out << "],";
-  out << "\"timeout_issues\":" << report.timeout_issues.size();
-  out << "}";
-  return out.str();
+  json.EndArray();
+  json.Key("timeout_issues").Int(report.timeout_issues.size());
+  json.EndObject();
+  return json.str();
 }
 
 }  // namespace ctcore

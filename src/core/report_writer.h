@@ -14,11 +14,8 @@ namespace ctcore {
 // (Table 5 rows) and timeout issues for one system.
 std::string ReportToMarkdown(const SystemReport& report);
 
-// Minimal JSON (no external dependency): same content, stable key order.
+// Compact JSON (ctobs::JsonWriter): same content, stable key order.
 std::string ReportToJson(const SystemReport& report);
-
-// Escapes a string for embedding in a JSON document.
-std::string JsonEscape(const std::string& text);
 
 }  // namespace ctcore
 

@@ -1,120 +1,87 @@
 #include "src/obs/chrome_trace.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace ctobs {
 
-namespace {
-
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string FormatUs(double us) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", us);
-  return buffer;
-}
-
-}  // namespace
+ChromeTraceWriter::ChromeTraceWriter() { json_.BeginObject().Key("traceEvents").BeginArray(); }
 
 void ChromeTraceWriter::AddProcessName(int pid, const std::string& name) {
-  std::ostringstream out;
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"tid\":0,\"args\":{\"name\":\"" << EscapeJson(name) << "\"}}";
-  events_.push_back(out.str());
+  json_.BeginObject();
+  json_.Key("name").String("process_name");
+  json_.Key("ph").String("M");
+  json_.Key("pid").Int(pid);
+  json_.Key("tid").Int(0);
+  json_.Key("args").BeginObject().Key("name").String(name).EndObject();
+  json_.EndObject();
 }
 
 void ChromeTraceWriter::AddThreadName(int pid, int tid, const std::string& name) {
-  std::ostringstream out;
-  out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"args\":{\"name\":\"" << EscapeJson(name) << "\"}}";
-  events_.push_back(out.str());
+  json_.BeginObject();
+  json_.Key("name").String("thread_name");
+  json_.Key("ph").String("M");
+  json_.Key("pid").Int(pid);
+  json_.Key("tid").Int(tid);
+  json_.Key("args").BeginObject().Key("name").String(name).EndObject();
+  json_.EndObject();
 }
 
 void ChromeTraceWriter::AddCompleteEvent(int pid, int tid, const SpanEvent& event, double ts_us,
                                          double dur_us) {
-  std::ostringstream out;
-  out << "{\"name\":\"" << EscapeJson(event.name) << "\",\"cat\":\""
-      << EscapeJson(event.category) << "\",\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"ts\":" << FormatUs(ts_us) << ",\"dur\":" << FormatUs(dur_us) << ",\"args\":{";
-  out << "\"wall_ms\":" << FormatUs(static_cast<double>(event.wall_end_ns - event.wall_begin_ns) /
-                                    1e6);
+  json_.BeginObject();
+  json_.Key("name").String(event.name);
+  json_.Key("cat").String(event.category);
+  json_.Key("ph").String("X");
+  json_.Key("pid").Int(pid);
+  json_.Key("tid").Int(tid);
+  json_.Key("ts").Fixed(ts_us, 3);
+  json_.Key("dur").Fixed(dur_us, 3);
+  json_.Key("args").BeginObject();
+  json_.Key("wall_ms").Fixed(static_cast<double>(event.wall_end_ns - event.wall_begin_ns) / 1e6,
+                             3);
   if (event.id != 0) {
-    out << ",\"span_id\":\"" << event.id << "\",\"parent_span\":\"" << event.parent_id << "\"";
+    json_.Key("span_id").String(std::to_string(event.id));
+    json_.Key("parent_span").String(std::to_string(event.parent_id));
   }
   if (!event.component.empty()) {
-    out << ",\"component\":\"" << EscapeJson(event.component) << "\"";
+    json_.Key("component").String(event.component);
   }
   for (const auto& [key, value] : event.args) {
-    out << ",\"" << EscapeJson(key) << "\":\"" << EscapeJson(value) << "\"";
+    json_.Key(key).String(value);
   }
-  out << "}}";
-  events_.push_back(out.str());
+  json_.EndObject();
+  json_.EndObject();
 }
 
 void ChromeTraceWriter::AddFlowStart(int pid, int tid, const std::string& name,
                                      uint64_t flow_id, double ts_us) {
-  std::ostringstream out;
-  out << "{\"name\":\"" << EscapeJson(name) << "\",\"cat\":\"flow\",\"ph\":\"s\",\"pid\":" << pid
-      << ",\"tid\":" << tid << ",\"id\":" << flow_id << ",\"ts\":" << FormatUs(ts_us) << "}";
-  events_.push_back(out.str());
+  json_.BeginObject();
+  json_.Key("name").String(name);
+  json_.Key("cat").String("flow");
+  json_.Key("ph").String("s");
+  json_.Key("pid").Int(pid);
+  json_.Key("tid").Int(tid);
+  json_.Key("id").Int(flow_id);
+  json_.Key("ts").Fixed(ts_us, 3);
+  json_.EndObject();
 }
 
 void ChromeTraceWriter::AddFlowFinish(int pid, int tid, const std::string& name,
                                       uint64_t flow_id, double ts_us) {
-  std::ostringstream out;
-  out << "{\"name\":\"" << EscapeJson(name) << "\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-      << "\"pid\":" << pid << ",\"tid\":" << tid << ",\"id\":" << flow_id
-      << ",\"ts\":" << FormatUs(ts_us) << "}";
-  events_.push_back(out.str());
+  json_.BeginObject();
+  json_.Key("name").String(name);
+  json_.Key("cat").String("flow");
+  json_.Key("ph").String("f");
+  json_.Key("bp").String("e");
+  json_.Key("pid").Int(pid);
+  json_.Key("tid").Int(tid);
+  json_.Key("id").Int(flow_id);
+  json_.Key("ts").Fixed(ts_us, 3);
+  json_.EndObject();
 }
 
 std::string ChromeTraceWriter::ToJson() const {
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
-  for (size_t i = 0; i < events_.size(); ++i) {
-    if (i > 0) {
-      out << ",";
-    }
-    out << "\n" << events_[i];
-  }
-  out << "\n],\"displayTimeUnit\":\"ms\"}";
-  return out.str();
-}
-
-bool ChromeTraceWriter::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return static_cast<bool>(out);
+  JsonWriter json = json_;
+  json.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return json.str();
 }
 
 }  // namespace ctobs

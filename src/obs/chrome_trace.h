@@ -9,14 +9,16 @@
 #define SRC_OBS_CHROME_TRACE_H_
 
 #include <string>
-#include <vector>
 
+#include "src/obs/json.h"
 #include "src/obs/span.h"
 
 namespace ctobs {
 
 class ChromeTraceWriter {
  public:
+  ChromeTraceWriter();
+
   void AddProcessName(int pid, const std::string& name);
   void AddThreadName(int pid, int tid, const std::string& name);
 
@@ -35,12 +37,9 @@ class ChromeTraceWriter {
                      double ts_us);
 
   std::string ToJson() const;
-  bool WriteFile(const std::string& path) const;
-
-  size_t num_events() const { return events_.size(); }
 
  private:
-  std::vector<std::string> events_;  // pre-serialized JSON objects
+  JsonWriter json_;  // the open traceEvents array; ToJson() closes a copy
 };
 
 }  // namespace ctobs

@@ -1,8 +1,7 @@
 #include "src/obs/dossier.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "src/obs/json.h"
@@ -10,29 +9,6 @@
 namespace ctobs {
 
 namespace {
-
-std::string Escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 2);
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const JsonValue& Require(const JsonValue& value, const std::string& key) {
   const JsonValue* found = value.Find(key);
@@ -53,30 +29,29 @@ std::string RequireString(const JsonValue& value, const std::string& key) {
 }  // namespace
 
 std::string Dossier::ToJson() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"" + std::string(kDossierSchema) + "\",\n";
-  out += "  \"system\": \"" + Escape(system) + "\",\n";
-  out += "  \"slot\": " + std::to_string(slot) + ",\n";
-  out += "  \"seed\": \"" + std::to_string(seed) + "\",\n";
-  out += "  \"failed_invariant\": \"" + Escape(failed_invariant) + "\",\n";
-  out += "  \"injected_points\": [";
-  for (size_t i = 0; i < injected_points.size(); ++i) {
-    const DossierPoint& point = injected_points[i];
-    if (i > 0) {
-      out += ",";
-    }
-    out += "\n    {\"point_id\": " + std::to_string(point.point_id) +
-           ", \"call_string\": \"" + Escape(point.call_string) +
-           "\", \"target_node\": \"" + Escape(point.target_node) +
-           "\", \"mode\": \"" + Escape(point.mode) + "\"}";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("schema").String(kDossierSchema);
+  json.Key("system").String(system);
+  json.Key("slot").Int(slot);
+  json.Key("seed").String(std::to_string(seed));
+  json.Key("failed_invariant").String(failed_invariant);
+  json.Key("injected_points").BeginArray();
+  for (const DossierPoint& point : injected_points) {
+    json.BeginObject();
+    json.Key("point_id").Int(point.point_id);
+    json.Key("call_string").String(point.call_string);
+    json.Key("target_node").String(point.target_node);
+    json.Key("mode").String(point.mode);
+    json.EndObject();
   }
-  out += injected_points.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"recovery_phase_span\": \"" + Escape(recovery_phase_span) + "\",\n";
-  out += "  \"trace_hash_prefix\": \"" + Escape(trace_hash_prefix) + "\",\n";
-  out += "  \"fault_plan\": \"" + Escape(fault_plan) + "\",\n";
-  out += "  \"workload\": \"" + Escape(workload) + "\"\n";
-  out += "}\n";
-  return out;
+  json.EndArray();
+  json.Key("recovery_phase_span").String(recovery_phase_span);
+  json.Key("trace_hash_prefix").String(trace_hash_prefix);
+  json.Key("fault_plan").String(fault_plan);
+  json.Key("workload").String(workload);
+  json.EndObject();
+  return json.str();
 }
 
 Dossier Dossier::FromJson(const JsonValue& value) {
@@ -124,6 +99,11 @@ Dossier Dossier::FromJsonText(const std::string& text) {
   return FromJson(ParseJson(text));
 }
 
+std::string FileStem(std::string label) {
+  std::replace_if(label.begin(), label.end(), [](char c) { return c == '/' || c == ' '; }, '_');
+  return label;
+}
+
 bool WriteDossiers(const std::string& directory, const std::string& label,
                    const std::vector<Dossier>& dossiers, std::string* failed_path) {
   auto fail = [failed_path](const std::string& path) {
@@ -137,14 +117,13 @@ bool WriteDossiers(const std::string& directory, const std::string& label,
   if (ec) {
     return fail(directory);
   }
+  const std::string stem = FileStem(label);
   for (const Dossier& dossier : dossiers) {
-    const std::filesystem::path path = std::filesystem::path(directory) /
-                                       (label + "-slot" + std::to_string(dossier.slot) + ".json");
-    std::ofstream out(path);
-    out << dossier.ToJson() << "\n";
-    out.close();
-    if (!out) {
-      return fail(path.string());
+    const std::string path = (std::filesystem::path(directory) /
+                              (stem + "-slot" + std::to_string(dossier.slot) + ".json"))
+                                 .string();
+    if (!WriteTextFile(path, dossier.ToJson())) {
+      return fail(path);
     }
   }
   return true;

@@ -48,9 +48,14 @@ struct Dossier {
   static Dossier FromJsonText(const std::string& text);
 };
 
-// Writes one file per dossier, DIRECTORY/<label>-slot<N>.json, creating
-// DIRECTORY first. Returns false at the first directory or file that cannot
-// be written, storing its path in *failed_path when that is non-null.
+// The file-name stem for a campaign or system label: '/' and ' ' become '_'
+// ("Hadoop2/Yarn" -> "Hadoop2_Yarn"), so a label never names a subdirectory.
+std::string FileStem(std::string label);
+
+// Writes one compact JSON file per dossier, DIRECTORY/<FileStem(label)>-slot<N>.json,
+// creating DIRECTORY first. Returns false at the first directory or file
+// that cannot be written, storing its path in *failed_path when that is
+// non-null.
 bool WriteDossiers(const std::string& directory, const std::string& label,
                    const std::vector<Dossier>& dossiers, std::string* failed_path = nullptr);
 

@@ -1,8 +1,12 @@
 #include "src/obs/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+
+#include "src/common/check.h"
 
 namespace ctobs {
 
@@ -222,7 +226,7 @@ class Parser {
               Fail("bad \\u escape");
             }
           }
-          // The writers only emit \u00xx control escapes; anything wider is
+          // The writer only emits \u00xx control escapes; anything wider is
           // decoded as UTF-8 for completeness.
           if (code < 0x80) {
             out += static_cast<char>(code);
@@ -269,5 +273,105 @@ class Parser {
 }  // namespace
 
 JsonValue ParseJson(const std::string& text) { return Parser(text).Parse(); }
+
+void JsonWriter::Separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (!has_items_.empty()) {
+    if (has_items_.back()) {
+      out_ += ',';
+    }
+    has_items_.back() = true;
+  }
+}
+
+void JsonWriter::Quote(std::string_view text) {
+  out_ += '"';
+  for (char c : text) {
+    switch (c) {
+      case '"':
+        out_ += "\\\"";
+        break;
+      case '\\':
+        out_ += "\\\\";
+        break;
+      case '\n':
+        out_ += "\\n";
+        break;
+      case '\t':
+        out_ += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out_ += buffer;
+        } else {
+          out_ += c;
+        }
+    }
+  }
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  out_ += bracket;
+  has_items_.push_back(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  // Misnested: nothing open, or a Key() still waiting for its value.
+  CT_CHECK(!has_items_.empty() && !after_key_);
+  has_items_.pop_back();
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  Separate();
+  Quote(key);
+  out_ += ':';
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view value) {
+  Separate();
+  Quote(value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::Double(double value) {
+  Separate();
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", value);
+  out_ += buffer;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Fixed(double value, int decimals) {
+  Separate();
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+  out_ += buffer;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Bool(bool value) {
+  Separate();
+  out_ += value ? "true" : "false";
+  return *this;
+}
+
+bool WriteTextFile(const std::string& path, std::string_view text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  return static_cast<bool>(out);
+}
 
 }  // namespace ctobs

@@ -1,14 +1,18 @@
-// Minimal recursive-descent JSON reader.
+// The repository's one JSON writer and its minimal JSON reader.
 //
-// Just enough to load the files this library writes back in — metrics
-// snapshots for ctstat and trace files for tests. Objects preserve key
+// JsonWriter builds the compact text of every JSON file the repository
+// writes: reports, metrics snapshots, Chrome traces, dossiers, ctstat
+// summaries and bench results. WriteTextFile is the one checked file write.
+// The recursive-descent reader loads what the writer produced — metrics
+// snapshots for ctstat, dossiers, and traces for tests. Objects preserve key
 // order (vector of pairs) so diagnostics can mirror the file. Parse errors
 // throw std::runtime_error with an offset.
 #ifndef SRC_OBS_JSON_H_
 #define SRC_OBS_JSON_H_
 
-#include <memory>
+#include <concepts>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +39,47 @@ struct JsonValue {
 
 // Throws std::runtime_error on malformed input or trailing garbage.
 JsonValue ParseJson(const std::string& text);
+
+// Compact JSON text, built front to back. The writer places the commas and
+// colons; the caller nests the calls: every object member is Key() then one
+// value, array elements are bare values. Strings escape `"` and `\` with a
+// backslash, newline and tab as \n and \t, and every other byte below 0x20
+// as \u00XX; all other bytes pass through unchanged.
+class JsonWriter {
+ public:
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+  JsonWriter& Key(std::string_view key);
+  JsonWriter& String(std::string_view value);
+  JsonWriter& Int(std::integral auto value) {
+    Separate();
+    out_ += std::to_string(value);
+    return *this;
+  }
+  JsonWriter& Double(double value);               // printf "%g"
+  JsonWriter& Fixed(double value, int decimals);  // printf "%.<decimals>f"
+  JsonWriter& Bool(bool value);
+
+  const std::string& str() const { return out_; }
+
+ private:
+  // Emits the comma that precedes every member or element but the first.
+  void Separate();
+  void Quote(std::string_view text);
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+
+  std::string out_;
+  std::vector<bool> has_items_;  // one entry per open object or array
+  bool after_key_ = false;
+};
+
+// Writes `text` to `path`, replacing the file: open, write, close, then test
+// the stream, so a path that cannot be opened and a write that fails at
+// flush (a full disk) both return false.
+bool WriteTextFile(const std::string& path, std::string_view text);
 
 }  // namespace ctobs
 

@@ -1,159 +1,114 @@
 #include "src/obs/snapshot.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include "src/obs/json.h"
 
 namespace ctobs {
 
 namespace {
 
-std::string EscapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
+void WriteHistogram(JsonWriter& json, const Histogram& histogram) {
+  json.BeginObject();
+  json.Key("bounds").BeginArray();
+  for (uint64_t bound : histogram.bounds()) {
+    json.Int(bound);
   }
-  return out;
+  json.EndArray();
+  json.Key("counts").BeginArray();
+  for (uint64_t count : histogram.bucket_counts()) {
+    json.Int(count);
+  }
+  json.EndArray();
+  json.Key("count").Int(histogram.count());
+  json.Key("sum").Int(histogram.sum());
+  json.Key("max").Int(histogram.max());
+  json.EndObject();
 }
 
-std::string FormatDouble(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.6f", value);
-  return buffer;
+template <typename Map>
+void WriteIntMap(JsonWriter& json, const Map& values) {
+  json.BeginObject();
+  for (const auto& [name, value] : values) {
+    json.Key(name).Int(value);
+  }
+  json.EndObject();
 }
 
-void AppendHistogram(std::ostringstream& out, const Histogram& histogram) {
-  out << "{\"bounds\":[";
-  for (size_t i = 0; i < histogram.bounds().size(); ++i) {
-    out << (i > 0 ? "," : "") << histogram.bounds()[i];
-  }
-  out << "],\"counts\":[";
-  for (size_t i = 0; i < histogram.bucket_counts().size(); ++i) {
-    out << (i > 0 ? "," : "") << histogram.bucket_counts()[i];
-  }
-  out << "],\"count\":" << histogram.count() << ",\"sum\":" << histogram.sum()
-      << ",\"max\":" << histogram.max() << "}";
-}
-
-void AppendWallMap(std::ostringstream& out, const std::map<std::string, double>& seconds) {
-  out << "{";
-  bool first = true;
+void WriteWallMap(JsonWriter& json, const std::map<std::string, double>& seconds) {
+  json.BeginObject();
   for (const auto& [name, value] : seconds) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(name) << "\":" << FormatDouble(value);
-    first = false;
+    json.Key(name).Fixed(value, 6);
   }
-  out << "}";
+  json.EndObject();
 }
 
-void AppendSpanTree(std::ostringstream& out, const std::vector<SpanTreeNode>& tree) {
-  out << "[";
-  for (size_t i = 0; i < tree.size(); ++i) {
-    const SpanTreeNode& node = tree[i];
-    out << (i > 0 ? "," : "") << "{\"path\":\"" << EscapeJson(node.path) << "\",\"name\":\""
-        << EscapeJson(node.name) << "\",\"component\":\"" << EscapeJson(node.component)
-        << "\",\"parent\":" << node.parent << ",\"count\":" << node.count
-        << ",\"sim_ms\":" << node.sim_ms << "}";
+void WriteSpanTree(JsonWriter& json, const std::vector<SpanTreeNode>& tree) {
+  json.BeginArray();
+  for (const SpanTreeNode& node : tree) {
+    json.BeginObject();
+    json.Key("path").String(node.path);
+    json.Key("name").String(node.name);
+    json.Key("component").String(node.component);
+    json.Key("parent").Int(node.parent);
+    json.Key("count").Int(node.count);
+    json.Key("sim_ms").Int(node.sim_ms);
+    json.EndObject();
   }
-  out << "]";
+  json.EndArray();
 }
 
-void AppendFlows(std::ostringstream& out, const FlowStats& flows) {
-  out << "{\"messages\":" << flows.messages << ",\"roots\":" << flows.roots
-      << ",\"span_resolved\":" << flows.span_resolved << ",\"max_depth\":" << flows.max_depth
-      << ",\"records_dropped\":" << flows.records_dropped << ",\"per_method\":{";
-  bool first = true;
-  for (const auto& [method, count] : flows.per_method) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(method) << "\":" << count;
-    first = false;
-  }
-  out << "}}";
+void WriteFlows(JsonWriter& json, const FlowStats& flows) {
+  json.BeginObject();
+  json.Key("messages").Int(flows.messages);
+  json.Key("roots").Int(flows.roots);
+  json.Key("span_resolved").Int(flows.span_resolved);
+  json.Key("max_depth").Int(flows.max_depth);
+  json.Key("records_dropped").Int(flows.records_dropped);
+  WriteIntMap(json.Key("per_method"), flows.per_method);
+  json.EndObject();
 }
 
-void AppendSystem(std::ostringstream& out, const SystemMetrics& system, bool include_wall) {
-  out << "{\"system\":\"" << EscapeJson(system.system) << "\",\"runs\":" << system.runs;
-  out << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : system.metrics.counters()) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(name) << "\":" << value;
-    first = false;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : system.metrics.gauges()) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(name) << "\":" << value;
-    first = false;
-  }
-  out << "},\"histograms\":{";
-  first = true;
+void WriteSystem(JsonWriter& json, const SystemMetrics& system, bool include_wall) {
+  json.BeginObject();
+  json.Key("system").String(system.system);
+  json.Key("runs").Int(system.runs);
+  WriteIntMap(json.Key("counters"), system.metrics.counters());
+  WriteIntMap(json.Key("gauges"), system.metrics.gauges());
+  json.Key("histograms").BeginObject();
   for (const auto& [name, histogram] : system.metrics.histograms()) {
-    out << (first ? "" : ",") << "\"" << EscapeJson(name) << "\":";
-    AppendHistogram(out, histogram);
-    first = false;
+    WriteHistogram(json.Key(name), histogram);
   }
-  out << "},\"span_tree\":";
-  AppendSpanTree(out, system.span_tree);
-  out << ",\"flows\":";
-  AppendFlows(out, system.flows);
+  json.EndObject();
+  WriteSpanTree(json.Key("span_tree"), system.span_tree);
+  WriteFlows(json.Key("flows"), system.flows);
   if (include_wall) {
     const double runs_per_second =
         system.campaign_wall_seconds > 0
             ? static_cast<double>(system.runs) / system.campaign_wall_seconds
             : 0.0;
-    out << ",\"wall\":{\"jobs\":" << system.jobs
-        << ",\"campaign_seconds\":" << FormatDouble(system.campaign_wall_seconds)
-        << ",\"runs_per_second\":" << FormatDouble(runs_per_second) << ",\"phases\":";
-    AppendWallMap(out, system.phase_wall_seconds);
-    out << ",\"driver\":";
-    AppendWallMap(out, system.driver_wall_seconds);
-    out << "}";
+    json.Key("wall").BeginObject();
+    json.Key("jobs").Int(system.jobs);
+    json.Key("campaign_seconds").Fixed(system.campaign_wall_seconds, 6);
+    json.Key("runs_per_second").Fixed(runs_per_second, 6);
+    WriteWallMap(json.Key("phases"), system.phase_wall_seconds);
+    WriteWallMap(json.Key("driver"), system.driver_wall_seconds);
+    json.EndObject();
   }
-  out << "}";
+  json.EndObject();
 }
 
 }  // namespace
 
 std::string MetricsSnapshot::ToJson(bool include_wall) const {
-  std::ostringstream out;
-  out << "{\"schema\":\"" << kSnapshotSchema << "\",\"systems\":[";
-  for (size_t i = 0; i < systems.size(); ++i) {
-    if (i > 0) {
-      out << ",";
-    }
-    AppendSystem(out, systems[i], include_wall);
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("schema").String(kSnapshotSchema);
+  json.Key("systems").BeginArray();
+  for (const SystemMetrics& system : systems) {
+    WriteSystem(json, system, include_wall);
   }
-  out << "]}";
-  return out.str();
-}
-
-bool MetricsSnapshot::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson(/*include_wall=*/true) << "\n";
-  return static_cast<bool>(out);
+  json.EndArray();
+  json.EndObject();
+  return json.str();
 }
 
 }  // namespace ctobs

@@ -65,8 +65,6 @@ struct MetricsSnapshot {
 
   // include_wall=false yields the deterministic section only.
   std::string ToJson(bool include_wall = true) const;
-  // Writes ToJson(true); returns false on IO failure.
-  bool WriteFile(const std::string& path) const;
 };
 
 }  // namespace ctobs

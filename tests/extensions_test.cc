@@ -11,6 +11,7 @@
 #include "src/core/crashtuner.h"
 #include "src/core/multi_crash.h"
 #include "src/core/report_writer.h"
+#include "src/obs/json.h"
 #include "src/systems/yarn/yarn_system.h"
 
 namespace ctcore {
@@ -181,11 +182,18 @@ TEST(ReportWriter, JsonIsWellFormedEnough) {
   EXPECT_EQ(depth, 0);
 }
 
+// Every JSON string the repository writes goes through ctobs::JsonWriter.
+std::string JsonString(const std::string& text) {
+  return ctobs::JsonWriter().String(text).str();
+}
+
 TEST(ReportWriter, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(JsonString("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(JsonString("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonString("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(JsonString("a\tb"), "\"a\\tb\"");
+  EXPECT_EQ(JsonString("a\rb"), "\"a\\u000db\"");
+  EXPECT_EQ(JsonString(std::string(1, '\x01')), "\"\\u0001\"");
 }
 
 TEST(DotExport, RendersNodesAndEdges) {

@@ -14,6 +14,7 @@
 #include "src/analysis/model_lint.h"
 #include "src/core/crashtuner.h"
 #include "src/logging/statement.h"
+#include "src/runtime/tracer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
 #include "src/systems/hdfs/hdfs_system.h"
@@ -23,6 +24,7 @@
 namespace {
 
 using ctanalysis::CallGraph;
+using ctanalysis::CompareWithProfile;
 using ctanalysis::ContextCrossCheck;
 using ctanalysis::ContextEnumeration;
 using ctanalysis::IsCollectionReadOp;
@@ -220,19 +222,26 @@ TEST(ContextEnumeration, ContextMethodOverridesDeclaredAnchor) {
 
 // --- Per-system recall (the tentpole invariant) -----------------------------
 
+// The driver's static-only enumeration against the full profiled fixpoint.
 template <typename System>
 void ExpectFullRecall(const System& system) {
-  DriverOptions options;
-  options.context_mode = ContextMode::kStaticSeeded;
-  SystemReport report = CrashTunerDriver().Run(system, options);
-  const ContextCrossCheck& check = report.context_check;
-  EXPECT_GT(check.observed, 0) << report.system;
+  const SystemReport profiled = CrashTunerDriver().Run(system);
+  CallGraph graph(system.model());
+  const ContextCrossCheck check = CompareWithProfile(
+      ContextEnumeration(&graph).EnumerateAll(ctrt::AccessTracer::DefaultStackDepth(),
+                                              /*prune_infeasible=*/true),
+      profiled.profile.dynamic_access_points);
+  EXPECT_GT(check.observed, 0) << profiled.system;
   for (const auto& [point_id, key] : check.missed) {
-    ADD_FAILURE() << report.system << ": observed context not enumerated: p" << point_id
+    ADD_FAILURE() << profiled.system << ": observed context not enumerated: p" << point_id
                   << " key=[" << key << "]";
   }
-  EXPECT_DOUBLE_EQ(check.Recall(), 1.0) << report.system;
-  EXPECT_LE(check.Precision(), 1.0) << report.system;
+  EXPECT_DOUBLE_EQ(check.Recall(), 1.0) << profiled.system;
+  EXPECT_LE(check.Precision(), 1.0) << profiled.system;
+
+  DriverOptions options;
+  options.context_mode = ContextMode::kStaticOnly;
+  const SystemReport report = CrashTunerDriver().Run(system, options);
   // The static set replaces the profiled one and is at least as large.
   EXPECT_GE(report.dynamic_crash_points, check.observed) << report.system;
   EXPECT_EQ(report.dynamic_crash_points, report.static_contexts) << report.system;
@@ -252,7 +261,7 @@ TEST(StaticContextModes, StaticOnlySkipsInstrumentedRuns) {
   options.context_mode = ContextMode::kStaticOnly;
   SystemReport report = CrashTunerDriver().Run(ctzk::ZkSystem(), options);
   EXPECT_EQ(report.profile.iterations, 1);
-  EXPECT_EQ(report.context_check.observed, 0);  // nothing was instrumented
+  EXPECT_EQ(report.profile.instrumented_runs, 0);
   EXPECT_GT(report.static_contexts, 0);
   EXPECT_EQ(report.dynamic_crash_points, report.static_contexts);
   EXPECT_GT(report.profile.normal_duration_ms, 0);

@@ -9,6 +9,15 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 4)"
+
+# Fails CI unless each FILE parses as JSON. Every JSON file a stage writes is
+# checked right after the stage writes it.
+check_json() {
+  for file in "$@"; do
+    python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$file" \
+      || { echo "$file is not valid JSON" >&2; exit 1; }
+  done
+}
 skip_sanitizers=0
 for arg in "$@"; do
   case "$arg" in
@@ -47,28 +56,36 @@ echo "== stage 3: model lint =="
 
 echo "== stage 4: parallel campaign smoke (jobs=1 vs jobs=hw) =="
 # Times the Phase-2 campaign sequentially and at hardware concurrency and
-# leaves the measurement in BENCH_parallel.json. The determinism guarantee
-# itself (identical report at any thread count) is covered by campaign_test;
-# this smoke only has to prove the parallel path runs outside the tests.
+# leaves the issue counts and per-system sequential/parallel seconds in
+# BENCH_parallel.json. Every BENCH_*.json is a flat array of {name, unit,
+# value} records; bars add {bar, pass} (bench/bench_util.h BenchRecords).
+# The determinism guarantee itself (identical report at any thread count) is
+# covered by campaign_test; this smoke only has to prove the parallel path
+# runs outside the tests.
 ./build/bench/bench_table5_new_bugs --speedup --jobs 0 --json build/BENCH_parallel.json \
   | tail -n 12
+check_json build/BENCH_parallel.json
 
 echo "== stage 4b: static multi-crash smoke (pair-set precision/recall) =="
 # Cross-checks the statically enumerated multi-crash pair set against the
-# profiled pair set on every system and leaves the per-system precision/recall
-# table in BENCH_static_multicrash.json. The differential test suite enforces
-# 100% recall; this smoke records the numbers and proves the static-only
-# pipeline runs zero instrumented workloads outside the tests.
+# profiled pair set on every system and leaves each system's point and pair
+# counts, recall and precision in BENCH_static_multicrash.json. The
+# differential test suite enforces 100% recall; this smoke records the
+# numbers and proves the static-only pipeline runs zero instrumented
+# workloads outside the tests.
 ./build/bench/bench_multicrash --static-only --json build/BENCH_static_multicrash.json \
   | tail -n 10
+check_json build/BENCH_static_multicrash.json
 
 echo "== stage 4c: network-fault smoke (guided windows vs random partitions) =="
 # One guided network-fault campaign per system against a short blind-partition
-# baseline; leaves trials, bug counts, first-race trial indices, and wall time
-# in BENCH_network_faults.json. The per-system guided races themselves are
-# asserted by fault_plan_property_test; this smoke records the comparison.
+# baseline; leaves each system's guided and random counts, first-race trial
+# index and wall time in BENCH_network_faults.json. The per-system guided
+# races themselves are asserted by fault_plan_property_test; this smoke
+# records the comparison.
 ./build/bench/bench_table7_random_injection 40 --jobs 0 \
   --json build/BENCH_network_faults.json | tail -n 12
+check_json build/BENCH_network_faults.json
 
 echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
 # Runs the five-system campaign at jobs=4 with the metrics registry and span
@@ -80,32 +97,36 @@ echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
 ./build/bench/bench_table5_new_bugs --jobs 4 \
   --metrics-out build/metrics_snapshot.json \
   --trace-out build/campaign.trace.json > /dev/null
+check_json build/metrics_snapshot.json build/campaign.trace.json
 ./build/tools/ctstat build/metrics_snapshot.json --check \
   --json build/BENCH_observability.json | tail -n 3
+check_json build/BENCH_observability.json
 
 echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sweep) =="
 # Microbenches the ladder-queue/slab event loop against the embedded legacy
 # priority-queue baseline (>=10x events/sec bar), then sweeps replicated
 # fault-free campaigns over small and medium --scale levels at jobs=1 and
 # jobs=4, cross-checking per-task event counts so a scheduling-order
-# divergence between thread counts fails the stage. Leaves throughput, peak
-# queue depth, and the jobs-4 speedup at the largest level in
-# BENCH_scale.json (the >=2x speedup bar is enforced only on >=4-hardware-
-# thread machines; single-core CI records the number without failing).
+# divergence between thread counts fails the stage. Leaves the microbench
+# rates, each cell's throughput and peak queue depth, and the jobs-4 speedup
+# at the largest level in BENCH_scale.json (the >=2x speedup bar is enforced
+# only on >=4-hardware-thread machines; elsewhere it is a plain record).
 # Byte-identical reports at --scale 8 across jobs=1/jobs=4 are asserted by
 # campaign_test's ScaleDeterminism suite in stage 2. Multi-core CI lanes can
 # export CRASHTUNER_ENFORCE_SPEEDUP=1 to pin the bar on regardless of what
 # hardware detection reports (and =0 to silence it on a loaded box).
 ./build/bench/bench_scale --json build/BENCH_scale.json 1 2 8 | tail -n 14
+check_json build/BENCH_scale.json
 
 echo "== stage 4g: fuzz smoke (coverage-guided grammar fuzzing, jobs=1 vs jobs=4) =="
 # Short fuzz campaign per system: every system must discover at least one
 # ⟨access point, call string⟩ pair the fixed workload script never produces,
 # the corpus and trace hash must agree between jobs=1 and jobs=4 (the full
 # byte-identity contract is fuzz_property_test in stage 2), and on >= 4
-# hardware threads jobs=4 must be >= 2x faster. Corpus size, new-coverage
-# count, and runs/sec land in BENCH_fuzz.json.
+# hardware threads jobs=4 must be >= 2x faster. Each system's corpus size,
+# new pairs, bug runs and runs/sec land in BENCH_fuzz.json.
 ./build/bench/bench_fuzz --json build/BENCH_fuzz.json | tail -n 12
+check_json build/BENCH_fuzz.json
 
 echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
 # Scale-8 ZooKeeper campaign twice — observation off, then spans + causal
@@ -118,6 +139,7 @@ echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
 ./build/bench/bench_obs_flows --json build/BENCH_obs_flows.json \
   --metrics-out build/obs_flows_snapshot.json \
   --dossier-dir build/dossiers 8 | tail -n 7
+check_json build/BENCH_obs_flows.json build/obs_flows_snapshot.json build/dossiers/*.json
 ./build/tools/ctstat build/obs_flows_snapshot.json --top | tail -n 6
 ./build/tools/ctstat build/obs_flows_snapshot.json --flows --check | tail -n 10
 

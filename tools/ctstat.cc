@@ -517,31 +517,29 @@ void PrintFlows(const ParsedSystem& system) {
   }
 }
 
-bool WriteSummaryJson(const ParsedSnapshot& snapshot, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << "{\"bench\":\"observability\",\"systems\":[";
-  for (size_t i = 0; i < snapshot.systems.size(); ++i) {
-    const ParsedSystem& system = snapshot.systems[i];
-    if (i > 0) {
-      out << ",";
-    }
-    out << "\n  {\"system\":\"" << system.system << "\",\"runs\":" << system.runs
-        << ",\"jobs\":" << system.jobs << ",\"campaign_seconds\":" << system.campaign_seconds
-        << ",\"runs_per_second\":" << system.runs_per_second << ",\"phase_wall_share\":{";
-    bool first = true;
+std::string SummaryJson(const ParsedSnapshot& snapshot) {
+  ctobs::JsonWriter json;
+  json.BeginObject();
+  json.Key("bench").String("observability");
+  json.Key("systems").BeginArray();
+  for (const ParsedSystem& system : snapshot.systems) {
+    json.BeginObject();
+    json.Key("system").String(system.system);
+    json.Key("runs").Int(system.runs);
+    json.Key("jobs").Int(system.jobs);
+    json.Key("campaign_seconds").Double(system.campaign_seconds);
+    json.Key("runs_per_second").Double(system.runs_per_second);
+    json.Key("phase_wall_share").BeginObject();
     for (const auto& [name, seconds] : system.phase_wall_seconds) {
-      const double share =
-          system.campaign_seconds > 0 ? seconds / system.campaign_seconds : 0.0;
-      out << (first ? "" : ",") << "\"" << name << "\":" << share;
-      first = false;
+      json.Key(name).Double(system.campaign_seconds > 0 ? seconds / system.campaign_seconds
+                                                       : 0.0);
     }
-    out << "}}";
+    json.EndObject();
+    json.EndObject();
   }
-  out << "\n]}\n";
-  return static_cast<bool>(out);
+  json.EndArray();
+  json.EndObject();
+  return json.str();
 }
 
 }  // namespace
@@ -608,7 +606,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    if (!WriteSummaryJson(snapshot, json_path)) {
+    if (!ctobs::WriteTextFile(json_path, SummaryJson(snapshot))) {
       std::fprintf(stderr, "ctstat: cannot write %s\n", json_path.c_str());
       return 2;
     }
