@@ -12,9 +12,7 @@
 #include <chrono>
 
 #include "bench/bench_util.h"
-#include "src/analysis/log_analysis.h"
 #include "src/core/campaign.h"
-#include "src/core/executor.h"
 #include "src/core/multi_crash.h"
 
 namespace {
@@ -75,9 +73,8 @@ int main(int argc, char** argv) {
               static_only ? "statically enumerated" : "profiled",
               single.dynamic_crash_points, single.profile.instrumented_runs);
 
-  ctanalysis::LogAnalysis log_analysis(&yarn.model(), {"master", "node1", "node2", "node3"});
-  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(single.log_result);
-  ctcore::MultiCrashTester tester(&yarn, &single.crash_points, filter, single.profile.baseline);
+  ctcore::FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
+                                      single.profile.baseline, single.profile.normal_duration_ms);
   auto seq_start = std::chrono::steady_clock::now();
   ctcore::MultiCrashReport report =
       tester.TestPairs(single.profile, single.injections, max_pairs, 424242);

@@ -11,9 +11,7 @@
 #include <chrono>
 
 #include "bench/bench_util.h"
-#include "src/analysis/log_analysis.h"
 #include "src/core/campaign.h"
-#include "src/core/executor.h"
 #include "src/core/trigger.h"
 
 namespace {
@@ -119,14 +117,8 @@ int main(int argc, char** argv) {
     const ctcore::SystemUnderTest& system = *systems[i];
     const ctcore::SystemReport& report = reports[i];
 
-    // Rebuild the Phase-2 tester from the report: a probe run supplies the
-    // cluster's configured hosts, the log result the online filter.
-    auto probe = system.NewRun(system.default_workload_size(), /*seed=*/1);
-    ctcore::Executor::Execute(*probe, /*baseline=*/nullptr);
-    ctanalysis::LogAnalysis log_analysis(&system.model(), probe->cluster().config_hosts());
-    ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(report.log_result);
-    probe.reset();
-    ctcore::FaultInjectionTester tester(&system, &report.crash_points, filter,
+    // Rebuild the Phase-2 tester from the report.
+    ctcore::FaultInjectionTester tester(&system, &report.crash_points, report.filter,
                                         report.profile.baseline,
                                         report.profile.normal_duration_ms);
 

@@ -1,10 +1,11 @@
 #include "src/core/baselines.h"
 
-#include <map>
+#include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/common/strings.h"
 #include "src/core/campaign.h"
 #include "src/sim/exception.h"
 #include "src/sim/fault_plan.h"
@@ -13,81 +14,107 @@ namespace ctcore {
 
 namespace {
 
-// Fault-free calibration run: oracle baseline, normal runtime, and the node
-// set random trials pick their victims from.
+// Non-workload-driver nodes, in cluster order: the victims random trials
+// pick from.
+std::vector<std::string> EligibleVictims(const ctsim::Cluster& cluster) {
+  std::vector<std::string> ids;
+  for (ctsim::Node* node : cluster.nodes()) {
+    if (!node->workload_driver()) {
+      ids.push_back(node->id());
+    }
+  }
+  return ids;
+}
+
+// Fault-free calibration run: oracle baseline, normal runtime, and how many
+// victims random trials pick from.
 struct Calibration {
   OracleBaseline baseline;
   ctsim::Time normal_duration_ms = 0;
-  std::vector<std::string> eligible_nodes;  // non-workload-driver nodes
+  size_t victims = 0;
 };
 
 Calibration Calibrate(const SystemUnderTest& system, uint64_t seed) {
   Calibration calibration;
   auto run = system.NewRun(system.default_workload_size(), seed);
-  for (ctsim::Node* node : run->cluster().nodes()) {
-    if (!node->workload_driver()) {
-      calibration.eligible_nodes.push_back(node->id());
-    }
-  }
+  calibration.victims = EligibleVictims(run->cluster()).size();
   RunOutcome outcome = Executor::Execute(*run, /*baseline=*/nullptr);
   calibration.normal_duration_ms = outcome.virtual_duration_ms;
   Executor::AccumulateBaseline(run->cluster().logs(), &calibration.baseline);
   return calibration;
 }
 
+// One random trial's randomness, pre-drawn in trial order from a single
+// stream so the trials can run on any worker thread without perturbing (or
+// racing on) the generator: when the fault lands, which eligible victim it
+// hits, and for a partition how long the cut lasts.
+struct Plan {
+  ctsim::Time at_ms = 0;
+  uint64_t target_index = 0;
+  ctsim::Time partition_ms = 0;
+};
+
+// Runs the planned trials across `jobs` worker threads; `arm` installs a
+// trial's fault on its fresh cluster. Each run resolves its victim index
+// against its own eligible nodes.
+template <typename Arm>
+std::vector<BaselineTrial> RunTrials(const SystemUnderTest& system,
+                                    const Calibration& calibration,
+                                    const std::vector<Plan>& plans, uint64_t seed, int jobs,
+                                    const Arm& arm) {
+  CampaignEngine engine(jobs);
+  return engine.Map(static_cast<int>(plans.size()), [&](int t) {
+    const Plan& plan = plans[static_cast<size_t>(t)];
+    auto run = system.NewRun(system.default_workload_size(), seed + 7919ull * (t + 1));
+    ctsim::Cluster& cluster = run->cluster();
+    const std::vector<std::string> victims = EligibleVictims(cluster);
+    CT_CHECK(victims.size() == calibration.victims);
+
+    BaselineTrial trial;
+    trial.trial_index = t;
+    trial.injected = true;
+    trial.target_node = victims[plan.target_index];
+    trial.crash_time_ms = plan.at_ms;
+    trial.partition_ms = plan.partition_ms;
+    arm(cluster, trial);
+    trial.outcome = Executor::Execute(*run, &calibration.baseline);
+    return trial;
+  });
+}
+
+// Folds the trials, in trial order, into the report: virtual time on top of
+// the calibration run's, the failing trials, and their triage.
+void Tally(const SystemUnderTest& system, std::vector<BaselineTrial> results,
+           ctsim::Time calibration_ms, BaselineReport* report) {
+  uint64_t total_virtual_ms = calibration_ms;
+  for (BaselineTrial& trial : results) {
+    total_virtual_ms += trial.outcome.virtual_duration_ms;
+    if (trial.outcome.IsBug()) {
+      report->failing_trials.push_back(std::move(trial));
+    }
+  }
+  report->virtual_hours = static_cast<double>(total_virtual_ms) / 3'600'000.0;
+  report->bugs = TriageBaselineBugs(system, report->failing_trials);
+}
+
 }  // namespace
 
 std::vector<DetectedBug> TriageBaselineBugs(const SystemUnderTest& system,
                                             const std::vector<BaselineTrial>& trials) {
-  // Baseline triage is exception-driven: without a crash point, a failing
-  // trial can only be attributed through the failure it logged. Trials that
-  // match no known issue (typically master-kill unavailability, which needs
-  // no crash-*recovery* bug to fail the job) stay in failing_trials but are
-  // not counted as detected bugs. Issues are deduplicated by id; the hit
-  // count is recorded via exposing_points (the paper's "1 bug (for 6 times)"
-  // style of reporting).
-  const std::vector<KnownBug> known = system.known_bugs();
-  std::map<std::string, DetectedBug> by_id;
-  for (const auto& trial : trials) {
-    if (!trial.outcome.IsBug()) {
-      continue;
-    }
-    const KnownBug* matched = nullptr;
-    for (const auto& candidate : known) {
-      if (candidate.exception_substr.empty()) {
-        continue;
-      }
-      for (const auto& exception : trial.outcome.uncommon_exceptions) {
-        if (ctcommon::Contains(exception, candidate.exception_substr)) {
-          matched = &candidate;
-          break;
-        }
-      }
-      if (matched != nullptr) {
-        break;
-      }
-    }
-    if (matched == nullptr) {
-      continue;
-    }
-    auto [it, inserted] = by_id.try_emplace(matched->bug_id);
-    DetectedBug& bug = it->second;
-    if (inserted) {
-      bug.bug_id = matched->bug_id;
-      bug.priority = matched->priority;
-      bug.scenario = matched->scenario;
-      bug.status = matched->status;
-      bug.symptom = matched->symptom;
-      bug.metainfo = matched->metainfo;
-      bug.sample_outcome = trial.outcome;
-    }
-    bug.exposing_points.push_back(trial.io_point);  // one entry per hit
+  // A trial has no crash-point location, so TriageBugs reports it only when
+  // its failure matches a known issue. Trials that match none (typically
+  // master-kill unavailability, which needs no crash-*recovery* bug to fail
+  // the job) stay in failing_trials but are not counted as detected bugs.
+  // Each hit adds an exposing point (the paper's "1 bug (for 6 times)" style
+  // of reporting), and a failing trial is triaged whether or not its fault
+  // landed.
+  std::vector<InjectionResult> runs(trials.size());
+  for (size_t i = 0; i < trials.size(); ++i) {
+    runs[i].injected = true;
+    runs[i].point = trials[i].io_point;
+    runs[i].outcome = trials[i].outcome;
   }
-  std::vector<DetectedBug> bugs;
-  for (auto& [id, bug] : by_id) {
-    bugs.push_back(std::move(bug));
-  }
-  return bugs;
+  return TriageBugs(system, runs);
 }
 
 BaselineReport RandomCrashInjector::Run(const SystemUnderTest& system, int trials, uint64_t seed,
@@ -98,59 +125,18 @@ BaselineReport RandomCrashInjector::Run(const SystemUnderTest& system, int trial
   report.trials = trials;
 
   Calibration calibration = Calibrate(system, seed);
-
-  // Pre-draw every trial's randomness in trial order from the single stream
-  // the sequential loop used, so the trials can run on any worker thread
-  // without perturbing (or racing on) the generator.
-  struct Plan {
-    ctsim::Time crash_time_ms = 0;
-    uint64_t target_index = 0;
-  };
   ctcommon::Rng rng(seed ^ 0x5eed);
-  std::vector<Plan> plans;
-  plans.reserve(static_cast<size_t>(std::max(trials, 0)));
-  for (int t = 0; t < trials; ++t) {
-    Plan plan;
-    plan.crash_time_ms = rng.Uniform(0, calibration.normal_duration_ms);
-    plan.target_index = rng.Index(calibration.eligible_nodes.size());
-    plans.push_back(plan);
+  std::vector<Plan> plans(static_cast<size_t>(std::max(trials, 0)));
+  for (Plan& plan : plans) {
+    plan.at_ms = rng.Uniform(0, calibration.normal_duration_ms);
+    plan.target_index = rng.Index(calibration.victims);
   }
-
-  CampaignEngine engine(jobs);
-  std::vector<BaselineTrial> results = engine.Map(trials, [&](int t) {
-    auto run = system.NewRun(system.default_workload_size(), seed + 7919ull * (t + 1));
-    ctsim::Cluster& cluster = run->cluster();
-
-    BaselineTrial trial;
-    trial.trial_index = t;
-    trial.crash_time_ms = plans[static_cast<size_t>(t)].crash_time_ms;
-    std::vector<std::string> ids;
-    for (ctsim::Node* node : cluster.nodes()) {
-      if (!node->workload_driver()) {
-        ids.push_back(node->id());
-      }
-    }
-    CT_CHECK(ids.size() == calibration.eligible_nodes.size());
-    trial.target_node = ids[plans[static_cast<size_t>(t)].target_index];
-    trial.injected = true;
+  auto crash = [](ctsim::Cluster& cluster, const BaselineTrial& trial) {
     cluster.loop().ScheduleAt(trial.crash_time_ms,
                               [&cluster, node = trial.target_node] { cluster.Crash(node); });
-
-    trial.outcome = Executor::Execute(*run, &calibration.baseline);
-    return trial;
-  });
-
-  uint64_t total_virtual_ms = calibration.normal_duration_ms;
-  std::vector<BaselineTrial> failing;
-  for (const BaselineTrial& trial : results) {
-    total_virtual_ms += trial.outcome.virtual_duration_ms;
-    if (trial.outcome.IsBug()) {
-      failing.push_back(trial);
-    }
-  }
-  report.virtual_hours = static_cast<double>(total_virtual_ms) / 3'600'000.0;
-  report.failing_trials = failing;
-  report.bugs = TriageBaselineBugs(system, failing);
+  };
+  Tally(system, RunTrials(system, calibration, plans, seed, jobs, crash),
+        calibration.normal_duration_ms, &report);
   return report;
 }
 
@@ -161,69 +147,26 @@ BaselineReport NetworkRandomInjector::Run(const SystemUnderTest& system, int tri
   report.approach = "network-random";
   report.trials = trials;
 
-  Calibration calibration = Calibrate(system, seed);
-
-  // Pre-draw (cut time, victim, window) per trial in trial order, as the
-  // random crash baseline does, so any jobs count yields the same report.
   // The window is drawn blind, uniform over the fault-free runtime: without
   // meta-info the baseline knows nothing about failure-detector scales, so
   // most draws are too short to outlast an expiry or so long that recovery
   // settles before the heal — that miss rate is what the baseline measures.
-  struct Plan {
-    ctsim::Time cut_time_ms = 0;
-    uint64_t target_index = 0;
-    ctsim::Time partition_ms = 0;
-  };
+  Calibration calibration = Calibrate(system, seed);
   ctcommon::Rng rng(seed ^ 0x6e657264);
-  std::vector<Plan> plans;
-  plans.reserve(static_cast<size_t>(std::max(trials, 0)));
-  for (int t = 0; t < trials; ++t) {
-    Plan plan;
-    plan.cut_time_ms = rng.Uniform(0, calibration.normal_duration_ms);
-    plan.target_index = rng.Index(calibration.eligible_nodes.size());
+  std::vector<Plan> plans(static_cast<size_t>(std::max(trials, 0)));
+  for (Plan& plan : plans) {
+    plan.at_ms = rng.Uniform(0, calibration.normal_duration_ms);
+    plan.target_index = rng.Index(calibration.victims);
     plan.partition_ms = rng.Uniform(50, calibration.normal_duration_ms);
-    plans.push_back(plan);
   }
-
-  CampaignEngine engine(jobs);
-  std::vector<BaselineTrial> results = engine.Map(trials, [&](int t) {
-    const Plan& plan = plans[static_cast<size_t>(t)];
-    auto run = system.NewRun(system.default_workload_size(), seed + 7919ull * (t + 1));
-    ctsim::Cluster& cluster = run->cluster();
-
-    BaselineTrial trial;
-    trial.trial_index = t;
-    trial.crash_time_ms = plan.cut_time_ms;
-    trial.partition_ms = plan.partition_ms;
-    std::vector<std::string> ids;
-    for (ctsim::Node* node : cluster.nodes()) {
-      if (!node->workload_driver()) {
-        ids.push_back(node->id());
-      }
-    }
-    CT_CHECK(ids.size() == calibration.eligible_nodes.size());
-    trial.target_node = ids[plan.target_index];
-    trial.injected = true;
+  auto partition = [](ctsim::Cluster& cluster, const BaselineTrial& trial) {
     ctsim::FaultPlan fault_plan;
     fault_plan.partitions.push_back(
-        {plan.cut_time_ms, plan.cut_time_ms + plan.partition_ms, {trial.target_node}});
+        {trial.crash_time_ms, trial.crash_time_ms + trial.partition_ms, {trial.target_node}});
     cluster.InstallFaultPlan(fault_plan);
-
-    trial.outcome = Executor::Execute(*run, &calibration.baseline);
-    return trial;
-  });
-
-  uint64_t total_virtual_ms = calibration.normal_duration_ms;
-  std::vector<BaselineTrial> failing;
-  for (const BaselineTrial& trial : results) {
-    total_virtual_ms += trial.outcome.virtual_duration_ms;
-    if (trial.outcome.IsBug()) {
-      failing.push_back(trial);
-    }
-  }
-  report.virtual_hours = static_cast<double>(total_virtual_ms) / 3'600'000.0;
-  report.failing_trials = failing;
-  report.bugs = TriageBaselineBugs(system, failing);
+  };
+  Tally(system, RunTrials(system, calibration, plans, seed, jobs, partition),
+        calibration.normal_duration_ms, &report);
   return report;
 }
 
@@ -291,17 +234,7 @@ BaselineReport IoFaultInjector::Run(const SystemUnderTest& system, uint64_t seed
         return trial;
       });
 
-  uint64_t total_virtual_ms = 0;
-  std::vector<BaselineTrial> failing;
-  for (const BaselineTrial& trial : results) {
-    total_virtual_ms += trial.outcome.virtual_duration_ms;
-    if (trial.outcome.IsBug()) {
-      failing.push_back(trial);
-    }
-  }
-  report.virtual_hours = static_cast<double>(total_virtual_ms) / 3'600'000.0;
-  report.failing_trials = failing;
-  report.bugs = TriageBaselineBugs(system, failing);
+  Tally(system, std::move(results), /*calibration_ms=*/0, &report);
   return report;
 }
 

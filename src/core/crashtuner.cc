@@ -71,6 +71,9 @@ std::vector<DetectedBug> TriageBugs(const SystemUnderTest& system,
         }
       }
     }
+    if (matched == nullptr && injection.location.empty()) {
+      continue;  // no crash point to name a new bug after (baseline trials)
+    }
     std::string signature =
         matched != nullptr
             ? matched->bug_id
@@ -200,17 +203,11 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
       static_cast<double>(report.profile.normal_duration_ms) * report.profile.iterations / 1000.0;
 
   // --- Phase 2: fault-injection testing. -------------------------------------
-  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(report.log_result);
-  FaultInjectionTester tester(&system, &report.crash_points, filter, report.profile.baseline,
-                              report.profile.normal_duration_ms, options.pre_read_wait_ms);
+  report.filter = log_analysis.MakeOnlineFilter(report.log_result);
+  FaultInjectionTester tester(&system, &report.crash_points, report.filter,
+                              report.profile.baseline, report.profile.normal_duration_ms,
+                              options.pre_read_wait_ms);
   tester.set_injection_mode(options.injection_mode);
-  if (options.injection_mode == InjectionMode::kNetworkFault) {
-    std::map<int, ctsim::Time> windows;
-    for (const auto& window : model.network_fault_windows()) {
-      windows[window.point] = static_cast<ctsim::Time>(window.partition_ms);
-    }
-    tester.ConfigureNetworkWindows(std::move(windows), options.network_partition_ms);
-  }
   tester.set_record_store(options.record_traces);
   tester.set_replay_store(options.replay_traces);
   tester.set_observer(options.observer);

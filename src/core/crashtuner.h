@@ -99,6 +99,9 @@ struct SystemReport {
   FuzzSummary fuzz;
 
   ctanalysis::LogAnalysisResult log_result;
+  // Phase 2's online log filter, for testers that rerun injections against
+  // this report. The report writers do not serialize it.
+  ctlog::OnlineFilter filter;
   ctanalysis::MetaInfoResult metainfo;
   ctanalysis::CrashPointResult crash_points;
   ProfileResult profile;
@@ -142,10 +145,8 @@ struct DriverOptions {
   // (the paper's trigger) or partition-and-heal it (network-fault mode,
   // targeting message races). Network mode takes each point's partition
   // window from the model's declared network-fault windows, falling back to
-  // network_partition_ms — which must outlast every system's failure
-  // detector for the heal to race recovered state.
+  // FaultInjectionTester::kDefaultPartitionMs.
   InjectionMode injection_mode = InjectionMode::kCrash;
-  ctsim::Time network_partition_ms = 2500;
   // Campaign trace record/replay (either may be null). With record_traces,
   // every Phase-2 run stores its event trace by injection index; with
   // replay_traces, every run is verified event-by-event against the stored
@@ -167,7 +168,9 @@ class CrashTunerDriver {
 };
 
 // Groups bug-verdict injections into DetectedBugs and triages them against
-// the system's known-bug table. Exposed for tests.
+// the system's known-bug table: the one bug matcher, which the baselines'
+// TriageBaselineBugs feeds too. A run with no crash-point location is
+// reported only when it matches a known bug.
 std::vector<DetectedBug> TriageBugs(const SystemUnderTest& system,
                                     const std::vector<InjectionResult>& injections);
 

@@ -26,6 +26,11 @@ std::string RunOutcome::PrimarySymptom() const {
   return "ok";
 }
 
+std::string RunOutcome::Signature() const {
+  return uncommon_exceptions.empty() ? PrimarySymptom()
+                                     : PrimarySymptom() + ": " + uncommon_exceptions.front();
+}
+
 RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
   // Route every hook the run fires to the run's own tracer: this is what lets
   // worker threads execute injection runs concurrently without sharing state.

@@ -37,6 +37,11 @@ struct RunOutcome {
 
   // Short label for reports: "job failure", "cluster down", ...
   std::string PrimarySymptom() const;
+
+  // The run's failure signature: the primary symptom, then ": " and the
+  // first uncommon exception when there is one. No symptom label contains
+  // ':', so distinct (symptom, exception) pairs get distinct signatures.
+  std::string Signature() const;
 };
 
 class Executor {

@@ -5,7 +5,10 @@
 // for bugs that need several crash events. This extension chains a second
 // injection onto the same run: the first dynamic crash point fires and kills
 // its target as usual; the tracer is then re-armed at a second dynamic point
-// and a second node dies when it is hit. Outcomes feed the same oracle.
+// and a second node dies when it is hit. Outcomes feed the same oracle. The
+// pair runs live on FaultInjectionTester (TestPair/TestPairs, trigger.h), so
+// both faults go through the same trigger action as a single injection; this
+// file holds the pair walk and the result types.
 //
 // The pair space is quadratic, so the tester takes an explicit cap and walks
 // pairs in a deterministic order; bench_multicrash reports what the deeper
@@ -24,12 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/crash_point_analysis.h"
-#include "src/core/crashtuner.h"
 #include "src/core/executor.h"
-#include "src/core/profiler.h"
-#include "src/core/system_under_test.h"
-#include "src/logging/stash.h"
 #include "src/runtime/tracer.h"
 
 namespace ctcore {
@@ -95,46 +93,6 @@ struct MultiCrashReport {
   // Failing pairs whose failure does not reproduce under either single
   // injection alone — the candidates for genuine multi-crash bugs.
   std::vector<PairInjectionResult> multi_only;
-};
-
-class MultiCrashTester {
- public:
-  MultiCrashTester(const SystemUnderTest* system,
-                   const ctanalysis::CrashPointResult* crash_points, ctlog::OnlineFilter filter,
-                   OracleBaseline baseline, ctsim::Time pre_read_wait_ms = 10'000)
-      : system_(system),
-        crash_points_(crash_points),
-        filter_(std::move(filter)),
-        baseline_(std::move(baseline)),
-        pre_read_wait_ms_(pre_read_wait_ms) {}
-
-  // Tests one ordered pair: the second point is armed after the first fault
-  // lands. Safe to call concurrently: each call owns its run and tracer.
-  PairInjectionResult TestPair(const ctrt::DynamicPoint& first, const ctrt::DynamicPoint& second,
-                               uint64_t seed);
-
-  // Walks the unordered pairs of the dynamic crash-point set (deterministic
-  // order) up to `max_pairs` runs fanned across `jobs` worker threads
-  // (campaign.h; aggregation is pair-index ordered, so the report is
-  // identical at any thread count), comparing failing pairs against the
-  // single-injection outcomes from `single_results`. Each pair's seed derives
-  // from the pair itself (point ids + call strings), not its list position,
-  // so a pair runs the same simulation under any cap.
-  MultiCrashReport TestPairs(const ProfileResult& profile,
-                             const std::vector<InjectionResult>& single_results, int max_pairs,
-                             uint64_t seed, int jobs = 1);
-
- private:
-  ctanalysis::CrashPointKind KindOf(int point_id, std::string* location) const;
-  void Inject(ctsim::Cluster& cluster, const ctlog::CustomStash& stash,
-              ctanalysis::CrashPointKind kind, const ctrt::AccessEvent& event, bool* injected,
-              std::string* target);
-
-  const SystemUnderTest* system_;
-  const ctanalysis::CrashPointResult* crash_points_;
-  ctlog::OnlineFilter filter_;
-  OracleBaseline baseline_;
-  ctsim::Time pre_read_wait_ms_;
 };
 
 }  // namespace ctcore

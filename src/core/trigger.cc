@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 
+#include "src/common/fnv.h"
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
 #include "src/obs/span.h"
@@ -23,7 +24,99 @@ std::string MetricName(std::string text) {
   return text;
 }
 
+// Online log analysis (§3.2.1): one Logstash agent per node streams the run's
+// meta-info values into the stash the trigger resolves targets from.
+class StashFeed {
+ public:
+  StashFeed(ctsim::Cluster& cluster, const ctlog::OnlineFilter& filter) : stash_(filter) {
+    for (const auto& node_id : cluster.node_ids()) {
+      agents_.push_back(std::make_unique<ctlog::LogstashAgent>(node_id, &stash_));
+    }
+    cluster.logs().Subscribe([this](const ctlog::Instance& instance) {
+      for (auto& agent : agents_) {
+        agent->OnInstance(instance);
+      }
+    });
+  }
+  StashFeed(const StashFeed&) = delete;
+  StashFeed& operator=(const StashFeed&) = delete;
+
+  // The live node an accessed value resolves to. None when the value names no
+  // node (the procedure simply returns, §3.2.2) or that node is already down.
+  std::optional<std::string> LiveTarget(const ctsim::Cluster& cluster,
+                                        const std::string& value) const {
+    std::optional<std::string> target = stash_.Lookup(value);
+    if (target.has_value() && !cluster.IsAlive(*target)) {
+      return std::nullopt;
+    }
+    return target;
+  }
+
+ private:
+  ctlog::CustomStash stash_;
+  std::vector<std::unique_ptr<ctlog::LogstashAgent>> agents_;
+};
+
+// Content-derived pair seed: FNV-1a over both endpoints, mixed with the base
+// seed. Position-independent, so a pair runs the same simulation whatever
+// the cap and wherever it sits in the walk.
+uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
+  ctcommon::Fnv1a hash;
+  auto mix = [&hash](const std::string& text) {
+    hash.Add(text);
+    hash.AddByte(0xff);
+  };
+  mix(std::to_string(pair.first.point_id));
+  mix(pair.first.stack_key);
+  mix(std::to_string(pair.second.point_id));
+  mix(pair.second.stack_key);
+  return seed + (hash.value() >> 1);
+}
+
 }  // namespace
+
+const ctanalysis::StaticCrashPoint* FaultInjectionTester::StaticPointOf(int point_id) const {
+  for (const auto& static_point : crash_points_->points) {
+    if (static_point.access_point_id == point_id) {
+      return &static_point;
+    }
+  }
+  return nullptr;
+}
+
+void FaultInjectionTester::Strike(ctsim::Cluster& cluster, const std::string& target,
+                                  int point_id, ctanalysis::CrashPointKind kind) const {
+  if (mode_ == InjectionMode::kNetworkFault) {
+    // Fault-on-appearance: cut the target off for the window instead of
+    // killing it. The failure detector expires it, recovery starts, then
+    // the heal lets the presumed-dead node's messages race the recovered
+    // state — the handler (and the target) keep running throughout.
+    ctsim::Time partition_ms = kDefaultPartitionMs;
+    for (const auto& window : system_->model().network_fault_windows()) {
+      if (window.point == point_id) {
+        partition_ms = static_cast<ctsim::Time>(window.partition_ms);
+        break;
+      }
+    }
+    cluster.PartitionNodes({target}, partition_ms);
+    return;
+  }
+  const bool killing_current = target == cluster.current_node();
+  if (kind == ctanalysis::CrashPointKind::kPreRead) {
+    // Graceful shutdown lets the cluster learn about the departure without
+    // waiting out the failure detector; the wait window then lets recovery
+    // run before the instrumented read proceeds.
+    cluster.Shutdown(target);
+  } else {
+    cluster.Crash(target);
+  }
+  if (killing_current) {
+    throw ctsim::NodeCrashedSignal{};
+  }
+  if (kind == ctanalysis::CrashPointKind::kPreRead) {
+    cluster.loop().RunFor(pre_read_wait_ms_);
+  }
+}
 
 InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
                                                 ctanalysis::CrashPointKind kind, uint64_t seed,
@@ -32,12 +125,9 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   result.point = point;
   result.kind = kind;
   result.mode = mode_;
-  for (const auto& static_point : crash_points_->points) {
-    if (static_point.access_point_id == point.point_id) {
-      result.location = static_point.location;
-      result.field_id = static_point.field_id;
-      break;
-    }
+  if (const ctanalysis::StaticCrashPoint* static_point = StaticPointOf(point.point_id)) {
+    result.location = static_point->location;
+    result.field_id = static_point->field_id;
   }
 
   // Recorder before the run: the cluster holds a raw pointer to it, so it
@@ -77,19 +167,10 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   const std::string injection_span_name =
       "inject:" + (span_decl != nullptr ? span_decl->name : anchor);
 
-  // Online log analysis: one agent per node feeding the custom stash.
-  ctlog::CustomStash stash(filter_);
-  std::vector<std::unique_ptr<ctlog::LogstashAgent>> agents;
+  std::optional<StashFeed> feed;
   {
     ctobs::ScopedSpan arm(run_observer, &cluster.loop(), "window-arm", "phase");
-    for (const auto& node_id : cluster.node_ids()) {
-      agents.push_back(std::make_unique<ctlog::LogstashAgent>(node_id, &stash));
-    }
-    cluster.logs().Subscribe([&agents](const ctlog::Instance& instance) {
-      for (auto& agent : agents) {
-        agent->OnInstance(instance);
-      }
-    });
+    feed.emplace(cluster, filter_);
   }
 
   // Control-center callback (Fig. 7): resolve the accessed value to a node
@@ -101,11 +182,8 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   tracer.ArmAccessTrigger(point, [&](const ctrt::AccessEvent& event) {
     result.point_hit = true;
     result.accessed_value = event.value;
-    auto target = stash.Lookup(event.value);
+    std::optional<std::string> target = feed->LiveTarget(cluster, event.value);
     if (!target.has_value()) {
-      return;  // No associated node: the procedure simply returns (§3.2.2).
-    }
-    if (!cluster.IsAlive(*target)) {
       return;
     }
     result.injected = true;
@@ -117,33 +195,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     inject.AddArg("point", std::to_string(point.point_id));
     inject.AddArg("anchor", anchor);
     inject.AddArg("target", *target);
-    if (mode_ == InjectionMode::kNetworkFault) {
-      // Fault-on-appearance: cut the target off for the window instead of
-      // killing it. The failure detector expires it, recovery starts, then
-      // the heal lets the presumed-dead node's messages race the recovered
-      // state — the handler (and the target) keep running throughout.
-      auto window = network_windows_.find(point.point_id);
-      ctsim::Time partition_ms =
-          window != network_windows_.end() ? window->second : default_partition_ms_;
-      cluster.PartitionNodes({*target}, partition_ms);
-      return;
-    }
-    bool killing_current = (*target == cluster.current_node());
-    if (kind == ctanalysis::CrashPointKind::kPreRead) {
-      // Graceful shutdown lets the cluster learn about the departure without
-      // waiting out the failure detector; the wait window then lets recovery
-      // run before the instrumented read proceeds.
-      cluster.Shutdown(*target);
-      if (killing_current) {
-        throw ctsim::NodeCrashedSignal{};
-      }
-      cluster.loop().RunFor(pre_read_wait_ms_);
-    } else {
-      cluster.Crash(*target);
-      if (killing_current) {
-        throw ctsim::NodeCrashedSignal{};
-      }
-    }
+    Strike(cluster, *target, point.point_id, kind);
   });
 
   result.outcome = Executor::Execute(*run, &baseline_);
@@ -176,10 +228,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
       dossier.system = system_->name();
       dossier.slot = trace_slot;
       dossier.seed = seed;
-      dossier.failed_invariant = result.outcome.PrimarySymptom();
-      if (!result.outcome.uncommon_exceptions.empty()) {
-        dossier.failed_invariant += ": " + result.outcome.uncommon_exceptions.front();
-      }
+      dossier.failed_invariant = result.outcome.Signature();
       if (result.injected) {
         ctobs::DossierPoint injected;
         injected.point_id = point.point_id;
@@ -229,28 +278,114 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
 
 std::vector<InjectionResult> FaultInjectionTester::TestAll(const ProfileResult& profile,
                                                            uint64_t seed, int jobs) {
-  // Static point id → kind.
-  std::map<int, ctanalysis::CrashPointKind> kinds;
-  for (const auto& static_point : crash_points_->points) {
-    kinds[static_point.access_point_id] = static_point.kind;
-  }
   struct Task {
     ctrt::DynamicPoint point;
     ctanalysis::CrashPointKind kind;
   };
   std::vector<Task> tasks;
   for (const auto& point : profile.dynamic_access_points) {
-    auto it = kinds.find(point.point_id);
-    if (it == kinds.end()) {
-      continue;
+    if (const ctanalysis::StaticCrashPoint* static_point = StaticPointOf(point.point_id)) {
+      tasks.push_back({point, static_point->kind});
     }
-    tasks.push_back({point, it->second});
   }
   CampaignEngine engine(jobs);
   return engine.Map(static_cast<int>(tasks.size()), [&](int i) {
     const Task& task = tasks[static_cast<size_t>(i)];
     return TestPoint(task.point, task.kind, seed + static_cast<uint64_t>(i), /*trace_slot=*/i);
   });
+}
+
+PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& first,
+                                                   const ctrt::DynamicPoint& second,
+                                                   uint64_t seed) {
+  PairInjectionResult result;
+  result.first = first;
+  result.second = second;
+  // A point without a static crash point is struck as a pre-read.
+  auto kind_of = [this](int point_id, std::string* location) {
+    const ctanalysis::StaticCrashPoint* static_point = StaticPointOf(point_id);
+    if (static_point == nullptr) {
+      return ctanalysis::CrashPointKind::kPreRead;
+    }
+    *location = static_point->location;
+    return static_point->kind;
+  };
+  const ctanalysis::CrashPointKind first_kind = kind_of(first.point_id, &result.first_location);
+  const ctanalysis::CrashPointKind second_kind =
+      kind_of(second.point_id, &result.second_location);
+
+  auto run = system_->NewRun(system_->default_workload_size(), seed);
+  ctsim::Cluster& cluster = run->cluster();
+  StashFeed feed(cluster, filter_);
+
+  auto strike = [&](const ctrt::AccessEvent& event, int point_id,
+                    ctanalysis::CrashPointKind kind, bool* injected, std::string* target_node) {
+    std::optional<std::string> target = feed.LiveTarget(cluster, event.value);
+    if (target.has_value()) {
+      *injected = true;
+      *target_node = *target;
+      Strike(cluster, *target, point_id, kind);
+    }
+  };
+  ctrt::AccessTracer& tracer = run->context().tracer();
+  tracer.Reset(ctrt::TraceMode::kTrigger);
+  tracer.ArmAccessTrigger(first, [&](const ctrt::AccessEvent& event) {
+    // Chain the second injection before delivering the first fault: if the
+    // first target is the currently executing node, Strike throws and the
+    // re-arm must already be in place.
+    tracer.RearmAccessTrigger(second, [&](const ctrt::AccessEvent& second_event) {
+      strike(second_event, second.point_id, second_kind, &result.second_injected,
+             &result.second_target);
+    });
+    strike(event, first.point_id, first_kind, &result.first_injected, &result.first_target);
+  });
+
+  result.outcome = Executor::Execute(*run, &baseline_);
+  // The armed/re-armed trigger dies with the run's context.
+  return result;
+}
+
+MultiCrashReport FaultInjectionTester::TestPairs(
+    const ProfileResult& profile, const std::vector<InjectionResult>& single_results,
+    int max_pairs, uint64_t seed, int jobs) {
+  MultiCrashReport report;
+  // Failure signatures already reachable with one crash: a pair only counts
+  // as "multi-only" if its signature is new.
+  std::set<std::string> single_signatures;
+  for (const auto& single : single_results) {
+    if (single.outcome.IsBug()) {
+      single_signatures.insert(single.outcome.Signature());
+    }
+  }
+
+  // Enumerate the (deterministically ordered, capped) pair list up front so
+  // the runs can fan out across worker threads. The shared enumerator means
+  // a static-only point set feeds the quadratic phase through the very same
+  // walk the profiled set does.
+  const std::vector<CrashPairCandidate> pairs =
+      EnumerateCrashPairs(profile.dynamic_access_points, max_pairs);
+  CampaignEngine engine(jobs);
+  std::vector<PairInjectionResult> results =
+      engine.Map(static_cast<int>(pairs.size()), [&](int i) {
+        const CrashPairCandidate& task = pairs[static_cast<size_t>(i)];
+        return TestPair(task.first, task.second, PairSeed(seed, task));
+      });
+
+  // Aggregate in pair order: double summation and report rows come out the
+  // same at any thread count.
+  for (const PairInjectionResult& result : results) {
+    ++report.pairs_tested;
+    report.virtual_hours +=
+        static_cast<double>(result.outcome.virtual_duration_ms) / 3'600'000.0;
+    if (!result.outcome.IsBug()) {
+      continue;
+    }
+    report.failing.push_back(result);
+    if (single_signatures.count(result.outcome.Signature()) == 0) {
+      report.multi_only.push_back(result);
+    }
+  }
+  return report;
 }
 
 }  // namespace ctcore

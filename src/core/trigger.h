@@ -15,7 +15,9 @@
 // The oracle then classifies the run. Every run records an event trace; its
 // hash lands in the result, and a TraceStore enables campaign-level
 // record/replay (replaying a stored trace re-executes the run and verifies
-// every scheduled event against the recording).
+// every scheduled event against the recording). Multi-crash pair runs
+// (multi_crash.h) chain a second trigger onto the first and reuse the same
+// fault action.
 #ifndef SRC_CORE_TRIGGER_H_
 #define SRC_CORE_TRIGGER_H_
 
@@ -28,6 +30,7 @@
 
 #include "src/analysis/crash_point_analysis.h"
 #include "src/core/executor.h"
+#include "src/core/multi_crash.h"
 #include "src/core/profiler.h"
 #include "src/core/system_under_test.h"
 #include "src/logging/stash.h"
@@ -90,6 +93,10 @@ class FaultInjectionTester {
  public:
   // Wait window after a pre-read shutdown (the paper defaults to 10 s).
   static constexpr ctsim::Time kPreReadWaitMs = 10'000;
+  // Network-mode partition window for a point the model declares no
+  // network-fault window for. It must outlast every system's failure
+  // detector for the heal to race recovered state.
+  static constexpr ctsim::Time kDefaultPartitionMs = 2500;
 
   FaultInjectionTester(const SystemUnderTest* system,
                        const ctanalysis::CrashPointResult* crash_points,
@@ -104,15 +111,9 @@ class FaultInjectionTester {
         pre_read_wait_ms_(pre_read_wait_ms) {}
 
   // Switches the trigger between crashing the resolved target (default) and
-  // partitioning it. In network mode the partition window for a point comes
-  // from `windows` (point id → ms, from the model's declared network-fault
-  // windows), falling back to `default_partition_ms`.
+  // partitioning it. In network mode the partition window for a point is the
+  // model's declared network-fault window, else kDefaultPartitionMs.
   void set_injection_mode(InjectionMode mode) { mode_ = mode; }
-  void ConfigureNetworkWindows(std::map<int, ctsim::Time> windows,
-                               ctsim::Time default_partition_ms) {
-    network_windows_ = std::move(windows);
-    default_partition_ms_ = default_partition_ms;
-  }
 
   // Campaign-level record/replay: with a record store, each TestPoint writes
   // its trace under its slot; with a replay store, each TestPoint verifies
@@ -143,10 +144,36 @@ class FaultInjectionTester {
   // any thread count.
   std::vector<InjectionResult> TestAll(const ProfileResult& profile, uint64_t seed, int jobs = 1);
 
+  // Tests one ordered pair: the second point is armed after the first fault
+  // lands. Safe to call concurrently: each call owns its run and tracer.
+  PairInjectionResult TestPair(const ctrt::DynamicPoint& first, const ctrt::DynamicPoint& second,
+                               uint64_t seed);
+
+  // Walks the unordered pairs of the dynamic crash-point set (deterministic
+  // order) up to `max_pairs` runs fanned across `jobs` worker threads
+  // (campaign.h; aggregation is pair-index ordered, so the report is
+  // identical at any thread count), comparing failing pairs against the
+  // single-injection outcomes from `single_results`. Each pair's seed derives
+  // from the pair itself (point ids + call strings), not its list position,
+  // so a pair runs the same simulation under any cap.
+  MultiCrashReport TestPairs(const ProfileResult& profile,
+                             const std::vector<InjectionResult>& single_results, int max_pairs,
+                             uint64_t seed, int jobs = 1);
+
   // Total virtual time spent across TestPoint calls (Table 11 test column).
   ctsim::Time total_virtual_ms() const { return total_virtual_ms_.load(); }
 
  private:
+  // The static crash point of an access point id; null when it has none.
+  const ctanalysis::StaticCrashPoint* StaticPointOf(int point_id) const;
+
+  // The trigger's fault action (§3.2.2, Fig. 7) on the already-resolved live
+  // `target`: partition it (network mode), or shut it down and wait
+  // (pre-read) or crash it (post-write). Unwinds the current handler with
+  // NodeCrashedSignal when the target is the node executing it.
+  void Strike(ctsim::Cluster& cluster, const std::string& target, int point_id,
+              ctanalysis::CrashPointKind kind) const;
+
   const SystemUnderTest* system_;
   const ctanalysis::CrashPointResult* crash_points_;
   ctlog::OnlineFilter filter_;
@@ -154,8 +181,6 @@ class FaultInjectionTester {
   ctsim::Time normal_duration_ms_;
   ctsim::Time pre_read_wait_ms_;
   InjectionMode mode_ = InjectionMode::kCrash;
-  std::map<int, ctsim::Time> network_windows_;
-  ctsim::Time default_partition_ms_ = 2500;
   TraceStore* record_store_ = nullptr;
   const TraceStore* replay_store_ = nullptr;
   ctobs::CampaignObserver* observer_ = nullptr;

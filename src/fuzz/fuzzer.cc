@@ -20,6 +20,11 @@ namespace {
 // (raw seed) and the network stream ("net-flt" salt in the cluster).
 constexpr uint64_t kFuzzSalt = 0x66757a7a2d6f7073ull;
 
+// Runs generated per corpus snapshot. Fixed and jobs-independent: within a
+// batch every workload derives from the same snapshot, so scheduling order
+// cannot leak into generation.
+constexpr int kBatchSize = 8;
+
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -173,9 +178,7 @@ FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
   if (!generator.HasGrammar() || options.budget <= 0) {
     return result;
   }
-  const int workload_size =
-      options.workload_size > 0 ? options.workload_size : system.default_workload_size();
-  const int batch_size = options.batch_size > 0 ? options.batch_size : 8;
+  const int workload_size = system.default_workload_size();
   ctcore::CampaignEngine engine(options.jobs);
   ctcommon::Fnv1a trace_hash;
 
@@ -186,7 +189,7 @@ FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
 
   int produced = 0;
   while (produced < options.budget) {
-    const int n = std::min(batch_size, options.budget - produced);
+    const int n = std::min(kBatchSize, options.budget - produced);
     // Generation reads the corpus as it stood at batch start: a worker's
     // finish order can never change what another run in the batch draws.
     std::vector<FuzzWorkload> snapshot;

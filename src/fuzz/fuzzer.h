@@ -28,11 +28,6 @@ struct FuzzOptions {
   int budget = 0;        // total fuzz runs to execute
   uint64_t seed = 2019;  // campaign seed; the fuzz stream is seed ^ salt
   int jobs = 1;
-  // Runs generated per corpus snapshot. Fixed and jobs-independent: within a
-  // batch every workload derives from the same snapshot, so scheduling order
-  // cannot leak into generation.
-  int batch_size = 8;
-  int workload_size = 0;  // 0 = the system's default workload size
   // When set, each fuzz run's spans/metrics land in slot
   // observer_slot_base + global run index (offset past Phase 2's slots).
   ctobs::CampaignObserver* observer = nullptr;

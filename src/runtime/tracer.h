@@ -112,11 +112,6 @@ class AccessTracer {
   void PushFrame(const char* frame);
   void PopFrame();
   CallStack CaptureStack() const;
-  // Override for the depth ablation. Deliberately survives Reset() so a
-  // whole driver run (which resets per phase) can be measured at one depth;
-  // callers restore kMaxDepth afterwards.
-  void set_stack_depth(int depth) { stack_depth_ = depth; }
-  int stack_depth() const { return stack_depth_; }
 
   // Process-wide default depth newly constructed tracers start from. The depth
   // ablation sets this before a driver run so every per-run tracer the run

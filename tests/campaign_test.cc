@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/baselines.h"
 #include "src/core/campaign.h"
 #include "src/core/crashtuner.h"
 #include "src/core/report_writer.h"
@@ -145,6 +146,51 @@ TEST(ParallelDeterminism, YarnReportIdenticalAtJobs1AndJobs4) {
   seq.analysis_wall_seconds = par.analysis_wall_seconds = 0;
   seq.test_wall_seconds = par.test_wall_seconds = 0;
   EXPECT_EQ(ctcore::ReportToJson(seq), ctcore::ReportToJson(par));
+}
+
+// Every field a baseline report keeps: trial index, target, fault time and
+// window, IO point, outcome, and the triaged bug ids.
+void ExpectSameBaselineReport(const ctcore::BaselineReport& seq,
+                              const ctcore::BaselineReport& par) {
+  EXPECT_EQ(seq.trials, par.trials);
+  EXPECT_EQ(seq.virtual_hours, par.virtual_hours);
+  ASSERT_EQ(seq.failing_trials.size(), par.failing_trials.size());
+  for (size_t i = 0; i < seq.failing_trials.size(); ++i) {
+    const ctcore::BaselineTrial& s = seq.failing_trials[i];
+    const ctcore::BaselineTrial& p = par.failing_trials[i];
+    EXPECT_EQ(s.trial_index, p.trial_index) << "failing trial " << i;
+    EXPECT_EQ(s.injected, p.injected) << "failing trial " << i;
+    EXPECT_EQ(s.target_node, p.target_node) << "failing trial " << i;
+    EXPECT_EQ(s.crash_time_ms, p.crash_time_ms) << "failing trial " << i;
+    EXPECT_EQ(s.partition_ms, p.partition_ms) << "failing trial " << i;
+    EXPECT_EQ(s.io_point.point_id, p.io_point.point_id) << "failing trial " << i;
+    EXPECT_EQ(s.io_point.stack_key, p.io_point.stack_key) << "failing trial " << i;
+    EXPECT_EQ(s.io_before, p.io_before) << "failing trial " << i;
+    EXPECT_TRUE(SameOutcome(s.outcome, p.outcome)) << "failing trial " << i;
+  }
+  ASSERT_EQ(seq.bugs.size(), par.bugs.size());
+  for (size_t i = 0; i < seq.bugs.size(); ++i) {
+    EXPECT_EQ(seq.bugs[i].bug_id, par.bugs[i].bug_id);
+    EXPECT_EQ(seq.bugs[i].exposing_points.size(), par.bugs[i].exposing_points.size());
+  }
+}
+
+TEST(ParallelDeterminism, BaselineReportsIdenticalAtJobs1AndJobs4) {
+  ctyarn::YarnSystem yarn;
+  const ctcore::RandomCrashInjector random;
+  const ctcore::BaselineReport random_seq = random.Run(yarn, 40, 20190427, /*jobs=*/1);
+  ASSERT_FALSE(random_seq.bugs.empty()) << "the comparison needs triaged trials";
+  ExpectSameBaselineReport(random_seq, random.Run(yarn, 40, 20190427, /*jobs=*/4));
+
+  const ctcore::NetworkRandomInjector network;
+  const ctcore::BaselineReport network_seq = network.Run(yarn, 40, 20190427, /*jobs=*/1);
+  ASSERT_FALSE(network_seq.bugs.empty()) << "the comparison needs triaged trials";
+  ExpectSameBaselineReport(network_seq, network.Run(yarn, 40, 20190427, /*jobs=*/4));
+
+  const ctcore::IoFaultInjector io;
+  const ctcore::BaselineReport io_seq = io.Run(yarn, 99, /*jobs=*/1);
+  ASSERT_FALSE(io_seq.bugs.empty()) << "the comparison needs triaged trials";
+  ExpectSameBaselineReport(io_seq, io.Run(yarn, 99, /*jobs=*/4));
 }
 
 TEST(ScaleDeterminism, YarnReportIdenticalAtJobs1AndJobs4AtScale8) {

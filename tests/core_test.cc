@@ -2,12 +2,20 @@
 // mechanics, triage, the baselines, and the study database.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/baselines.h"
 #include "src/core/crashtuner.h"
 #include "src/core/executor.h"
 #include "src/core/profiler.h"
 #include "src/study/bug_study.h"
+#include "src/systems/cassandra/cass_system.h"
+#include "src/systems/hbase/hbase_system.h"
+#include "src/systems/hdfs/hdfs_system.h"
 #include "src/systems/yarn/yarn_system.h"
+#include "src/systems/zookeeper/zk_system.h"
 
 namespace ctcore {
 namespace {
@@ -128,6 +136,43 @@ TEST(Triage, BenignInjectionsProduceNoBugs) {
   EXPECT_TRUE(TriageBugs(yarn, injections).empty());
 }
 
+// Baseline trials carry no crash-point location: TriageBugs names them only
+// after a known bug, and TriageBaselineBugs is the same matcher.
+TEST(Triage, LocationlessRunsReportOnlyKnownBugs) {
+  ctyarn::YarnSystem yarn;
+  std::vector<InjectionResult> runs(3);
+  for (auto& run : runs) {
+    run.injected = true;
+  }
+  runs[0].outcome.failed = true;
+  runs[0].outcome.uncommon_exceptions.push_back("IllegalStateException: matches no known bug");
+  EXPECT_TRUE(TriageBugs(yarn, {runs[0]}).empty());
+
+  runs[1].outcome.failed = true;
+  runs[1].outcome.uncommon_exceptions.push_back(
+      "InvalidStateTransitionException: Invalid event LAUNCHED at KILLED for container c_1");
+  // MR-3858's exception_substr is the symptom label "system hang", so a hang
+  // with any uncommon exception the earlier rows miss triages to it.
+  runs[2].outcome.hang = true;
+  runs[2].outcome.uncommon_exceptions.push_back("IllegalStateException: matches no known bug");
+  std::vector<DetectedBug> bugs = TriageBugs(yarn, runs);
+  ASSERT_EQ(bugs.size(), 2u);
+  EXPECT_EQ(bugs[0].bug_id, "MR-3858");
+  EXPECT_EQ(bugs[1].bug_id, "YARN-9201");
+  EXPECT_EQ(bugs[1].location, "");
+  EXPECT_EQ(bugs[1].exposing_points.size(), 1u);
+
+  std::vector<BaselineTrial> trials(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    trials[i].outcome = runs[i].outcome;
+  }
+  std::vector<DetectedBug> baseline_bugs = TriageBaselineBugs(yarn, trials);
+  ASSERT_EQ(baseline_bugs.size(), bugs.size());
+  for (size_t i = 0; i < bugs.size(); ++i) {
+    EXPECT_EQ(baseline_bugs[i].bug_id, bugs[i].bug_id);
+  }
+}
+
 TEST(RandomBaseline, RunsRequestedTrials) {
   ctyarn::YarnSystem yarn;
   RandomCrashInjector injector;
@@ -160,6 +205,55 @@ TEST(IoBaseline, FindsOnlyYarn9201OnTrunk) {
     EXPECT_EQ(bug.bug_id, "YARN-9201") << bug.bug_id;
   }
   ASSERT_EQ(report.bugs.size(), 1u);
+}
+
+// Index of the first failing trial that triages to a message-race bug, as
+// bench_table7_random_injection reports it; -1 when none does.
+int FirstRaceTrial(const SystemUnderTest& system, const BaselineReport& report) {
+  for (const auto& trial : report.failing_trials) {
+    for (const auto& bug : TriageBaselineBugs(system, {trial})) {
+      if (bug.scenario == "message-race") {
+        return trial.trial_index;
+      }
+    }
+  }
+  return -1;
+}
+
+std::vector<std::string> BugIds(const BaselineReport& report) {
+  std::vector<std::string> ids;
+  for (const auto& bug : report.bugs) {
+    ids.push_back(bug.bug_id);
+  }
+  return ids;
+}
+
+// bench_table7_random_injection 40 (seed 20190427): failing runs, bug ids and
+// first race trials per system, in the bench's row order.
+TEST(RandomBaselines, Table7RowsAtFortyTrialsArePinned) {
+  struct Row {
+    std::unique_ptr<SystemUnderTest> system;
+    size_t crash_failing;
+    std::vector<std::string> crash_bugs;
+    size_t partition_failing;
+    int first_race_trial;
+  };
+  std::vector<Row> rows;
+  rows.push_back({std::make_unique<ctyarn::YarnSystem>(), 7, {"MR-7178", "YARN-9201"}, 15, 10});
+  rows.push_back({std::make_unique<cthdfs::HdfsSystem>(), 0, {}, 3, 3});
+  rows.push_back(
+      {std::make_unique<cthbase::HBaseSystem>(), 18, {"HBASE-21740", "HBASE-22050"}, 13, -1});
+  rows.push_back({std::make_unique<ctzk::ZkSystem>(), 0, {}, 4, 23});
+  rows.push_back({std::make_unique<ctcass::CassSystem>(), 0, {}, 3, 24});
+  for (const Row& row : rows) {
+    const SystemUnderTest& system = *row.system;
+    BaselineReport crash = RandomCrashInjector().Run(system, 40, 20190427);
+    EXPECT_EQ(crash.failing_trials.size(), row.crash_failing) << system.name();
+    EXPECT_EQ(BugIds(crash), row.crash_bugs) << system.name();
+    BaselineReport partition = NetworkRandomInjector().Run(system, 40, 20190427);
+    EXPECT_EQ(partition.failing_trials.size(), row.partition_failing) << system.name();
+    EXPECT_EQ(FirstRaceTrial(system, partition), row.first_race_trial) << system.name();
+  }
 }
 
 // --- Study database -------------------------------------------------------------

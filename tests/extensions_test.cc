@@ -1,6 +1,6 @@
 // Tests for the extensions layered on the paper's pipeline: the driver
 // options (pre-read wait window, manual annotations), the multi-crash
-// tester, the report writers, and the DOT export.
+// pair runs, the report writers, and the DOT export.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -59,9 +59,8 @@ TEST(AnnotationOption, ExtraSeedsExpandMetaInfo) {
 TEST(MultiCrash, PairRunsChainTwoInjections) {
   ctyarn::YarnSystem yarn;
   const SystemReport& single = CachedReport();
-  ctanalysis::LogAnalysis log_analysis(&yarn.model(), {"master", "node1", "node2", "node3"});
-  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(single.log_result);
-  MultiCrashTester tester(&yarn, &single.crash_points, filter, single.profile.baseline);
+  FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
+                              single.profile.baseline, single.profile.normal_duration_ms);
 
   // Pick two pre-read points that individually expose YARN-9164 and
   // YARN-8650; chained, both faults must land.
@@ -90,13 +89,25 @@ TEST(MultiCrash, PairRunsChainTwoInjections) {
 TEST(MultiCrash, ReportSeparatesMultiOnlyFailures) {
   ctyarn::YarnSystem yarn;
   const SystemReport& single = CachedReport();
-  ctanalysis::LogAnalysis log_analysis(&yarn.model(), {"master", "node1", "node2", "node3"});
-  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(single.log_result);
-  MultiCrashTester tester(&yarn, &single.crash_points, filter, single.profile.baseline);
+  FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
+                              single.profile.baseline, single.profile.normal_duration_ms);
   MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 6, 888);
   EXPECT_EQ(report.pairs_tested, 6);
   EXPECT_LE(report.multi_only.size(), report.failing.size());
   EXPECT_GT(report.virtual_hours, 0.0);
+}
+
+// bench_multicrash's default campaign: the first 60 pairs of the profiled
+// YARN point set at seed 424242.
+TEST(MultiCrash, BenchCampaignCountsArePinned) {
+  ctyarn::YarnSystem yarn;
+  const SystemReport& single = CachedReport();
+  FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
+                              single.profile.baseline, single.profile.normal_duration_ms);
+  MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 60, 424242);
+  EXPECT_EQ(report.pairs_tested, 60);
+  EXPECT_EQ(report.failing.size(), 54u);
+  EXPECT_EQ(report.multi_only.size(), 9u);
 }
 
 // Every field of a multi-crash report row, flattened for exact comparison.
@@ -130,9 +141,8 @@ std::vector<std::string> RowKeys(const std::vector<PairInjectionResult>& rows) {
 TEST(MultiCrash, CappedCampaignIsPrefixAndJobsInvariant) {
   ctyarn::YarnSystem yarn;
   const SystemReport& single = CachedReport();
-  ctanalysis::LogAnalysis log_analysis(&yarn.model(), {"master", "node1", "node2", "node3"});
-  ctlog::OnlineFilter filter = log_analysis.MakeOnlineFilter(single.log_result);
-  MultiCrashTester tester(&yarn, &single.crash_points, filter, single.profile.baseline);
+  FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
+                              single.profile.baseline, single.profile.normal_duration_ms);
 
   MultiCrashReport six = tester.TestPairs(single.profile, single.injections, 6, 888, /*jobs=*/1);
   MultiCrashReport three =

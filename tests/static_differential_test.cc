@@ -123,7 +123,7 @@ TEST(StaticDifferential, ZooKeeper) { ExpectDifferentialInvariants(ctzk::ZkSyste
 
 TEST(StaticDifferential, Cassandra) { ExpectDifferentialInvariants(ctcass::CassSystem()); }
 
-// The static pair candidates are exactly what MultiCrashTester::TestPairs
+// The static pair candidates are exactly what FaultInjectionTester::TestPairs
 // walks: the shared enumerator keeps the profiled and static campaigns on
 // one deterministic order, and the capped list is a prefix of the uncapped.
 TEST(StaticDifferential, PairEnumeratorIsSharedAndPrefixStable) {

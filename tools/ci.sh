@@ -66,13 +66,15 @@ echo "== stage 4: parallel campaign smoke (jobs=1 vs jobs=hw) =="
   | tail -n 12
 check_json build/BENCH_parallel.json
 
-echo "== stage 4b: static multi-crash smoke (pair-set precision/recall) =="
-# Cross-checks the statically enumerated multi-crash pair set against the
-# profiled pair set on every system and leaves each system's point and pair
-# counts, recall and precision in BENCH_static_multicrash.json. The
-# differential test suite enforces 100% recall; this smoke records the
-# numbers and proves the static-only pipeline runs zero instrumented
-# workloads outside the tests.
+echo "== stage 4b: multi-crash smoke (profiled pairs; static pair-set precision/recall) =="
+# Runs the profiled 60-pair YARN campaign end to end (extensions_test pins
+# its counts), then cross-checks the statically enumerated multi-crash pair
+# set against the profiled pair set on every system and leaves each system's
+# point and pair counts, recall and precision in
+# BENCH_static_multicrash.json. The differential test suite enforces 100%
+# recall; this smoke records the numbers and proves the static-only pipeline
+# runs zero instrumented workloads outside the tests.
+./build/bench/bench_multicrash | grep -A1 '^pairwise'
 ./build/bench/bench_multicrash --static-only --json build/BENCH_static_multicrash.json \
   | tail -n 10
 check_json build/BENCH_static_multicrash.json
@@ -86,6 +88,10 @@ echo "== stage 4c: network-fault smoke (guided windows vs random partitions) =="
 ./build/bench/bench_table7_random_injection 40 --jobs 0 \
   --json build/BENCH_network_faults.json | tail -n 12
 check_json build/BENCH_network_faults.json
+# The IO baseline and the three-approach comparison, so every injector runs
+# end to end outside the tests.
+./build/bench/bench_table9_io_injection | tail -n 3
+./build/examples/compare_approaches | grep -A3 '^CrashTuner '
 
 echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
 # Runs the five-system campaign at jobs=4 with the metrics registry and span
