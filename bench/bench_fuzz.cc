@@ -1,13 +1,16 @@
-// Fuzz smoke: a short coverage-guided fuzz campaign on every system.
+// Fuzz smoke: a short workload-fuzzing campaign on every system.
 //
 // For each of the five minis the full pipeline runs once, then the fuzz
-// phase explores `budget` grammar-op workloads at jobs=1 and jobs=4. The
-// bench fails (nonzero exit) if any system discovers no ⟨point, call-string⟩
-// pair beyond the fixed script, if the two jobs levels disagree on corpus or
-// trace hash (the determinism contract fuzz_property_test pins in CI's
-// stage 2 — here cross-checked against a live campaign), or — on machines
-// with >= 4 hardware threads — if jobs=4 is not >= 2x faster overall.
-// --json FILE writes the results as BenchRecords.
+// phase runs `budget` independently drawn grammar-op workloads at jobs=1 and
+// jobs=4. The bench fails (nonzero exit) if any system discovers no
+// ⟨point, call-string⟩ pair beyond the fixed script, if the two jobs levels
+// disagree on corpus or trace hash (the determinism contract
+// fuzz_property_test pins in CI's stage 2 — here cross-checked against a live
+// campaign), or — on machines with >= 4 hardware threads — if jobs=4 is not
+// >= 2x faster overall. Coverage is also measured against its static bound:
+// the static-only driver's enumerated ⟨point, call string⟩ pairs, printed as
+// coverage N/M. Each row ends with the known bugs TriageBugs matched among
+// the bug runs. --json FILE writes the results as BenchRecords.
 //
 // Usage: bench_fuzz [budget] [--jobs N] [--json FILE]
 #include <chrono>
@@ -16,6 +19,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/common/strings.h"
 #include "src/core/campaign.h"
 #include "src/fuzz/fuzz_phase.h"
 
@@ -27,6 +31,8 @@ struct SystemRow {
   int corpus_size = 0;
   int baseline_pairs = 0;
   int new_pairs = 0;
+  int coverage_pairs = 0;
+  int static_pairs = 0;
   int bug_runs = 0;
   double serial_seconds = 0;
   double parallel_seconds = 0;
@@ -52,10 +58,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  ctbench::PrintHeader("Coverage-guided workload fuzzing: " + std::to_string(budget) +
-                       "-run smoke per system");
-  std::printf("%-22s %6s %8s %10s %10s %8s %10s %10s\n", "system", "runs", "corpus",
-              "baseline", "new_pairs", "bugs", "wall_s(1)", "runs/sec");
+  ctbench::PrintHeader("Workload fuzzing: " + std::to_string(budget) + "-run smoke per system");
+  std::printf("%-22s %6s %8s %10s %10s %10s %8s %10s %10s  %s\n", "system", "runs", "corpus",
+              "baseline", "new_pairs", "coverage", "bugs", "wall_s(1)", "runs/sec",
+              "known bugs");
 
   auto systems = ctbench::AllSystems();
   ctbench::BenchRecords records;
@@ -66,6 +72,9 @@ int main(int argc, char** argv) {
 
     ctcore::SystemReport serial_report = ctcore::CrashTunerDriver().Run(*system);
     ctcore::SystemReport parallel_report = serial_report;
+    ctcore::DriverOptions static_options;
+    static_options.context_mode = ctcore::ContextMode::kStaticOnly;
+    row.static_pairs = ctcore::CrashTunerDriver().Run(*system, static_options).static_contexts;
 
     ctfuzz::FuzzPhaseOptions serial_options;
     serial_options.runs = budget;
@@ -85,6 +94,7 @@ int main(int argc, char** argv) {
     row.corpus_size = static_cast<int>(serial.corpus.size());
     row.baseline_pairs = serial_report.fuzz.baseline_pairs;
     row.new_pairs = static_cast<int>(serial.new_keys.size());
+    row.coverage_pairs = static_cast<int>(serial.coverage.size());
     row.bug_runs = serial.bug_runs;
     row.deterministic = serial.trace_hash == parallel.trace_hash &&
                         serial.corpus.size() == parallel.corpus.size() &&
@@ -92,14 +102,20 @@ int main(int argc, char** argv) {
     serial_total += row.serial_seconds;
     parallel_total += row.parallel_seconds;
 
-    std::printf("%-22s %6d %8d %10d %10d %8d %10.3f %10.1f\n", row.name.c_str(), row.runs,
-                row.corpus_size, row.baseline_pairs, row.new_pairs, row.bug_runs,
-                row.serial_seconds, row.runs_per_sec());
+    const std::string coverage =
+        std::to_string(row.coverage_pairs) + "/" + std::to_string(row.static_pairs);
+    const std::string bug_ids =
+        serial.bug_ids.empty() ? "-" : ctcommon::Join(serial.bug_ids, ",");
+    std::printf("%-22s %6d %8d %10d %10d %10s %8d %10.3f %10.1f  %s\n", row.name.c_str(),
+                row.runs, row.corpus_size, row.baseline_pairs, row.new_pairs, coverage.c_str(),
+                row.bug_runs, row.serial_seconds, row.runs_per_sec(), bug_ids.c_str());
     const std::string prefix = row.name + ".";
     records.Add(prefix + "runs", "count", row.runs);
     records.Add(prefix + "corpus", "count", row.corpus_size);
     records.Add(prefix + "baseline_pairs", "count", row.baseline_pairs);
     records.AddBar(prefix + "new_pairs", "count", row.new_pairs, ">= 1", row.new_pairs >= 1);
+    records.Add(prefix + "coverage_pairs", "count", row.coverage_pairs);
+    records.Add(prefix + "static_pairs", "count", row.static_pairs);
     records.Add(prefix + "bug_runs", "count", row.bug_runs);
     records.Add(prefix + "wall_s.jobs1", "s", row.serial_seconds);
     records.Add(prefix + "wall_s.jobs4", "s", row.parallel_seconds);

@@ -9,8 +9,8 @@
 //   --scale N                  deployment scale multiplier: every system's
 //                              replicated-role count and workload size grow
 //                              N-fold (1 = the paper's deployment);
-//   --fuzz N                   after the pipeline, run an N-run coverage-
-//                              guided workload-fuzzing phase per system
+//   --fuzz N                   after the pipeline, run N independently
+//                              drawn workload-fuzzing runs per system
 //                              (reports gain a "fuzz" section);
 //   --corpus-dir DIR           save each system's fuzz corpus under
 //                              DIR/<stem>/ (implies nothing without --fuzz);

@@ -41,20 +41,23 @@ struct DetectedBug {
   RunOutcome sample_outcome;
 };
 
-// Summary of a coverage-guided workload-fuzzing phase (src/fuzz/). Inactive
+// Summary of a workload-fuzzing phase (src/fuzz/fuzz_phase.h). Inactive
 // (all zeros) unless the driver tool ran with --fuzz N, so default reports
 // are unchanged byte-for-byte.
 struct FuzzSummary {
   bool active = false;
   int runs = 0;               // fuzz runs executed
-  int corpus_size = 0;        // workloads kept (reached new coverage)
+  int corpus_size = 0;        // runs that first reached a pair
   int baseline_pairs = 0;     // dynamic points of the fixed workload script
   int coverage_pairs = 0;     // baseline ∪ fuzz-discovered
   int new_pairs = 0;          // discovered beyond the fixed script
   int new_coverage_runs = 0;  // runs contributing >= 1 new pair
   int bug_runs = 0;           // fuzz runs with an oracle bug verdict
-  // FNV mix of per-fuzz-run trace hashes in global run-index order; equal
-  // hashes mean schedule-identical fuzz campaigns (any --jobs level).
+  // Distinct known bugs TriageBugs matched among the bug runs, in id order.
+  // A fuzz run has no crash-point location, so an unmatched one names none.
+  std::vector<std::string> bug_ids;
+  // FNV mix of per-fuzz-run trace hashes in run-index order; equal hashes
+  // mean schedule-identical fuzz campaigns (any --jobs level).
   uint64_t trace_hash = 0;
 };
 
@@ -169,8 +172,9 @@ class CrashTunerDriver {
 
 // Groups bug-verdict injections into DetectedBugs and triages them against
 // the system's known-bug table: the one bug matcher, which the baselines'
-// TriageBaselineBugs feeds too. A run with no crash-point location is
-// reported only when it matches a known bug.
+// TriageBaselineBugs and the fuzz phase (src/fuzz/fuzz_phase.h) feed too. A
+// run with no crash-point location is reported only when it matches a known
+// bug.
 std::vector<DetectedBug> TriageBugs(const SystemUnderTest& system,
                                     const std::vector<InjectionResult>& injections);
 

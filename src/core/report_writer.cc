@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/strings.h"
 #include "src/obs/json.h"
 
 namespace ctcore {
@@ -40,8 +41,9 @@ std::string ReportToMarkdown(const SystemReport& report) {
     out << "Workload fuzzing: " << report.fuzz.runs << " runs, corpus " << report.fuzz.corpus_size
         << ", coverage " << report.fuzz.coverage_pairs << " pairs (" << report.fuzz.baseline_pairs
         << " from the fixed script, " << report.fuzz.new_pairs << " fuzz-only), "
-        << report.fuzz.bug_runs << " bug run(s). Fuzz trace hash: "
-        << TraceHashHex(report.fuzz.trace_hash) << ".\n\n";
+        << report.fuzz.bug_runs << " bug run(s), known bugs: "
+        << (report.fuzz.bug_ids.empty() ? "none" : ctcommon::Join(report.fuzz.bug_ids, ", "))
+        << ". Fuzz trace hash: " << TraceHashHex(report.fuzz.trace_hash) << ".\n\n";
   }
   out << "Times: analysis " << report.analysis_wall_seconds << " s wall, profiling "
       << report.profile_virtual_seconds << " virtual s, testing " << report.test_virtual_hours
@@ -123,6 +125,11 @@ std::string ReportToJson(const SystemReport& report) {
     json.Key("new_pairs").Int(report.fuzz.new_pairs);
     json.Key("new_coverage_runs").Int(report.fuzz.new_coverage_runs);
     json.Key("bug_runs").Int(report.fuzz.bug_runs);
+    json.Key("bug_ids").BeginArray();
+    for (const std::string& id : report.fuzz.bug_ids) {
+      json.String(id);
+    }
+    json.EndArray();
     json.Key("trace_hash").String(TraceHashHex(report.fuzz.trace_hash));
     json.EndObject();
   }

@@ -1,7 +1,6 @@
-// The fuzzer's corpus: workloads that reached new coverage, in admission
-// order. Admission order is part of the determinism contract — workers merge
-// their batch results in global run-index order, so the corpus (and hence
-// every later mutation draw) is byte-identical at any --jobs level.
+// The fuzz phase's corpus: the runs that first reached a dynamic point, in
+// run order. The phase merges its runs in run-index order whatever worker ran
+// them, so the corpus is byte-identical at any --jobs level.
 //
 // On disk a corpus is a directory with a MANIFEST listing entry files in
 // admission order; each entry file is the workload wire format followed by a
@@ -21,15 +20,14 @@ namespace ctfuzz {
 struct CorpusEntry {
   FuzzWorkload workload;
   uint64_t trace_hash = 0;  // trace hash of the run that admitted it
-  int run_index = -1;       // global fuzz run index that produced it
-  int new_keys = 0;         // coverage keys it was first to reach
+  int run_index = -1;       // fuzz run index that produced it
+  int new_keys = 0;         // dynamic points it was first to reach
 };
 
 class Corpus {
  public:
   void Add(CorpusEntry entry) { entries_.push_back(std::move(entry)); }
 
-  const std::vector<CorpusEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   const CorpusEntry& operator[](size_t i) const { return entries_[i]; }

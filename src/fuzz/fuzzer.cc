@@ -1,4 +1,4 @@
-#include "src/fuzz/fuzzer.h"
+#include "src/fuzz/fuzz_phase.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -9,21 +9,18 @@
 #include "src/core/campaign.h"
 #include "src/core/executor.h"
 #include "src/fuzz/generator.h"
+#include "src/obs/observer.h"
+#include "src/obs/span.h"
 #include "src/sim/trace.h"
 
 namespace ctfuzz {
 
 namespace {
 
-// "fuzz-ops": the generation stream is (campaign seed ^ salt) mixed with the
-// global run index — disjoint by construction from the workload stream
-// (raw seed) and the network stream ("net-flt" salt in the cluster).
+// "fuzz-ops": the generation stream is (fuzz seed ^ salt) mixed with the run
+// index — disjoint by construction from the workload stream (raw seed) and
+// the network stream ("net-flt" salt in the cluster).
 constexpr uint64_t kFuzzSalt = 0x66757a7a2d6f7073ull;
-
-// Runs generated per corpus snapshot. Fixed and jobs-independent: within a
-// batch every workload derives from the same snapshot, so scheduling order
-// cannot leak into generation.
-constexpr int kBatchSize = 8;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -125,17 +122,19 @@ void ScheduleOps(ctcore::WorkloadRun& run, const ctmodel::ProgramModel& model,
 }
 
 struct RunRecord {
-  std::set<CoverageKey> keys;
+  std::set<ctrt::DynamicPoint> points;  // dynamic crash points the run reached
   uint64_t trace_hash = 0;
-  bool is_bug = false;
+  ctcore::RunOutcome outcome;
 };
 
+// One profiled run of `workload`. A null `baseline` skips the oracle's
+// uncommon-exception check; a null `observer` leaves the run unobserved.
 RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
-                     const std::set<int>& io_points, const FuzzWorkload& workload,
+                     const FuzzWorkload& workload, const ctcore::OracleBaseline* baseline,
                      ctobs::CampaignObserver* observer, int slot) {
-  auto prepare = [&access_points, &io_points](ctrt::RunContext& context) {
+  auto prepare = [&access_points](ctrt::RunContext& context) {
     context.tracer().Reset(ctrt::TraceMode::kProfile);
-    context.tracer().SetProfiledPoints(access_points, io_points);
+    context.tracer().SetProfiledPoints(access_points, /*io_points=*/{});
   };
   auto run = system.NewRun(workload.workload_size, workload.run_seed, prepare);
   ctsim::Cluster& cluster = run->cluster();
@@ -143,18 +142,18 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
   cluster.set_trace_recorder(&recorder);
 
   ctobs::RunObserver* run_observer = &run->context().observer();
-  if (observer != nullptr && slot >= 0) {
+  if (observer != nullptr) {
     run_observer->Enable();
   }
 
   ScheduleOps(*run, system.model(), workload);
-  const ctcore::RunOutcome outcome = ctcore::Executor::Execute(*run, /*baseline=*/nullptr);
-
   RunRecord record;
-  record.keys = HarvestCoverage(run->context().tracer());
+  record.outcome = ctcore::Executor::Execute(*run, baseline);
+  for (const auto& entry : run->context().tracer().dynamic_access_points()) {
+    record.points.insert(entry.first);
+  }
   record.trace_hash = recorder.hash();
-  record.is_bug = outcome.IsBug();
-  if (observer != nullptr && slot >= 0) {
+  if (observer != nullptr) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
     metrics.Add("fuzz.ops", workload.ops.size());
     metrics.Add("trace.events", recorder.size());
@@ -165,90 +164,112 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
 
 }  // namespace
 
-FuzzResult WorkloadFuzzer::Run(const ctcore::SystemUnderTest& system,
-                               const std::set<int>& access_points,
-                               const std::set<int>& io_points,
-                               const std::set<CoverageKey>& baseline,
-                               const FuzzOptions& options) const {
+FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemReport* report,
+                        const FuzzPhaseOptions& options) {
   FuzzResult result;
-  for (const CoverageKey& key : baseline) {
-    result.coverage.Add(key);
-  }
-  const OpSequenceGenerator generator(&system.model());
-  if (!generator.HasGrammar() || options.budget <= 0) {
+  if (options.runs <= 0) {
     return result;
   }
-  const int workload_size = system.default_workload_size();
-  ctcore::CampaignEngine engine(options.jobs);
-  ctcommon::Fnv1a trace_hash;
+  ctobs::RunObserver* driver_obs =
+      options.observer != nullptr ? &options.observer->driver_observer() : nullptr;
+  ctobs::ScopedSpan fuzz_span(driver_obs, nullptr, "fuzz", "driver");
 
-  struct Batched {
+  // The fixed workload script's dynamic points are the coverage floor: every
+  // pair fuzzing "discovers" is by construction beyond the script.
+  result.coverage = report->profile.dynamic_access_points;
+  const int baseline_pairs = static_cast<int>(result.coverage.size());
+
+  const OpSequenceGenerator generator(&system.model());
+  const int budget = generator.HasGrammar() ? options.runs : 0;
+  const uint64_t stream = (options.seed + 2000) ^ kFuzzSalt;
+  const int slot_base = static_cast<int>(report->injections.size());  // past Phase 2's slots
+  const std::set<int> access_points = report->crash_points.PointIds();
+  const int workload_size = system.default_workload_size();
+
+  struct Drawn {
     FuzzWorkload workload;
     RunRecord record;
   };
+  ctcore::CampaignEngine engine(options.jobs);
+  std::vector<Drawn> drawn = engine.Map(budget, [&](int g) {
+    ctcommon::Rng rng(SplitMix64(stream + static_cast<uint64_t>(g)));
+    Drawn out;
+    out.workload = generator.Generate(rng, workload_size);
+    out.record = ExecuteOne(system, access_points, out.workload, &report->profile.baseline,
+                            options.observer, slot_base + g);
+    return out;
+  });
 
-  int produced = 0;
-  while (produced < options.budget) {
-    const int n = std::min(kBatchSize, options.budget - produced);
-    // Generation reads the corpus as it stood at batch start: a worker's
-    // finish order can never change what another run in the batch draws.
-    std::vector<FuzzWorkload> snapshot;
-    snapshot.reserve(result.corpus.size());
-    for (const CorpusEntry& entry : result.corpus.entries()) {
-      snapshot.push_back(entry.workload);
+  // Run-order merge: admission order, coverage set, the aggregate hash and
+  // the triaged bugs are functions of the run index alone.
+  ctcommon::Fnv1a trace_hash;
+  std::vector<ctcore::InjectionResult> bug_runs;
+  for (int g = 0; g < budget; ++g) {
+    Drawn& run = drawn[static_cast<size_t>(g)];
+    trace_hash.AddU64(run.record.trace_hash);
+    int fresh = 0;
+    for (const ctrt::DynamicPoint& point : run.record.points) {
+      if (result.coverage.insert(point).second) {
+        ++fresh;
+        result.new_keys.insert(point);
+      }
     }
-    std::vector<Batched> batch = engine.Map(n, [&](int i) {
-      const int g = produced + i;
-      ctcommon::Rng rng(SplitMix64((options.seed ^ kFuzzSalt) + static_cast<uint64_t>(g)));
-      Batched out;
-      out.workload = (!snapshot.empty() && rng.Chance(0.5))
-                         ? generator.Mutate(snapshot[rng.Index(snapshot.size())], rng)
-                         : generator.Generate(rng, workload_size);
-      const int slot = options.observer != nullptr ? options.observer_slot_base + g : -1;
-      out.record =
-          ExecuteOne(system, access_points, io_points, out.workload, options.observer, slot);
-      return out;
-    });
-    // Index-ordered merge: admission order, coverage set, and the aggregate
-    // hash are functions of the global run index alone.
-    for (int i = 0; i < n; ++i) {
-      const int g = produced + i;
-      Batched& b = batch[static_cast<size_t>(i)];
-      trace_hash.AddU64(b.record.trace_hash);
-      int fresh = 0;
-      for (const CoverageKey& key : b.record.keys) {
-        if (result.coverage.Add(key)) {
-          ++fresh;
-          result.new_keys.insert(key);  // coverage started as baseline
-        }
-      }
-      if (b.record.is_bug) {
-        ++result.bug_runs;
-      }
-      if (fresh > 0) {
-        ++result.new_coverage_runs;
-        CorpusEntry entry;
-        entry.workload = std::move(b.workload);
-        entry.trace_hash = b.record.trace_hash;
-        entry.run_index = g;
-        entry.new_keys = fresh;
-        result.corpus.Add(std::move(entry));
-      }
-      ++result.runs;
+    if (fresh > 0) {
+      ++result.new_coverage_runs;
+      CorpusEntry entry;
+      entry.workload = std::move(run.workload);
+      entry.trace_hash = run.record.trace_hash;
+      entry.run_index = g;
+      entry.new_keys = fresh;
+      result.corpus.Add(std::move(entry));
     }
-    produced += n;
+    if (run.record.outcome.IsBug()) {
+      // A fuzz run has no crash-point location, so TriageBugs reports it
+      // only when its failure matches a known bug.
+      ctcore::InjectionResult& bug_run = bug_runs.emplace_back();
+      bug_run.injected = true;
+      bug_run.outcome = std::move(run.record.outcome);
+    }
   }
-  result.trace_hash = trace_hash.value();
+  result.runs = budget;
+  result.bug_runs = static_cast<int>(bug_runs.size());
+  for (const ctcore::DetectedBug& bug : ctcore::TriageBugs(system, bug_runs)) {
+    result.bug_ids.push_back(bug.bug_id);
+  }
+  result.trace_hash = budget > 0 ? trace_hash.value() : 0;
+
+  if (!options.corpus_dir.empty()) {
+    result.corpus.SaveTo(options.corpus_dir);
+  }
+
+  ctcore::FuzzSummary& summary = report->fuzz;
+  summary.active = true;
+  summary.runs = result.runs;
+  summary.corpus_size = static_cast<int>(result.corpus.size());
+  summary.baseline_pairs = baseline_pairs;
+  summary.coverage_pairs = static_cast<int>(result.coverage.size());
+  summary.new_pairs = static_cast<int>(result.new_keys.size());
+  summary.new_coverage_runs = result.new_coverage_runs;
+  summary.bug_runs = result.bug_runs;
+  summary.bug_ids = result.bug_ids;
+  summary.trace_hash = result.trace_hash;
+
+  if (driver_obs != nullptr) {
+    ctobs::MetricsShard& metrics = driver_obs->metrics();
+    metrics.SetGauge("fuzz.corpus_size", static_cast<int64_t>(result.corpus.size()));
+    metrics.Add("fuzz.new_coverage", static_cast<uint64_t>(result.new_keys.size()));
+    metrics.Add("fuzz.runs", static_cast<uint64_t>(result.runs));
+  }
   return result;
 }
 
-void WorkloadFuzzer::ReplayCorpus(const ctcore::SystemUnderTest& system,
-                                  const std::set<int>& access_points,
-                                  const std::set<int>& io_points, const Corpus& corpus) const {
+void ReplayCorpus(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
+                  const Corpus& corpus) {
   for (size_t i = 0; i < corpus.size(); ++i) {
     const CorpusEntry& entry = corpus[i];
-    const RunRecord record = ExecuteOne(system, access_points, io_points, entry.workload,
-                                        /*observer=*/nullptr, /*slot=*/-1);
+    // Only the trace hash is compared, and the oracle never feeds the trace.
+    const RunRecord record = ExecuteOne(system, access_points, entry.workload,
+                                        /*baseline=*/nullptr, /*observer=*/nullptr, /*slot=*/-1);
     if (record.trace_hash != entry.trace_hash) {
       throw std::runtime_error(
           "fuzz corpus replay: entry " + std::to_string(i) + " (run " +

@@ -1,10 +1,10 @@
 // Seeded op-sequence generation over a system's declared grammar.
 //
 // The generator is stateless: every draw comes from the caller's Rng, which
-// the fuzzer seeds from a dedicated `seed ^ fuzz` stream mixed with the
-// run's global index — generation never touches the workload or fault RNG
-// streams, and the same (seed, index, corpus snapshot) always produces the
-// same workload regardless of thread count.
+// the fuzz phase seeds from a dedicated `seed ^ fuzz` stream mixed with the
+// run's index — generation never touches the workload or fault RNG streams,
+// and the same (seed, index) always produces the same workload regardless of
+// thread count.
 #ifndef SRC_FUZZ_GENERATOR_H_
 #define SRC_FUZZ_GENERATOR_H_
 
@@ -25,8 +25,10 @@ class OpSequenceGenerator {
   // The run seed is drawn from the same stream (it only feeds NewRun).
   FuzzWorkload Generate(ctcommon::Rng& rng, int workload_size) const;
 
-  // Corpus mutation: add / drop / retime / retarget one op of the parent,
-  // always under a fresh run seed so the mutant is a genuinely new run.
+  // Add / drop / retime / retarget one op of the parent, always under a fresh
+  // run seed so the mutant is a genuinely new run. The fuzz phase never
+  // mutates (each of its runs is a fresh Generate draw); perfbench's
+  // fuzz.gen_us probe still times this call.
   FuzzWorkload Mutate(const FuzzWorkload& parent, ctcommon::Rng& rng) const;
 
  private:

@@ -1,12 +1,12 @@
 // Fuzzed workloads: deterministic op sequences over a system's grammar.
 //
-// A FuzzWorkload is the unit the coverage-guided fuzzer generates, mutates,
-// stores in its corpus and replays: the base workload size, the seed of the
-// run that will execute it, and a canonically ordered list of grammar ops
-// (each an index into the model's GrammarOpDecl table plus a firing time, a
-// target ordinal and a magnitude). The textual form is the corpus wire
-// format — one line per op — and parsing it is strict: any structural
-// anomaly throws instead of yielding a silently different workload.
+// A FuzzWorkload is the unit the fuzz phase generates, stores in its corpus
+// and replays: the base workload size, the seed of the run that will execute
+// it, and a canonically ordered list of grammar ops (each an index into the
+// model's GrammarOpDecl table plus a firing time, a target ordinal and a
+// magnitude). The textual form is the corpus wire format — one line per op —
+// and parsing it is strict: any structural anomaly throws instead of yielding
+// a silently different workload.
 #ifndef SRC_FUZZ_WORKLOAD_H_
 #define SRC_FUZZ_WORKLOAD_H_
 

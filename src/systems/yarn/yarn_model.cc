@@ -679,7 +679,7 @@ void BuildSpans(YarnArtifacts* artifacts) {
                  "NodesListManager"});
 }
 
-// Workload-fuzzing grammar: the ops the coverage-guided generator may splice
+// Workload-fuzzing grammar: the ops the fuzz generator may splice
 // into a run. RPC ops name their declared handler method (the wire verb is
 // the runtime registration); node ops name the class whose recovery logic
 // the fault exercises — both are checked by ctlint's

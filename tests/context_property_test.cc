@@ -231,11 +231,11 @@ TEST(FuzzCoverageProperty, FuzzPairsStrictlyExtendTheScriptWithinTheStaticSet) {
     options.runs = 48;
     ctfuzz::FuzzResult result = ctfuzz::RunFuzzPhase(*system, &report, options);
 
-    // Superset: the script's profiled pairs seed the coverage map, so none
+    // Superset: the script's profiled pairs seed the coverage set, so none
     // may be lost; strictness: the budget must reach at least one pair the
     // fixed script cannot produce.
     for (const ctrt::DynamicPoint& pair : script_pairs) {
-      EXPECT_TRUE(result.coverage.Contains({/*io=*/false, pair}))
+      EXPECT_EQ(result.coverage.count(pair), 1u)
           << system->name() << " lost scripted pair p" << pair.point_id;
     }
     ASSERT_FALSE(result.new_keys.empty())
@@ -248,17 +248,13 @@ TEST(FuzzCoverageProperty, FuzzPairsStrictlyExtendTheScriptWithinTheStaticSet) {
     ContextEnumeration enumeration(&graph);
     StaticContextResult enumerated =
         enumeration.EnumerateAll(/*depth=*/5, /*prune_infeasible=*/true);
-    for (const ctfuzz::CoverageKey& key : result.new_keys) {
-      if (key.io) {
-        continue;  // io points have no call-string enumeration
-      }
-      auto it = enumerated.contexts_by_point.find(key.point.point_id);
+    for (const ctrt::DynamicPoint& pair : result.new_keys) {
+      auto it = enumerated.contexts_by_point.find(pair.point_id);
       ASSERT_NE(it, enumerated.contexts_by_point.end())
-          << system->name() << " fuzz-only pair at unenumerated point p"
-          << key.point.point_id;
-      EXPECT_EQ(it->second.count(key.point.stack_key), 1u)
-          << system->name() << " fuzz-only pair p" << key.point.point_id << " key=["
-          << key.point.stack_key << "] is outside the static enumeration";
+          << system->name() << " fuzz-only pair at unenumerated point p" << pair.point_id;
+      EXPECT_EQ(it->second.count(pair.stack_key), 1u)
+          << system->name() << " fuzz-only pair p" << pair.point_id << " key=["
+          << pair.stack_key << "] is outside the static enumeration";
     }
   }
 }

@@ -1,15 +1,22 @@
-// Property tests for the coverage-guided workload fuzzer (src/fuzz/).
+// Property tests for the workload-fuzzing phase (src/fuzz/fuzz_phase.h).
 //
 // Determinism: the fuzz phase is part of the campaign's reproducibility
 // contract, so the same ⟨seed, budget⟩ must yield a byte-identical corpus,
-// coverage set, and SystemReport at jobs=1 and jobs=4 on all five systems.
+// coverage set, bug ids and SystemReport at jobs=1 and jobs=4 on all five
+// systems.
+//
+// Independence: every run is its own draw, so what runs execute does not
+// depend on the coverage the phase starts from.
+//
+// Triage: the known bugs the fuzz runs expose at the default seed are pinned
+// per system.
 //
 // Replay: a corpus saved to disk reloads bit-exactly, and re-executing each
 // entry reproduces the trace hash recorded at admission time.
 //
 // Fail-loud: a truncated, corrupted, or missing corpus entry makes LoadFrom
 // throw an error naming the offending file — a silently different corpus
-// would poison every later mutation draw.
+// would replay different runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,7 +30,6 @@
 #include "src/core/report_writer.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/fuzz_phase.h"
-#include "src/fuzz/fuzzer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
 #include "src/systems/hdfs/hdfs_system.h"
@@ -77,7 +83,7 @@ void ExpectSameCorpus(const Corpus& a, const Corpus& b, const std::string& label
   ASSERT_EQ(a.size(), b.size()) << label;
   for (size_t i = 0; i < a.size(); ++i) {
     // Byte-identical op sequences, not just equal hashes: the serialized
-    // wire form is what mutation draws and disk storage consume.
+    // wire form is what disk storage and replay consume.
     EXPECT_EQ(a[i].workload.Serialize(), b[i].workload.Serialize()) << label << " entry " << i;
     EXPECT_EQ(a[i].trace_hash, b[i].trace_hash) << label << " entry " << i;
     EXPECT_EQ(a[i].run_index, b[i].run_index) << label << " entry " << i;
@@ -92,14 +98,57 @@ TEST(FuzzProperty, SameSeedIsByteIdenticalAcrossJobsLevels) {
     FuzzResult parallel = PipelineWithFuzz(*system, /*jobs=*/4, &parallel_report);
 
     ExpectSameCorpus(serial.corpus, parallel.corpus, system->name());
-    EXPECT_EQ(serial.coverage.keys(), parallel.coverage.keys()) << system->name();
+    EXPECT_EQ(serial.coverage, parallel.coverage) << system->name();
     EXPECT_EQ(serial.new_keys, parallel.new_keys) << system->name();
     EXPECT_EQ(serial.trace_hash, parallel.trace_hash) << system->name();
     EXPECT_EQ(serial.runs, parallel.runs) << system->name();
     EXPECT_EQ(serial.new_coverage_runs, parallel.new_coverage_runs) << system->name();
     EXPECT_EQ(serial.bug_runs, parallel.bug_runs) << system->name();
+    EXPECT_EQ(serial.bug_ids, parallel.bug_ids) << system->name();
     EXPECT_EQ(Serialize(serial_report), Serialize(parallel_report))
         << system->name() << ": fuzzed report differs between jobs=1 and jobs=4";
+  }
+}
+
+// A run draws its workload from its own index alone, so starting from an
+// empty coverage set (every early run then reaches "new" pairs and enters
+// the corpus) must execute exactly the same runs as starting from the fixed
+// script's pairs.
+TEST(FuzzProperty, RunsDoNotDependOnCoverage) {
+  for (const auto& system : AllSystems()) {
+    SystemReport report = CrashTunerDriver().Run(*system);
+    SystemReport uncovered = report;
+    uncovered.profile.dynamic_access_points.clear();
+    FuzzPhaseOptions fuzz;
+    fuzz.runs = kBudget;
+    fuzz.jobs = 4;
+    const FuzzResult from_script = ctfuzz::RunFuzzPhase(*system, &report, fuzz);
+    const FuzzResult from_nothing = ctfuzz::RunFuzzPhase(*system, &uncovered, fuzz);
+    EXPECT_EQ(from_script.trace_hash, from_nothing.trace_hash) << system->name();
+    EXPECT_EQ(from_script.runs, from_nothing.runs) << system->name();
+    EXPECT_EQ(from_script.bug_ids, from_nothing.bug_ids) << system->name();
+    EXPECT_GT(from_nothing.corpus.size(), from_script.corpus.size()) << system->name();
+  }
+}
+
+// The known bugs TriageBugs matches among the fuzz runs' bug verdicts at the
+// default seed and a 48-run budget. Fuzz runs have no crash-point location,
+// so only known bugs are named.
+TEST(FuzzProperty, TriagedBugIdsArePinned) {
+  const std::vector<std::vector<std::string>> expected = {
+      {"YARN-8649", "YARN-9165", "YARN-9301"},
+      {"HDFS-15113"},
+      {"HBASE-21740", "HBASE-22017", "HBASE-22050"},
+      {},
+      {},
+  };
+  const auto systems = AllSystems();
+  ASSERT_EQ(systems.size(), expected.size());
+  for (size_t i = 0; i < systems.size(); ++i) {
+    SystemReport report;
+    const FuzzResult result = PipelineWithFuzz(*systems[i], /*jobs=*/4, &report);
+    EXPECT_EQ(result.bug_ids, expected[i]) << systems[i]->name();
+    EXPECT_EQ(report.fuzz.bug_ids, expected[i]) << systems[i]->name();
   }
 }
 
@@ -124,8 +173,7 @@ TEST(FuzzProperty, SavedCorpusReloadsAndReplaysExactly) {
 
     // Re-execute every entry from disk: the trace hash recorded at admission
     // must reproduce, proving the corpus alone pins the whole run.
-    EXPECT_NO_THROW(ctfuzz::WorkloadFuzzer().ReplayCorpus(
-        *system, report.crash_points.PointIds(), /*io_points=*/{}, loaded))
+    EXPECT_NO_THROW(ctfuzz::ReplayCorpus(*system, report.crash_points.PointIds(), loaded))
         << system->name();
   }
   std::filesystem::remove_all(root);

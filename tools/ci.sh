@@ -124,13 +124,14 @@ echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sw
 ./build/bench/bench_scale --json build/BENCH_scale.json 1 2 8 | tail -n 14
 check_json build/BENCH_scale.json
 
-echo "== stage 4g: fuzz smoke (coverage-guided grammar fuzzing, jobs=1 vs jobs=4) =="
+echo "== stage 4g: fuzz smoke (grammar fuzzing, jobs=1 vs jobs=4) =="
 # Short fuzz campaign per system: every system must discover at least one
 # ⟨access point, call string⟩ pair the fixed workload script never produces,
 # the corpus and trace hash must agree between jobs=1 and jobs=4 (the full
 # byte-identity contract is fuzz_property_test in stage 2), and on >= 4
 # hardware threads jobs=4 must be >= 2x faster. Each system's corpus size,
-# new pairs, bug runs and runs/sec land in BENCH_fuzz.json.
+# new pairs, coverage against the static-only pair count, bug runs and
+# runs/sec land in BENCH_fuzz.json.
 ./build/bench/bench_fuzz --json build/BENCH_fuzz.json | tail -n 12
 check_json build/BENCH_fuzz.json
 
