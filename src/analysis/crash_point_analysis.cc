@@ -81,7 +81,7 @@ void CrashPointAnalysis::EmitPoint(const ctmodel::AccessPointDecl& point,
   }
 
   if (kind == ctmodel::AccessKind::kRead) {
-    if (options.promote_returns && point.returned_directly && !via_promotion) {
+    if (point.returned_directly && !via_promotion) {
       // Replace the read with its call sites (§3.1.2 "promotion").
       ++result->promoted_points;
       for (int site_id : point.promoted_sites) {

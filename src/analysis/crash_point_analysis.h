@@ -36,7 +36,6 @@ struct CrashPointOptions {
   bool prune_constructor_only = true;
   bool prune_unused = true;
   bool prune_sanity_checked = true;
-  bool promote_returns = true;
   // Drop candidates whose anchor method the declared call graph cannot reach
   // from any entry point. Off by default (Table 10/12 counts predate the call
   // graph); the static-context driver modes switch it on.

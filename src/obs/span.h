@@ -52,13 +52,15 @@ struct SpanEvent {
 
 class SpanRecorder {
  public:
-  // Raw per-run events are capped; the aggregate span tree (RunObserver)
+  // Raw component spans are capped; the aggregate span tree (RunObserver)
   // keeps exact counts past the cap so high-frequency component spans at
-  // scale cannot blow up per-run memory.
+  // scale cannot blow up per-run memory. Every other span is kept: a run
+  // opens at most five phase and injection spans, and the phase histograms
+  // and the Chrome trace are built from them.
   static constexpr size_t kMaxEvents = 4096;
 
   void Append(SpanEvent event) {
-    if (events_.size() < kMaxEvents) {
+    if (event.category != "component" || events_.size() < kMaxEvents) {
       events_.push_back(std::move(event));
     } else {
       ++dropped_;

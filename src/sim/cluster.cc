@@ -7,25 +7,14 @@
 namespace ctsim {
 
 Cluster::Cluster(uint64_t seed)
-    // The network gets its own stream: fault-plan draws must not shift the
-    // workload RNG, or installing a plan would change the run it perturbs.
-    : rng_(seed), net_rng_(seed ^ 0x6e65742d666c7400ull) {
+    // The "net-flt" salt fixes the fault-plan draws; changing it would move
+    // every fault-plan run's trace hash.
+    : net_rng_(seed ^ 0x6e65742d666c7400ull) {
   loop_.SetOwnerAliveCheck([this](NodeId owner) { return IsAlive(owner); });
   loop_.SetTraceHook([this](Time at, NodeId owner) {
     if (trace_ != nullptr) {
       trace_->Record(at, "timer", owner.str());
     }
-  });
-  loop_.SetDrainHook([this](Time limit, bool has_limit) {
-    if (in_progress_batches_.empty()) {
-      return false;
-    }
-    DeliveryBatch* batch = in_progress_batches_.back();
-    if (batch->next >= batch->messages.size() || (has_limit && batch->when > limit)) {
-      return false;
-    }
-    DeliverNow(batch->messages[batch->next++]);
-    return true;
   });
 }
 
@@ -163,7 +152,7 @@ void Cluster::Post(Message message) {
     TraceMessage("drop.partition", message);
     return;
   }
-  Time delay = latency_ms_;
+  Time delay = kLatencyMs;
   if (has_link_faults_) {
     const LinkFault& fault = plan_.LinkFor(message.from, message.to);
     if (fault.drop_probability > 0.0 && net_rng_.Chance(fault.drop_probability)) {
@@ -181,7 +170,7 @@ void Cluster::Post(Message message) {
       ++delayed_messages_;
     }
     if (fault.duplicate_probability > 0.0 && net_rng_.Chance(fault.duplicate_probability)) {
-      Time dup_delay = latency_ms_ + fault.extra_delay_ms;
+      Time dup_delay = kLatencyMs + fault.extra_delay_ms;
       if (fault.reorder_window_ms > 0) {
         dup_delay += net_rng_.Uniform(0, fault.reorder_window_ms);
       }
@@ -202,42 +191,11 @@ void Cluster::Post(const std::string& from, const std::string& to, const std::st
   for (auto& kv : args) {
     message.args.Set(Intern(kv.first), std::move(kv.second));
   }
-  message.sent_at = loop_.Now();
   Post(std::move(message));
 }
 
 void Cluster::ScheduleDelivery(Message message, Time delay) {
-  const Time when = loop_.Now() + delay;
-  // Coalesce with the open batch when that is provably order-preserving:
-  // same destination, same delivery tick, and nothing else scheduled behind
-  // the batch event (so this message's own event would have been seq-adjacent
-  // to it anyway).
-  if (open_batch_ != nullptr && open_batch_->to == message.to && open_batch_->when == when &&
-      loop_.next_seq() == open_batch_->seq_mark) {
-    open_batch_->messages.push_back(std::move(message));
-    return;
-  }
-  auto batch = std::make_shared<DeliveryBatch>();
-  DeliveryBatch* raw = batch.get();
-  raw->to = message.to;
-  raw->when = when;
-  raw->messages.push_back(std::move(message));
-  loop_.Schedule(delay, [this, batch = std::move(batch)]() { RunBatch(batch.get()); });
-  raw->seq_mark = loop_.next_seq();
-  open_batch_ = raw;
-}
-
-void Cluster::RunBatch(DeliveryBatch* batch) {
-  if (open_batch_ == batch) {
-    open_batch_ = nullptr;  // no appends once delivery has begun
-  }
-  in_progress_batches_.push_back(batch);
-  // A handler that re-enters the loop drains the rest of this batch through
-  // the hook; the cursor is shared, so nothing delivers twice.
-  while (batch->next < batch->messages.size()) {
-    DeliverNow(batch->messages[batch->next++]);
-  }
-  in_progress_batches_.pop_back();
+  loop_.Schedule(delay, [this, message = std::move(message)]() { DeliverNow(message); });
 }
 
 void Cluster::DeliverNow(const Message& message) {

@@ -157,11 +157,6 @@ void EventLoop::PurgeDeadStorage() {
 
 bool EventLoop::PopAndRun(Time limit, bool has_limit) {
   for (;;) {
-    // Out-of-queue work (a partially delivered batch) precedes every queued
-    // event; see SetDrainHook.
-    if (drain_hook_ && drain_hook_(limit, has_limit)) {
-      return true;
-    }
     // Earliest candidate: first live head in the first occupied bucket,
     // freeing cancelled tombstones as the scan passes them.
     uint32_t slot = kNil;

@@ -11,6 +11,9 @@
 // machinery runs before the instrumented read proceeds. In a real deployment
 // other threads run during that wait; here the hook re-enters the loop for
 // the window's worth of events and then returns to the interrupted handler.
+// Each message delivery is its own event, so a handler that re-enters the
+// loop meets the rest of a same-tick burst straight from the queue: those
+// deliveries were scheduled seq-adjacent and are next in (when, seq) order.
 //
 // Storage and ordering are built for scaled campaigns (10⁶+ pending events):
 //
@@ -76,17 +79,6 @@ class EventLoop {
     trace_hook_ = std::move(hook);
   }
 
-  // Installed by the cluster. Consulted before every pop: if the hook has
-  // out-of-queue work due at or before `limit` (when bounded), it performs
-  // one unit and returns true, and the loop counts that as the iteration's
-  // event. This is how a partially delivered message batch stays ahead of
-  // queued events when a handler re-enters the loop mid-batch — the
-  // remaining batch members are seq-adjacent to the executing event, so
-  // they are by construction next in the (when, seq) total order.
-  void SetDrainHook(std::function<bool(Time, bool)> hook) {
-    drain_hook_ = std::move(hook);
-  }
-
   // Runs a single event if one is pending; advances the clock to it.
   bool RunOne();
 
@@ -107,9 +99,6 @@ class EventLoop {
   uint64_t scheduled_events() const { return scheduled_events_; }
   uint64_t cancelled_events() const { return cancelled_events_; }
   size_t peak_pending_events() const { return peak_pending_; }
-  // Sequence number the next scheduled event will receive. Lets the cluster
-  // detect "nothing was scheduled in between" when batching deliveries.
-  uint64_t next_seq() const { return next_seq_; }
 
  private:
   static constexpr uint32_t kNil = 0xffffffffu;
@@ -183,7 +172,6 @@ class EventLoop {
   uint64_t skipped_dead_owner_events_ = 0;
   std::function<bool(NodeId)> alive_check_;
   std::function<void(Time, NodeId)> trace_hook_;
-  std::function<bool(Time, bool)> drain_hook_;
 };
 
 }  // namespace ctsim

@@ -86,7 +86,6 @@ struct Message {
   Symbol to;
   Symbol method;  // RPC name, e.g. "commitPending"
   ArgVec args;    // named payload fields
-  Time sent_at = 0;
 
   // Causal-flow stamps, written by the cluster only while flow observation
   // is on (zero otherwise; never hashed or traced). `flow` is the flow id of

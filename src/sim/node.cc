@@ -91,7 +91,6 @@ void Node::Send(NodeId to, const std::string& method, KvList args) {
   for (auto& kv : args) {
     message.args.Set(cluster_->Intern(kv.first), std::move(kv.second));
   }
-  message.sent_at = cluster_->loop().Now();
   cluster_->Post(std::move(message));
 }
 

@@ -406,16 +406,5 @@ TEST(CrashPointAnalysis, OptimizationsCanBeDisabled) {
   EXPECT_EQ(result.pruned_constructor, 0);
 }
 
-TEST(CrashPointAnalysis, PromotionCanBeDisabled) {
-  CrashPointFixture fixture;
-  CrashPointAnalysis analysis(&fixture.model, &fixture.metainfo);
-  CrashPointOptions options;
-  options.promote_returns = false;
-  CrashPointResult result = analysis.Identify(options);
-  std::set<int> ids = result.PointIds();
-  EXPECT_TRUE(ids.count(fixture.promoted_read));
-  EXPECT_FALSE(ids.count(fixture.sites[0]));  // sites only reachable via promotion
-}
-
 }  // namespace
 }  // namespace ctanalysis

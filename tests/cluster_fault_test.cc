@@ -248,35 +248,6 @@ TEST(ClusterFaults, PlanPartitionDirectivesApplyAtTheDeclaredTimes) {
   EXPECT_EQ(cluster.plan_dropped_messages(), 1u);
 }
 
-TEST(ClusterFaults, FaultDrawsDoNotPerturbTheWorkloadRng) {
-  // Two identically-seeded clusters, one with heavy link faults: the
-  // workload-visible RNG stream must not shift (faults draw from their own
-  // generator), so the fault-free cluster's draws match a third plain run.
-  Cluster plain_a(99), plain_b(99), faulty(99);
-  std::vector<uint64_t> draws_a, draws_b, draws_faulty;
-  for (int i = 0; i < 8; ++i) {
-    draws_a.push_back(plain_a.rng().Uniform(0, 1000));
-    draws_b.push_back(plain_b.rng().Uniform(0, 1000));
-  }
-  FaultPlan plan;
-  plan.default_link.drop_probability = 0.5;
-  plan.default_link.reorder_window_ms = 7;
-  plan.default_link.duplicate_probability = 0.5;
-  faulty.InstallFaultPlan(plan);
-  auto* a = faulty.AddNode<ProbeNode>("a:1");
-  faulty.AddNode<ProbeNode>("b:1");
-  faulty.StartAll();
-  for (int i = 0; i < 20; ++i) {
-    a->Send("b:1", "ping");
-  }
-  faulty.loop().RunToCompletion();
-  for (int i = 0; i < 8; ++i) {
-    draws_faulty.push_back(faulty.rng().Uniform(0, 1000));
-  }
-  EXPECT_EQ(draws_a, draws_b);
-  EXPECT_EQ(draws_faulty, draws_a);
-}
-
 TEST(Trace, SerializeParseRoundTripPreservesHash) {
   Trace trace;
   trace.Append({1, "deliver", "a:1>b:1 ping"});

@@ -244,13 +244,24 @@ TEST(SpanTest, RawEventCapDropsButAggregatesStayExact) {
   ctobs::RunObserver observer;
   observer.Enable();
   const size_t total = ctobs::SpanRecorder::kMaxEvents + 10;
-  for (size_t i = 0; i < total; ++i) {
-    ctobs::ScopedSpan span(&observer, &loop, "tick", "component", "Ticker");
+  {
+    // The phase span closes after its component children, past the cap;
+    // the cap applies to component spans only, so the phase is kept.
+    ctobs::ScopedSpan workload(&observer, &loop, "workload", "phase");
+    for (size_t i = 0; i < total; ++i) {
+      ctobs::ScopedSpan span(&observer, &loop, "tick", "component", "Ticker");
+    }
   }
-  EXPECT_EQ(observer.spans().events().size(), ctobs::SpanRecorder::kMaxEvents);
+  EXPECT_EQ(observer.spans().events().size(), ctobs::SpanRecorder::kMaxEvents + 1);
   EXPECT_EQ(observer.spans().dropped(), 10u);
-  EXPECT_EQ(observer.span_tree().at("tick").count, total);
+  EXPECT_EQ(observer.span_tree().at("workload/tick").count, total);
   EXPECT_EQ(observer.metrics().counter("component.tick.events"), total);
+
+  ctobs::CampaignObserver campaign;
+  campaign.AbsorbRun(0, observer);
+  const ctobs::SystemMetrics metrics = campaign.Finalize();
+  EXPECT_EQ(metrics.metrics.histograms().at("phase.workload").count(), 1u);
+  EXPECT_EQ(metrics.metrics.counters().at("spans.dropped"), 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -154,6 +154,42 @@ TEST(Cluster, CurrentNodeTracksExecutingHandler) {
   EXPECT_EQ(cluster.current_node(), "");
 }
 
+// A sends a same-tick burst to B and schedules its own event for the
+// delivery tick. B's first handler waits in a nested RunFor, as the pre-read
+// trigger does; the rest of the burst was scheduled first, so B receives it
+// inside that window, before A's event runs.
+class BurstNode : public Node {
+ public:
+  BurstNode(Cluster* cluster, std::string id, std::vector<std::string>* order)
+      : Node(cluster, std::move(id)) {
+    Handle("go", [this, order](const Message&) {
+      Send("b:1", "m1");
+      Send("b:1", "m2");
+      Send("b:1", "m3");
+      this->cluster().loop().Schedule(this->cluster().latency_ms(),
+                                      [order] { order->push_back("a-event"); });
+    });
+    Handle("m1", [this, order](const Message&) {
+      order->push_back("m1");
+      this->cluster().loop().RunFor(10);
+      order->push_back("m1-resumed");
+    });
+    Handle("m2", [order](const Message&) { order->push_back("m2"); });
+    Handle("m3", [order](const Message&) { order->push_back("m3"); });
+  }
+};
+
+TEST(Cluster, SameTickBurstPrecedesLaterEventsWhenAHandlerReentersTheLoop) {
+  Cluster cluster(1);
+  std::vector<std::string> order;
+  cluster.AddNode<BurstNode>("a:1", &order);
+  cluster.AddNode<BurstNode>("b:1", &order);
+  cluster.StartAll();
+  cluster.Post("client", "a:1", "go");
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(order, (std::vector<std::string>{"m1", "m2", "m3", "a-event", "m1-resumed"}));
+}
+
 TEST(Cluster, DeferredNodesStartExplicitly) {
   Cluster cluster(1);
   auto* late = cluster.AddNode<EchoNode>("late:1");

@@ -611,18 +611,6 @@ TEST(ReturnPromotion, EmptyPromotedSitesPromotesToNothing) {
   EXPECT_TRUE(result.points.empty());
 }
 
-TEST(ReturnPromotion, DisabledPromotionKeepsTheReadItself) {
-  ProgramModel model = PromotionModel({});
-  ctanalysis::MetaInfoResult metainfo = AllMetaInfo(model);
-  ctanalysis::CrashPointAnalysis analysis(&model, &metainfo);
-  ctanalysis::CrashPointOptions options;
-  options.promote_returns = false;
-  ctanalysis::CrashPointResult result = analysis.Identify(options);
-  EXPECT_EQ(result.promoted_points, 0);
-  ASSERT_EQ(result.points.size(), 1u);
-  EXPECT_EQ(result.points[0].field_id, "Holder.map");
-}
-
 TEST(ReturnPromotion, SitesWithoutReturnedFlagAreLintedNotPromoted) {
   // promoted_sites on a point that is not returned_directly is a model bug:
   // the analysis ignores the sites, and the linter reports it.

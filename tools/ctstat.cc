@@ -19,9 +19,11 @@
 // (crashtuner-metrics-v2; a v1 file is rejected with a versioned error),
 // non-empty system list, histogram shape (ascending bounds, counts ==
 // bounds+overflow, bucket counts summing to `count`), span-tree shape
-// (parents precede children, indices in range), flow-section shape, and
-// wall-section consistency. Exit code 0 only when every check passes — CI
-// runs this on the snapshot the observability stage produces.
+// (parents precede children, indices in range), flow-section shape,
+// wall-section consistency, and phase completeness (phase.workload and
+// phase.recovery-check hold as many samples as phase.boot). Exit code 0
+// only when every check passes — CI runs this on the snapshot the
+// observability stage produces.
 //
 // --json FILE emits the BENCH_observability.json summary (runs/sec and
 // per-phase wall shares per campaign) the CI stage archives.
@@ -234,6 +236,21 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
                           &parsed)) {
           system.histograms.push_back(std::move(parsed));
         }
+      }
+    }
+    // Every observed run opens boot, workload and recovery-check once, and
+    // boot closes before any component span opens, so the three phases hold
+    // equal sample counts (a missing histogram holds none). A shortfall means
+    // phase spans were lost.
+    std::map<std::string, uint64_t> phase_samples;
+    for (const ParsedHistogram& parsed : system.histograms) {
+      phase_samples[parsed.name] = parsed.histogram.count();
+    }
+    for (const std::string phase : {"phase.workload", "phase.recovery-check"}) {
+      if (phase_samples[phase] != phase_samples["phase.boot"]) {
+        checker->Fail(where, phase + " holds " + std::to_string(phase_samples[phase]) +
+                                 " samples, phase.boot " +
+                                 std::to_string(phase_samples["phase.boot"]));
       }
     }
     const ctobs::JsonValue* span_tree = Require(json, "span_tree", where, checker);
