@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
   ctcore::SystemReport with_opts = RunWith(baseline);
 
   ctcore::DriverOptions no_opts;
-  no_opts.crash_point_options.prune_constructor_only = false;
-  no_opts.crash_point_options.prune_unused = false;
-  no_opts.crash_point_options.prune_sanity_checked = false;
+  no_opts.crash_point_options.prune = false;
   no_opts.observer = observation.ObserverFor("yarn/no-opts");
   ctcore::SystemReport without_opts = RunWith(no_opts);
 

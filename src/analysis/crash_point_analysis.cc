@@ -90,11 +90,11 @@ void CrashPointAnalysis::EmitPoint(const ctmodel::AccessPointDecl& point,
       }
       return;
     }
-    if (options.prune_unused && point.value_unused) {
+    if (options.prune && point.value_unused) {
       ++result->pruned_unused;
       return;
     }
-    if (options.prune_sanity_checked && point.sanity_checked) {
+    if (options.prune && point.sanity_checked) {
       ++result->pruned_sanity_checked;
       return;
     }
@@ -137,7 +137,7 @@ CrashPointResult CrashPointAnalysis::Identify(const CrashPointOptions& options) 
     }
 
     const ctmodel::FieldDecl* field = model_->FindField(point.field_id);
-    if (options.prune_constructor_only && field != nullptr && field->set_only_in_constructor) {
+    if (options.prune && field != nullptr && field->set_only_in_constructor) {
       // The containing class is itself a meta-info type (Definition 2), so
       // later references to the field are redundant crash points.
       ++result.pruned_constructor;

@@ -33,9 +33,10 @@ struct StaticCrashPoint {
 };
 
 struct CrashPointOptions {
-  bool prune_constructor_only = true;
-  bool prune_unused = true;
-  bool prune_sanity_checked = true;
+  // The three §3.1.2 optimizations together: constructor-only fields, unused
+  // reads and sanity-checked reads. Off arms every candidate (the §4.3.1
+  // soundness probe).
+  bool prune = true;
   // Drop candidates whose anchor method the declared call graph cannot reach
   // from any entry point. Off by default (Table 10/12 counts predate the call
   // graph); the static-context driver modes switch it on.

@@ -8,7 +8,6 @@
 #include "src/common/rng.h"
 #include "src/core/campaign.h"
 #include "src/sim/exception.h"
-#include "src/sim/fault_plan.h"
 
 namespace ctcore {
 
@@ -160,10 +159,8 @@ BaselineReport NetworkRandomInjector::Run(const SystemUnderTest& system, int tri
     plan.partition_ms = rng.Uniform(50, calibration.normal_duration_ms);
   }
   auto partition = [](ctsim::Cluster& cluster, const BaselineTrial& trial) {
-    ctsim::FaultPlan fault_plan;
-    fault_plan.partitions.push_back(
-        {trial.crash_time_ms, trial.crash_time_ms + trial.partition_ms, {trial.target_node}});
-    cluster.InstallFaultPlan(fault_plan);
+    cluster.Partition({trial.target_node}, trial.crash_time_ms,
+                      trial.crash_time_ms + trial.partition_ms);
   };
   Tally(system, RunTrials(system, calibration, plans, seed, jobs, partition),
         calibration.normal_duration_ms, &report);

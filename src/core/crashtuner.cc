@@ -142,9 +142,7 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   ctanalysis::MetaInfoInference inference(&model);
   std::set<std::string> seed_types = report.log_result.seed_types;
   seed_types.insert(options.annotated_seed_types.begin(), options.annotated_seed_types.end());
-  std::set<std::string> seed_fields = report.log_result.seed_fields;
-  seed_fields.insert(options.annotated_seed_fields.begin(), options.annotated_seed_fields.end());
-  report.metainfo = inference.Infer(seed_types, seed_fields);
+  report.metainfo = inference.Infer(seed_types, report.log_result.seed_fields);
 
   const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
   ctanalysis::CrashPointOptions crash_point_options = options.crash_point_options;

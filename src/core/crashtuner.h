@@ -143,7 +143,6 @@ struct DriverOptions {
   // Manual annotations (§4.1.1): extra meta-info seeds for variables the
   // logs never print (the HBASE-13546 / YARN-4502 class of misses).
   std::set<std::string> annotated_seed_types;
-  std::set<std::string> annotated_seed_fields;
   // What Phase 2 does at each armed point: crash/shutdown the resolved node
   // (the paper's trigger) or partition-and-heal it (network-fault mode,
   // targeting message races). Network mode takes each point's partition

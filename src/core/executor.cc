@@ -132,8 +132,6 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
     metrics.Add("messages.delivered", cluster.delivered_messages());
     metrics.Add("messages.dropped_dead", cluster.dropped_messages());
     metrics.Add("messages.dropped_plan", cluster.plan_dropped_messages());
-    metrics.Add("messages.duplicated", cluster.duplicated_messages());
-    metrics.Add("messages.delayed", cluster.delayed_messages());
     metrics.Add("messages.heartbeats", cluster.heartbeat_messages());
     metrics.Add("partition.epochs", static_cast<uint64_t>(cluster.partition_epochs()));
     metrics.Add("faults.crashes", static_cast<uint64_t>(cluster.crash_count()));

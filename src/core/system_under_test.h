@@ -78,7 +78,10 @@ class SystemUnderTest {
   // `workload_size` scales the job (the profiler doubles it until the
   // dynamic-point set stabilizes). The context is bound to the calling thread
   // while the deployment is constructed, then owned by the returned run.
-  std::unique_ptr<WorkloadRun> NewRun(int workload_size, uint64_t seed,
+  // Nothing in a run draws a random number, so the seed does not change the
+  // run. It is kept for the callers that still pass one, perfbench/ among
+  // them.
+  std::unique_ptr<WorkloadRun> NewRun(int workload_size, uint64_t /*seed*/,
                                       const ContextPrepare& prepare = nullptr) const;
 
   virtual int default_workload_size() const { return 1; }
@@ -99,7 +102,7 @@ class SystemUnderTest {
  protected:
   // System-specific deployment factory; called by NewRun with the run's
   // context already bound to the calling thread.
-  virtual std::unique_ptr<WorkloadRun> MakeRun(int workload_size, uint64_t seed) const = 0;
+  virtual std::unique_ptr<WorkloadRun> MakeRun(int workload_size) const = 0;
 
   // Helper for default_workload_size overrides: the paper's workload size
   // times the deployment scale, so load grows with the cluster.

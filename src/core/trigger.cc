@@ -98,7 +98,8 @@ void FaultInjectionTester::Strike(ctsim::Cluster& cluster, const std::string& ta
         break;
       }
     }
-    cluster.PartitionNodes({target}, partition_ms);
+    const ctsim::Time now = cluster.loop().Now();
+    cluster.Partition({target}, now, now + partition_ms);
     return;
   }
   const bool killing_current = target == cluster.current_node();
@@ -247,25 +248,9 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
       std::snprintf(hash_prefix, sizeof(hash_prefix), "%08llx",
                     static_cast<unsigned long long>(result.trace_hash >> 32));
       dossier.trace_hash_prefix = hash_prefix;
-      const ctsim::FaultPlan& plan = cluster.fault_plan();
-      std::string fault_summary;
-      auto append_part = [&fault_summary](const std::string& part) {
-        if (!fault_summary.empty()) {
-          fault_summary += " ";
-        }
-        fault_summary += part;
-      };
-      if (!plan.default_link.Inert() || !plan.links.empty()) {
-        append_part("link-faults=" +
-                    std::to_string(plan.links.size() + (plan.default_link.Inert() ? 0 : 1)));
-      }
       if (cluster.partition_epochs() > 0) {
-        append_part("partition-epochs=" + std::to_string(cluster.partition_epochs()));
+        dossier.fault_plan = "partition-epochs=" + std::to_string(cluster.partition_epochs());
       }
-      if (!plan.timer_skew_permille.empty()) {
-        append_part("timer-skew=" + std::to_string(plan.timer_skew_permille.size()));
-      }
-      dossier.fault_plan = fault_summary;
       dossier.workload =
           system_->workload_name() + " x" + std::to_string(system_->default_workload_size());
       observer_->AbsorbDossier(trace_slot, std::move(dossier));

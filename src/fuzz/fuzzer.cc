@@ -18,8 +18,8 @@ namespace ctfuzz {
 namespace {
 
 // "fuzz-ops": the generation stream is (fuzz seed ^ salt) mixed with the run
-// index — disjoint by construction from the workload stream (raw seed) and
-// the network stream ("net-flt" salt in the cluster).
+// index. The runs themselves draw no random numbers, so this stream alone
+// decides what a fuzz run does.
 constexpr uint64_t kFuzzSalt = 0x66757a7a2d6f7073ull;
 
 uint64_t SplitMix64(uint64_t x) {

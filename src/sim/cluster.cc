@@ -6,10 +6,7 @@
 
 namespace ctsim {
 
-Cluster::Cluster(uint64_t seed)
-    // The "net-flt" salt fixes the fault-plan draws; changing it would move
-    // every fault-plan run's trace hash.
-    : net_rng_(seed ^ 0x6e65742d666c7400ull) {
+Cluster::Cluster() {
   loop_.SetOwnerAliveCheck([this](NodeId owner) { return IsAlive(owner); });
   loop_.SetTraceHook([this](Time at, NodeId owner) {
     if (trace_ != nullptr) {
@@ -133,53 +130,22 @@ bool Cluster::IsHeartbeatMethod(Symbol method) {
 }
 
 void Cluster::Post(Message message) {
-  // Heartbeat traffic is tallied at post time, before fault decisions, so the
-  // count reflects what the system *tried* to send under faults.
+  // Heartbeat traffic is tallied at post time, before the partition check,
+  // so the count reflects what the system *tried* to send.
   if (IsHeartbeatMethod(message.method)) {
     ++heartbeat_messages_;
   }
-  // Causal stamps, before any fault decision: a duplicate copies the whole
-  // message, so both deliveries carry the same parent flow and origin span.
+  // Causal stamps are written at post time (see SetFlowHooks).
   if (flow_delivery_hook_) {
     message.flow = current_flow_;
     message.origin_span = flow_origin_hook_ ? flow_origin_hook_() : 0;
   }
-  // Fault-plan decisions happen here, at schedule time, against the sender's
-  // clock: a message launched into an active partition is lost even if the
-  // partition would heal before the link latency elapses.
   if (!partitions_.empty() && LinkCut(message.from, message.to)) {
     ++plan_dropped_messages_;
     TraceMessage("drop.partition", message);
     return;
   }
-  Time delay = kLatencyMs;
-  if (has_link_faults_) {
-    const LinkFault& fault = plan_.LinkFor(message.from, message.to);
-    if (fault.drop_probability > 0.0 && net_rng_.Chance(fault.drop_probability)) {
-      ++plan_dropped_messages_;
-      TraceMessage("drop.link", message);
-      return;
-    }
-    delay += fault.extra_delay_ms;
-    if (fault.reorder_window_ms > 0) {
-      // Bounded reordering: an extra uniform delay in [0, window] lets later
-      // sends overtake this one by at most the window.
-      delay += net_rng_.Uniform(0, fault.reorder_window_ms);
-    }
-    if (fault.extra_delay_ms > 0 || fault.reorder_window_ms > 0) {
-      ++delayed_messages_;
-    }
-    if (fault.duplicate_probability > 0.0 && net_rng_.Chance(fault.duplicate_probability)) {
-      Time dup_delay = kLatencyMs + fault.extra_delay_ms;
-      if (fault.reorder_window_ms > 0) {
-        dup_delay += net_rng_.Uniform(0, fault.reorder_window_ms);
-      }
-      ++duplicated_messages_;
-      TraceMessage("dup", message);
-      ScheduleDelivery(message, dup_delay);
-    }
-  }
-  ScheduleDelivery(std::move(message), delay);
+  loop_.Schedule(kLatencyMs, [this, message = std::move(message)]() { DeliverNow(message); });
 }
 
 void Cluster::Post(const std::string& from, const std::string& to, const std::string& method,
@@ -194,15 +160,9 @@ void Cluster::Post(const std::string& from, const std::string& to, const std::st
   Post(std::move(message));
 }
 
-void Cluster::ScheduleDelivery(Message message, Time delay) {
-  loop_.Schedule(delay, [this, message = std::move(message)]() { DeliverNow(message); });
-}
-
 void Cluster::DeliverNow(const Message& message) {
   Node* target = Find(message.to);
   if (target == nullptr || !target->IsRunning()) {
-    // A duplicate is subject to the same check, so duplication can never
-    // resurrect a message for a node that died before delivery.
     ++dropped_messages_;
     TraceMessage("drop.dead", message);
     return;
@@ -227,58 +187,28 @@ void Cluster::DeliverNow(const Message& message) {
   current_node_ = previous;
 }
 
-void Cluster::InstallFaultPlan(FaultPlan plan) {
-  plan_ = std::move(plan);
-  has_link_faults_ = !plan_.default_link.Inert() || !plan_.links.empty();
-  for (const auto& directive : plan_.partitions) {
-    ++partition_epochs_;
-    partitions_.push_back(directive);
-    std::string members;
-    for (const auto& id : directive.group) {
-      members += (members.empty() ? "" : ",") + id;
-    }
-    TraceRecord(directive.one_way ? "partition.oneway" : "partition",
-                std::to_string(directive.start_ms) + ".." +
-                    std::to_string(directive.heal_ms) + " " + members);
-  }
-  for (const auto& [node, permille] : plan_.timer_skew_permille) {
-    TraceRecord("timer-skew", node + " " + std::to_string(permille));
-  }
-}
-
-void Cluster::PartitionNodes(const std::vector<std::string>& group, Time duration_ms) {
-  PartitionDirective directive;
-  directive.start_ms = loop_.Now();
-  directive.heal_ms = loop_.Now() + duration_ms;
-  directive.group = group;
+void Cluster::Partition(const std::vector<std::string>& group, Time start_ms, Time heal_ms) {
   std::string members;
   for (const auto& id : group) {
     members += (members.empty() ? "" : ",") + id;
   }
-  TraceRecord("partition", std::to_string(directive.start_ms) + ".." +
-                               std::to_string(directive.heal_ms) + " " + members);
+  TraceRecord("partition",
+              std::to_string(start_ms) + ".." + std::to_string(heal_ms) + " " + members);
   ++partition_epochs_;
-  partitions_.push_back(std::move(directive));
+  partitions_.push_back({start_ms, heal_ms, group});
 }
 
 bool Cluster::LinkCut(const std::string& from, const std::string& to) const {
-  for (const auto& directive : partitions_) {
-    if (directive.ActiveAt(loop_.Now()) && directive.Cuts(from, to)) {
+  const Time now = loop_.Now();
+  for (const auto& window : partitions_) {
+    auto inside = [&window](const std::string& id) {
+      return std::find(window.group.begin(), window.group.end(), id) != window.group.end();
+    };
+    if (now >= window.start_ms && now < window.heal_ms && inside(from) != inside(to)) {
       return true;
     }
   }
   return false;
-}
-
-Time Cluster::SkewedDelay(const std::string& owner, Time delay) const {
-  if (plan_.timer_skew_permille.empty()) {
-    return delay;
-  }
-  auto it = plan_.timer_skew_permille.find(owner);
-  if (it == plan_.timer_skew_permille.end() || it->second == 1000) {
-    return delay;
-  }
-  return delay * static_cast<Time>(it->second) / 1000;
 }
 
 void Cluster::TraceRecord(const char* kind, std::string_view detail) {

@@ -5,7 +5,9 @@
 // and exposes the two fault primitives the paper's trigger uses: Crash
 // (abrupt kill, like the crash RPC of Fig. 7) and Shutdown (graceful leave
 // via the system's shutdown script, used for pre-read points so the cluster
-// learns about the departure without waiting out the failure detector).
+// learns about the departure without waiting out the failure detector). Its
+// one network fault is the partition window (Partition). Nothing in a run
+// draws a random number, so a run is fixed by its workload and its faults.
 //
 // The cluster also owns the run's intern table: every node id and RPC method
 // becomes a Symbol at registration/send time, so routing, the alive check,
@@ -21,10 +23,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/logging/log_store.h"
 #include "src/sim/event_loop.h"
-#include "src/sim/fault_plan.h"
 #include "src/sim/message.h"
 #include "src/sim/node.h"
 #include "src/sim/symbol.h"
@@ -34,7 +34,7 @@ namespace ctsim {
 
 class Cluster {
  public:
-  explicit Cluster(uint64_t seed);
+  Cluster();
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -87,32 +87,26 @@ class Cluster {
   void Shutdown(const std::string& id);
 
   // Network: schedules delivery after the link latency, one loop event per
-  // message (duplicates included); messages to nodes that are dead *at
-  // delivery time* are dropped. Coalescing same-destination same-tick
-  // messages into one event was tried and removed: only 1.7% (paper
-  // campaign) and 3.2% (scale 8) of deliveries ever shared an event.
+  // message; messages to nodes that are dead *at delivery time* are dropped.
+  // Coalescing same-destination same-tick messages into one event was tried
+  // and removed: only 1.7% (paper campaign) and 3.2% (scale 8) of deliveries
+  // ever shared an event.
   void Post(Message message);
   // Convenience for senders outside any node (workload kick-off scripts).
   void Post(const std::string& from, const std::string& to, const std::string& method,
             std::vector<std::pair<std::string, std::string>> args = {});
   Time latency_ms() const { return kLatencyMs; }
 
-  // Network faults. The plan's stochastic link faults and partition windows
-  // are applied at message-schedule time in Post, drawing from a network RNG
-  // stream derived from the run seed; nothing else in the run draws from it.
-  void InstallFaultPlan(FaultPlan plan);
-  const FaultPlan& fault_plan() const { return plan_; }
-  // Dynamically isolates `group` from the rest of the cluster for
-  // `duration_ms` starting now (the trigger's fault-on-appearance primitive).
-  // The heal is the directive expiring; no event is scheduled for it.
-  void PartitionNodes(const std::vector<std::string>& group, Time duration_ms);
-  // True while an active partition directive cuts traffic from → to
-  // (one-way directives cut only the outbound half of the boundary).
+  // The network fault: cuts `group` off from every node outside it, in both
+  // directions, during [start_ms, heal_ms). The cut applies at post time, so
+  // a message launched into an active window is lost even if the window
+  // heals before the link latency elapses. The heal is the window expiring;
+  // no event is scheduled for it. The trigger cuts off the resolved node
+  // from now on; the random baseline installs a pre-drawn window before the
+  // run starts.
+  void Partition(const std::vector<std::string>& group, Time start_ms, Time heal_ms);
+  // True while an active partition window cuts traffic from → to.
   bool LinkCut(const std::string& from, const std::string& to) const;
-  // Timer-skew: stretches (or shrinks) a delay by the plan's per-node clock
-  // rate. Node::After/Every route every timer through this, so a skewed
-  // node's heartbeats and sweeps drift without any network fault.
-  Time SkewedDelay(const std::string& owner, Time delay) const;
 
   // Causal-flow observation. When a delivery hook is installed (the executor
   // does this for observed runs only), every posted message is stamped with
@@ -157,7 +151,7 @@ class Cluster {
   };
 
   // Trace record/replay. When set, every delivery, drop, timer firing, crash,
-  // shutdown, start, and fault directive is recorded (or verified, in replay
+  // shutdown, start, and partition window is recorded (or verified, in replay
   // mode). The recorder must outlive the run.
   void set_trace_recorder(TraceRecorder* recorder) { trace_ = recorder; }
 
@@ -172,20 +166,15 @@ class Cluster {
   const std::string& current_node() const { return current_node_.str(); }
 
   // Counters for tests and reports. dropped_messages() counts only
-  // dead-at-delivery drops; plan-induced drops (link faults and partitions)
-  // are tallied separately in plan_dropped_messages().
+  // dead-at-delivery drops; partition drops are tallied separately in
+  // plan_dropped_messages().
   uint64_t delivered_messages() const { return delivered_messages_; }
   uint64_t dropped_messages() const { return dropped_messages_; }
   uint64_t plan_dropped_messages() const { return plan_dropped_messages_; }
-  uint64_t duplicated_messages() const { return duplicated_messages_; }
-  // Messages whose schedule-time delay was stretched by a link fault
-  // (extra latency and/or a reorder-window draw).
-  uint64_t delayed_messages() const { return delayed_messages_; }
   // Heartbeat-class messages posted (counted before any drop decision):
   // *Heartbeat RPC methods plus Cassandra's gossip round.
   uint64_t heartbeat_messages() const { return heartbeat_messages_; }
-  // Partition directives installed, whether from a fault plan or dynamically
-  // via PartitionNodes.
+  // Partition windows installed.
   int partition_epochs() const { return partition_epochs_; }
   int crash_count() const { return crash_count_; }
   int shutdown_count() const { return shutdown_count_; }
@@ -195,8 +184,13 @@ class Cluster {
 
   static constexpr Time kLatencyMs = 1;
 
+  struct PartitionWindow {
+    Time start_ms = 0;
+    Time heal_ms = 0;  // exclusive
+    std::vector<std::string> group;
+  };
+
   void RegisterNode(std::unique_ptr<Node> node);
-  void ScheduleDelivery(Message message, Time delay);
   void DeliverNow(const Message& message);
   void TraceRecord(const char* kind, std::string_view detail);
   // Records "<from>><to> <method>" for a message event.
@@ -206,7 +200,6 @@ class Cluster {
   ctcommon::InternTable interner_;
   EventLoop loop_;
   ctlog::LogStore logs_;
-  ctcommon::Rng net_rng_;
   std::vector<std::unique_ptr<Node>> owned_nodes_;
   std::vector<Node*> route_;  // indexed by NodeId symbol id; nullptr gaps
   std::vector<NodeId> insertion_order_;
@@ -216,11 +209,7 @@ class Cluster {
   bool cluster_down_ = false;
   std::string cluster_down_reason_;
   NodeId current_node_;
-  FaultPlan plan_;
-  bool has_link_faults_ = false;
-  // Active partition windows: the plan's timed directives plus any installed
-  // dynamically via PartitionNodes.
-  std::vector<PartitionDirective> partitions_;
+  std::vector<PartitionWindow> partitions_;
   TraceRecorder* trace_ = nullptr;
   FlowOriginHook flow_origin_hook_;
   FlowDeliveryHook flow_delivery_hook_;
@@ -229,8 +218,6 @@ class Cluster {
   uint64_t delivered_messages_ = 0;
   uint64_t dropped_messages_ = 0;
   uint64_t plan_dropped_messages_ = 0;
-  uint64_t duplicated_messages_ = 0;
-  uint64_t delayed_messages_ = 0;
   uint64_t heartbeat_messages_ = 0;
   int partition_epochs_ = 0;
   int crash_count_ = 0;

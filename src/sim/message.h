@@ -91,8 +91,7 @@ struct Message {
   // is on (zero otherwise; never hashed or traced). `flow` is the flow id of
   // the delivery whose handler posted this message (0 = root send from a
   // timer, node start, or the workload driver); `origin_span` is the
-  // observer span open at post time. FaultPlan duplication copies the whole
-  // Message, so duplicated/reordered deliveries keep their causal stamps.
+  // observer span open at post time.
   uint64_t flow = 0;
   uint64_t origin_span = 0;
 

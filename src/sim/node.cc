@@ -99,7 +99,7 @@ void Node::After(Time delay, std::function<void()> fn) {
   // another handler's nested RunFor, its sends must not inherit that
   // delivery's flow.
   cluster_->loop().Schedule(
-      cluster_->SkewedDelay(id_, delay),
+      delay,
       [this, fn = std::move(fn)] {
         Cluster::FlowRootScope flow_root(cluster_);
         RunGuarded("timer", fn);
@@ -108,18 +108,22 @@ void Node::After(Time delay, std::function<void()> fn) {
 }
 
 void Node::Every(Time period, std::function<void()> fn) {
-  auto shared = std::make_shared<std::function<void()>>(std::move(fn));
-  // The repeating event re-arms itself; owner tagging stops it at death.
-  // Each re-arm re-applies the fault plan's clock skew, so a slow node's
-  // period drifts cumulatively, round after round.
-  std::function<void()> tick = [this, period, shared]() {
-    Cluster::FlowRootScope flow_root(cluster_);
-    RunGuarded("timer", *shared);
-    if (IsRunning()) {
-      Every(period, *shared);
-    }
-  };
-  cluster_->loop().Schedule(cluster_->SkewedDelay(id_, period), std::move(tick), sym_);
+  ScheduleTick(period, std::make_shared<const std::function<void()>>(std::move(fn)));
+}
+
+void Node::ScheduleTick(Time period, std::shared_ptr<const std::function<void()>> fn) {
+  // The repeating event re-arms itself with the same callback; owner tagging
+  // stops it at death.
+  cluster_->loop().Schedule(
+      period,
+      [this, period, fn] {
+        Cluster::FlowRootScope flow_root(cluster_);
+        RunGuarded("timer", *fn);
+        if (IsRunning()) {
+          ScheduleTick(period, fn);
+        }
+      },
+      sym_);
 }
 
 void Node::OnHandlerException(const std::string& context, const SimException& e) {

@@ -115,6 +115,9 @@ class Node {
  private:
   friend class Cluster;
 
+  // Schedules one Every tick, which re-arms with the same callback.
+  void ScheduleTick(Time period, std::shared_ptr<const std::function<void()>> fn);
+
   Cluster* cluster_;
   std::string id_;
   NodeId sym_;

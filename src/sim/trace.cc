@@ -37,45 +37,6 @@ void Trace::Truncate(size_t n) {
   }
 }
 
-std::string Trace::Serialize() const {
-  std::string out;
-  for (const auto& event : events_) {
-    out += EventLine(event);
-  }
-  return out;
-}
-
-Trace Trace::Parse(const std::string& text) {
-  Trace trace;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
-    }
-    std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) {
-      continue;
-    }
-    size_t s1 = line.find(' ');
-    if (s1 == std::string::npos) {
-      throw TraceDivergence("trace parse error: malformed line \"" + line + "\"");
-    }
-    size_t s2 = line.find(' ', s1 + 1);
-    TraceEvent event;
-    event.at = std::stoull(line.substr(0, s1));
-    if (s2 == std::string::npos) {
-      event.kind = line.substr(s1 + 1);
-    } else {
-      event.kind = line.substr(s1 + 1, s2 - s1 - 1);
-      event.detail = line.substr(s2 + 1);
-    }
-    trace.Append(std::move(event));
-  }
-  return trace;
-}
-
 uint64_t Trace::Hash() const {
   ctcommon::Fnv1a hash;
   for (const auto& event : events_) {

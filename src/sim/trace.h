@@ -2,7 +2,7 @@
 //
 // A Trace is the totally ordered list of everything the scheduler did during
 // one run: message deliveries and drops, timer firings, crashes, shutdowns,
-// and fault directives. Because the simulation is deterministic per seed, a
+// and partition windows. Because the simulation is deterministic, a
 // recorded trace is a complete reproduction recipe — and replaying a run
 // against its own trace is a strong oracle: the TraceRecorder in replay mode
 // verifies every emitted event against the recorded one and throws
@@ -46,12 +46,9 @@ class Trace {
   bool empty() const { return events_.empty(); }
   void Truncate(size_t n);
 
-  // One line per event: "<at> <kind> <detail>\n".
-  std::string Serialize() const;
-  static Trace Parse(const std::string& text);
-
-  // FNV-1a 64 over the serialized form, fed line by line without building
-  // it; equal to the hash a recorder computed for the same events.
+  // FNV-1a 64 over the events' lines, "<at> <kind> <detail>\n" each, fed
+  // without building them; equal to the hash a recorder computed for the
+  // same events.
   uint64_t Hash() const;
 
   std::vector<TraceEvent>* mutable_events() { return &events_; }

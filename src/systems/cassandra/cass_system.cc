@@ -8,9 +8,8 @@ namespace {
 
 class CassRun : public ctcore::WorkloadRun {
  public:
-  CassRun(const CassSystem* system, int workload_size, uint64_t seed)
-      : system_(system), workload_size_(workload_size), config_(system->config()),
-        cluster_(seed) {
+  CassRun(const CassSystem* system, int workload_size)
+      : system_(system), workload_size_(workload_size), config_(system->config()) {
     // The run owns a scaled copy of the config; nodes point at it.
     config_.num_nodes *= system_->scale();
     const CassArtifacts* artifacts = &GetCassArtifacts();
@@ -46,8 +45,8 @@ class CassRun : public ctcore::WorkloadRun {
 
 }  // namespace
 
-std::unique_ptr<ctcore::WorkloadRun> CassSystem::MakeRun(int workload_size, uint64_t seed) const {
-  return std::make_unique<CassRun>(this, workload_size, seed);
+std::unique_ptr<ctcore::WorkloadRun> CassSystem::MakeRun(int workload_size) const {
+  return std::make_unique<CassRun>(this, workload_size);
 }
 
 }  // namespace ctcass

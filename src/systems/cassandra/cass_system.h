@@ -35,7 +35,7 @@ class CassSystem : public ctcore::SystemUnderTest {
   const CassConfig& config() const { return config_; }
 
  protected:
-  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size, uint64_t seed) const override;
+  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size) const override;
 
  private:
   CassConfig config_;

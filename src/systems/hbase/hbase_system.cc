@@ -8,8 +8,8 @@ namespace {
 
 class HBaseRun : public ctcore::WorkloadRun {
  public:
-  HBaseRun(const HBaseSystem* system, int workload_size, uint64_t seed)
-      : system_(system), config_(system->config()), cluster_(seed) {
+  HBaseRun(const HBaseSystem* system, int workload_size)
+      : system_(system), config_(system->config()) {
     // The run owns a scaled copy of the config; nodes point at it. Regions
     // scale with the servers so per-server load stays constant.
     config_.num_regionservers *= system_->scale();
@@ -59,8 +59,8 @@ class HBaseRun : public ctcore::WorkloadRun {
 
 }  // namespace
 
-std::unique_ptr<ctcore::WorkloadRun> HBaseSystem::MakeRun(int workload_size, uint64_t seed) const {
-  return std::make_unique<HBaseRun>(this, workload_size, seed);
+std::unique_ptr<ctcore::WorkloadRun> HBaseSystem::MakeRun(int workload_size) const {
+  return std::make_unique<HBaseRun>(this, workload_size);
 }
 
 std::vector<ctcore::KnownBug> HBaseSystem::known_bugs() const {

@@ -25,7 +25,7 @@ class HBaseSystem : public ctcore::SystemUnderTest {
   const HBaseConfig& config() const { return config_; }
 
  protected:
-  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size, uint64_t seed) const override;
+  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size) const override;
 
  private:
   HBaseConfig config_;

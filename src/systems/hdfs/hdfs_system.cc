@@ -8,9 +8,8 @@ namespace {
 
 class HdfsRun : public ctcore::WorkloadRun {
  public:
-  HdfsRun(const HdfsSystem* system, int workload_size, uint64_t seed)
-      : system_(system), workload_size_(workload_size), config_(system->config()),
-        cluster_(seed) {
+  HdfsRun(const HdfsSystem* system, int workload_size)
+      : system_(system), workload_size_(workload_size), config_(system->config()) {
     // The run owns a scaled copy of the config; nodes point at it.
     config_.num_datanodes *= system_->scale();
     const HdfsArtifacts* artifacts = &GetHdfsArtifacts();
@@ -51,8 +50,8 @@ class HdfsRun : public ctcore::WorkloadRun {
 
 }  // namespace
 
-std::unique_ptr<ctcore::WorkloadRun> HdfsSystem::MakeRun(int workload_size, uint64_t seed) const {
-  return std::make_unique<HdfsRun>(this, workload_size, seed);
+std::unique_ptr<ctcore::WorkloadRun> HdfsSystem::MakeRun(int workload_size) const {
+  return std::make_unique<HdfsRun>(this, workload_size);
 }
 
 std::vector<ctcore::KnownBug> HdfsSystem::known_bugs() const {

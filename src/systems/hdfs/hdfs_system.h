@@ -25,7 +25,7 @@ class HdfsSystem : public ctcore::SystemUnderTest {
   const HdfsConfig& config() const { return config_; }
 
  protected:
-  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size, uint64_t seed) const override;
+  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size) const override;
 
  private:
   HdfsConfig config_;

@@ -9,9 +9,8 @@ namespace {
 
 class YarnRun : public ctcore::WorkloadRun {
  public:
-  YarnRun(const YarnSystem* system, int workload_size, uint64_t seed)
-      : system_(system), workload_size_(workload_size), config_(system->config()),
-        cluster_(seed) {
+  YarnRun(const YarnSystem* system, int workload_size)
+      : system_(system), workload_size_(workload_size), config_(system->config()) {
     // Nodes hold a pointer to the run's own scaled copy of the config, so a
     // scaled deployment never mutates the (shared, const) system object.
     config_.num_workers *= system_->scale();
@@ -64,8 +63,8 @@ YarnSystem::YarnSystem(YarnMode mode, YarnConfig config) : mode_(mode), config_(
 
 const ctmodel::ProgramModel& YarnSystem::model() const { return GetYarnArtifacts(mode_).model; }
 
-std::unique_ptr<ctcore::WorkloadRun> YarnSystem::MakeRun(int workload_size, uint64_t seed) const {
-  return std::make_unique<YarnRun>(this, workload_size, seed);
+std::unique_ptr<ctcore::WorkloadRun> YarnSystem::MakeRun(int workload_size) const {
+  return std::make_unique<YarnRun>(this, workload_size);
 }
 
 std::vector<ctcore::KnownBug> YarnSystem::known_bugs() const {

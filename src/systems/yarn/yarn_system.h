@@ -29,7 +29,7 @@ class YarnSystem : public ctcore::SystemUnderTest {
   const YarnConfig& config() const { return config_; }
 
  protected:
-  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size, uint64_t seed) const override;
+  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size) const override;
 
  private:
   YarnMode mode_;

@@ -8,9 +8,8 @@ namespace {
 
 class ZkRun : public ctcore::WorkloadRun {
  public:
-  ZkRun(const ZkSystem* system, int workload_size, uint64_t seed)
-      : system_(system), workload_size_(workload_size), config_(system->config()),
-        cluster_(seed) {
+  ZkRun(const ZkSystem* system, int workload_size)
+      : system_(system), workload_size_(workload_size), config_(system->config()) {
     // The run owns a scaled copy of the config; peers point at it. The
     // ensemble stays an odd-or-even majority quorum at any size.
     config_.num_peers *= system_->scale();
@@ -49,8 +48,8 @@ class ZkRun : public ctcore::WorkloadRun {
 
 }  // namespace
 
-std::unique_ptr<ctcore::WorkloadRun> ZkSystem::MakeRun(int workload_size, uint64_t seed) const {
-  return std::make_unique<ZkRun>(this, workload_size, seed);
+std::unique_ptr<ctcore::WorkloadRun> ZkSystem::MakeRun(int workload_size) const {
+  return std::make_unique<ZkRun>(this, workload_size);
 }
 
 }  // namespace ctzk

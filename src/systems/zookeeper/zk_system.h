@@ -35,7 +35,7 @@ class ZkSystem : public ctcore::SystemUnderTest {
   const ZkConfig& config() const { return config_; }
 
  protected:
-  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size, uint64_t seed) const override;
+  std::unique_ptr<ctcore::WorkloadRun> MakeRun(int workload_size) const override;
 
  private:
   ZkConfig config_;

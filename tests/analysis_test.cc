@@ -393,9 +393,7 @@ TEST(CrashPointAnalysis, OptimizationsCanBeDisabled) {
   CrashPointFixture fixture;
   CrashPointAnalysis analysis(&fixture.model, &fixture.metainfo);
   CrashPointOptions options;
-  options.prune_unused = false;
-  options.prune_sanity_checked = false;
-  options.prune_constructor_only = false;
+  options.prune = false;
   CrashPointResult result = analysis.Identify(options);
   std::set<int> ids = result.PointIds();
   EXPECT_TRUE(ids.count(fixture.unused_read));

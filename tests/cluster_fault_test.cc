@@ -1,13 +1,14 @@
-// Unit tests for the cluster's network-fault semantics: link-fault draws
-// (drop/delay/duplicate/reorder), partition directives, the separation of
-// the drop counters, and the trace record/replay primitives they feed.
+// Unit tests for the cluster's one network fault, the partition window
+// (symmetric cuts, heal, declared start times, its trace record), the
+// separation of the drop counters, the flow stamps written at post time, and
+// the trace replay primitives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/sim/cluster.h"
-#include "src/sim/fault_plan.h"
 #include "src/sim/trace.h"
 
 namespace ctsim {
@@ -16,88 +17,19 @@ namespace {
 class ProbeNode : public Node {
  public:
   ProbeNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
-    Handle("ping", [this](const Message&) {
-      ++pings_;
-      arrival_times_.push_back(this->cluster().loop().Now());
-    });
+    Handle("ping", [this](const Message&) { ++pings_; });
   }
 
   int pings_ = 0;
-  std::vector<Time> arrival_times_;
 };
 
-TEST(ClusterFaults, DuplicationDeliversTwiceToLiveNode) {
-  Cluster cluster(7);
+TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
+  // Every delivery carries the origin span open when it was posted, a post
+  // outside any delivery is a DAG root, and flow ids are never reused.
+  Cluster cluster;
   auto* a = cluster.AddNode<ProbeNode>("a:1");
   auto* b = cluster.AddNode<ProbeNode>("b:1");
   cluster.StartAll();
-  FaultPlan plan;
-  plan.default_link.duplicate_probability = 1.0;
-  cluster.InstallFaultPlan(plan);
-  a->Send("b:1", "ping");
-  cluster.loop().RunToCompletion();
-  EXPECT_EQ(b->pings_, 2);
-  EXPECT_EQ(cluster.duplicated_messages(), 1u);
-  EXPECT_EQ(cluster.plan_dropped_messages(), 0u);
-  EXPECT_EQ(cluster.dropped_messages(), 0u);
-}
-
-TEST(ClusterFaults, DuplicationNeverResurrectsMessageToDeadNode) {
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.default_link.duplicate_probability = 1.0;
-  plan.default_link.extra_delay_ms = 5;
-  cluster.InstallFaultPlan(plan);
-  a->Send("b:1", "ping");
-  cluster.Crash("b:1");  // dies before either copy arrives
-  cluster.loop().RunToCompletion();
-  EXPECT_EQ(b->pings_, 0);
-  // Both the original and the duplicate count as dead-node drops — dying
-  // before delivery beats any fault-plan scheduling.
-  EXPECT_EQ(cluster.duplicated_messages(), 1u);
-  EXPECT_EQ(cluster.dropped_messages(), 2u);
-  EXPECT_EQ(cluster.plan_dropped_messages(), 0u);
-}
-
-TEST(ClusterFaults, ReorderingRespectsTheDeclaredBound) {
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.default_link.reorder_window_ms = 10;
-  cluster.InstallFaultPlan(plan);
-  const int kMessages = 50;
-  for (int i = 0; i < kMessages; ++i) {
-    a->Send("b:1", "ping");
-  }
-  cluster.loop().RunToCompletion();
-  EXPECT_EQ(b->pings_, kMessages);
-  // Every delivery lands inside [latency, latency + bound]; a bound of 10
-  // with 50 draws virtually guarantees at least one actual displacement.
-  for (Time at : b->arrival_times_) {
-    EXPECT_GE(at, cluster.latency_ms());
-    EXPECT_LE(at, cluster.latency_ms() + 10);
-  }
-  EXPECT_GT(*std::max_element(b->arrival_times_.begin(), b->arrival_times_.end()),
-            cluster.latency_ms());
-}
-
-TEST(ClusterFaults, FlowStampsSurviveDuplicationAndReordering) {
-  // Flow stamps are written at post time, before any fault draw, so a
-  // duplicated message's copy inherits the originating span and a reordered
-  // delivery keeps it — the flow DAG stays exact under an active FaultPlan.
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.default_link.duplicate_probability = 1.0;
-  plan.default_link.reorder_window_ms = 10;
-  cluster.InstallFaultPlan(plan);
 
   struct Delivered {
     uint64_t flow;
@@ -115,11 +47,11 @@ TEST(ClusterFaults, FlowStampsSurviveDuplicationAndReordering) {
     a->Send("b:1", "ping");
   }
   cluster.loop().RunToCompletion();
-  EXPECT_EQ(b->pings_, 2 * kMessages);  // every message duplicated
-  ASSERT_EQ(deliveries.size(), static_cast<size_t>(2 * kMessages));
+  EXPECT_EQ(b->pings_, kMessages);
+  ASSERT_EQ(deliveries.size(), static_cast<size_t>(kMessages));
   std::vector<uint64_t> seen_ids;
   for (const Delivered& delivery : deliveries) {
-    EXPECT_EQ(delivery.origin, 42u);  // both copies carry the post-time span
+    EXPECT_EQ(delivery.origin, 42u);  // the span open at post time
     EXPECT_EQ(delivery.parent, 0u);   // posted outside any delivery: DAG roots
     seen_ids.push_back(delivery.flow);
   }
@@ -127,17 +59,15 @@ TEST(ClusterFaults, FlowStampsSurviveDuplicationAndReordering) {
   EXPECT_EQ(std::unique(seen_ids.begin(), seen_ids.end()), seen_ids.end());
 }
 
-TEST(ClusterFaults, LinkDropsCountSeparatelyFromDeadNodeDrops) {
-  Cluster cluster(7);
+TEST(ClusterFaults, PartitionDropsCountSeparatelyFromDeadNodeDrops) {
+  Cluster cluster;
   auto* a = cluster.AddNode<ProbeNode>("a:1");
   auto* b = cluster.AddNode<ProbeNode>("b:1");
   auto* c = cluster.AddNode<ProbeNode>("c:1");
   cluster.StartAll();
-  FaultPlan plan;
-  plan.links[{"a:1", "b:1"}] = {/*drop_probability=*/1.0};
-  cluster.InstallFaultPlan(plan);
-  a->Send("b:1", "ping");  // plan-induced drop
-  a->Send("c:1", "ping");  // delivered: only the a->b link is faulty
+  cluster.Partition({"b:1"}, 0, 100);
+  a->Send("b:1", "ping");  // partition drop
+  a->Send("c:1", "ping");  // not cut: only b is partitioned off
   cluster.Crash("c:1");
   a->Send("c:1", "ping");  // dead-node drop
   cluster.loop().RunToCompletion();
@@ -148,12 +78,12 @@ TEST(ClusterFaults, LinkDropsCountSeparatelyFromDeadNodeDrops) {
 }
 
 TEST(ClusterFaults, PartitionHealRoundTrip) {
-  Cluster cluster(7);
+  Cluster cluster;
   auto* a = cluster.AddNode<ProbeNode>("a:1");
   auto* b = cluster.AddNode<ProbeNode>("b:1");
   auto* c = cluster.AddNode<ProbeNode>("c:1");
   cluster.StartAll();
-  cluster.PartitionNodes({"b:1"}, 100);
+  cluster.Partition({"b:1"}, cluster.loop().Now(), cluster.loop().Now() + 100);
   EXPECT_TRUE(cluster.LinkCut("a:1", "b:1"));
   EXPECT_TRUE(cluster.LinkCut("b:1", "a:1"));  // cuts are symmetric
   EXPECT_FALSE(cluster.LinkCut("a:1", "c:1"));
@@ -172,90 +102,23 @@ TEST(ClusterFaults, PartitionHealRoundTrip) {
   EXPECT_EQ(cluster.dropped_messages(), 0u);
 }
 
-TEST(ClusterFaults, OneWayPartitionCutsOnlyOutboundTraffic) {
-  Cluster cluster(7);
+TEST(ClusterFaults, PartitionWindowAppliesAtTheDeclaredTimes) {
+  Cluster cluster;
   auto* a = cluster.AddNode<ProbeNode>("a:1");
   auto* b = cluster.AddNode<ProbeNode>("b:1");
   cluster.StartAll();
-  FaultPlan plan;
-  PartitionDirective half_open;
-  half_open.start_ms = 0;
-  half_open.heal_ms = 100;
-  half_open.group = {"b:1"};
-  half_open.one_way = true;
-  plan.partitions.push_back(half_open);
-  cluster.InstallFaultPlan(plan);
-  EXPECT_TRUE(cluster.LinkCut("b:1", "a:1"));   // outbound from the group: cut
-  EXPECT_FALSE(cluster.LinkCut("a:1", "b:1"));  // inbound still flows
-  b->Send("a:1", "ping");  // dropped: b can hear but not answer
-  a->Send("b:1", "ping");  // delivered
-  cluster.loop().Schedule(150, [&] { b->Send("a:1", "ping"); });  // healed
-  cluster.loop().RunToCompletion();
-  EXPECT_EQ(a->pings_, 1);
-  EXPECT_EQ(b->pings_, 1);
-  EXPECT_EQ(cluster.plan_dropped_messages(), 1u);
-}
-
-TEST(ClusterFaults, TimerSkewStretchesOnlyTheSkewedNodesClock) {
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.timer_skew_permille["b:1"] = 2000;  // b's clock runs at half speed
-  cluster.InstallFaultPlan(plan);
-  std::vector<Time> a_fired, b_fired;
-  a->After(100, [&] { a_fired.push_back(cluster.loop().Now()); });
-  b->After(100, [&] { b_fired.push_back(cluster.loop().Now()); });
-  cluster.loop().RunToCompletion();
-  ASSERT_EQ(a_fired.size(), 1u);
-  ASSERT_EQ(b_fired.size(), 1u);
-  EXPECT_EQ(a_fired[0], 100u);  // honest clock: fires on time
-  EXPECT_EQ(b_fired[0], 200u);  // skewed: the same request lands twice as late
-}
-
-TEST(ClusterFaults, TimerSkewCompoundsAcrossEveryRearms) {
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.timer_skew_permille["b:1"] = 2000;
-  cluster.InstallFaultPlan(plan);
-  std::vector<Time> a_ticks, b_ticks;
-  a->Every(50, [&] { a_ticks.push_back(cluster.loop().Now()); });
-  b->Every(50, [&] { b_ticks.push_back(cluster.loop().Now()); });
-  cluster.loop().RunFor(400);
-  // Each re-arm re-applies the skew, so the drift accumulates round after
-  // round instead of staying a constant offset.
-  EXPECT_EQ(a_ticks, (std::vector<Time>{50, 100, 150, 200, 250, 300, 350, 400}));
-  EXPECT_EQ(b_ticks, (std::vector<Time>{100, 200, 300, 400}));
-}
-
-TEST(ClusterFaults, PlanPartitionDirectivesApplyAtTheDeclaredTimes) {
-  Cluster cluster(7);
-  auto* a = cluster.AddNode<ProbeNode>("a:1");
-  auto* b = cluster.AddNode<ProbeNode>("b:1");
-  cluster.StartAll();
-  FaultPlan plan;
-  plan.partitions.push_back({/*start_ms=*/50, /*heal_ms=*/150, {"b:1"}});
-  cluster.InstallFaultPlan(plan);
+  TraceRecorder recorder(/*keep_events=*/true);
+  cluster.set_trace_recorder(&recorder);
+  cluster.Partition({"b:1"}, /*start_ms=*/50, /*heal_ms=*/150);
   a->Send("b:1", "ping");                            // before the cut
   cluster.loop().Schedule(100, [&] { a->Send("b:1", "ping"); });  // inside
   cluster.loop().Schedule(150, [&] { a->Send("b:1", "ping"); });  // heal is exclusive
   cluster.loop().RunToCompletion();
   EXPECT_EQ(b->pings_, 2);
   EXPECT_EQ(cluster.plan_dropped_messages(), 1u);
-}
-
-TEST(Trace, SerializeParseRoundTripPreservesHash) {
-  Trace trace;
-  trace.Append({1, "deliver", "a:1>b:1 ping"});
-  trace.Append({2, "timer", "b:1"});
-  trace.Append({5, "crash", "b:1"});
-  Trace parsed = Trace::Parse(trace.Serialize());
-  EXPECT_EQ(parsed.size(), trace.size());
-  EXPECT_EQ(parsed.Hash(), trace.Hash());
+  // The window is recorded once, when it is installed.
+  ASSERT_FALSE(recorder.trace().empty());
+  EXPECT_EQ(recorder.trace().events().front(), (TraceEvent{0, "partition", "50..150 b:1"}));
 }
 
 TEST(Trace, ReplayOfIdenticalRunSucceedsAndDivergenceThrows) {

@@ -328,7 +328,7 @@ ctobs::Dossier MakeDossier() {
   dossier.injected_points.push_back(point);
   dossier.recovery_phase_span = "leader-election";
   dossier.trace_hash_prefix = "8f00ba42";
-  dossier.fault_plan = "link-faults=1 partition-epochs=0 timer-skew=0";
+  dossier.fault_plan = "partition-epochs=2";
   dossier.workload = "create/get znodes x12";
   return dossier;
 }

@@ -144,9 +144,7 @@ TEST_P(InferenceProperty, CrashPointsSubsetAndMonotone) {
 
   auto pruned = analysis.Identify();
   ctanalysis::CrashPointOptions no_prune;
-  no_prune.prune_constructor_only = false;
-  no_prune.prune_unused = false;
-  no_prune.prune_sanity_checked = false;
+  no_prune.prune = false;
   auto full = analysis.Identify(no_prune);
 
   EXPECT_LE(pruned.points.size(), full.points.size());
@@ -210,7 +208,7 @@ class CountingNode : public ctsim::Node {
 // dropped equals sent.
 TEST_P(SimProperty, ConservationOfMessages) {
   Rng rng(GetParam());
-  ctsim::Cluster cluster(GetParam());
+  ctsim::Cluster cluster;
   std::vector<CountingNode*> nodes;
   for (int i = 0; i < 4; ++i) {
     nodes.push_back(cluster.AddNode<CountingNode>("n" + std::to_string(i) + ":1"));

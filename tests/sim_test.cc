@@ -36,7 +36,7 @@ class EchoNode : public Node {
 };
 
 TEST(Cluster, DeliversMessagesWithLatency) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   auto* b = cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -48,7 +48,7 @@ TEST(Cluster, DeliversMessagesWithLatency) {
 }
 
 TEST(Cluster, MessagesToDeadNodesAreDropped) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   auto* b = cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -60,7 +60,7 @@ TEST(Cluster, MessagesToDeadNodesAreDropped) {
 }
 
 TEST(Cluster, CrashIsAbruptShutdownIsGraceful) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   auto* b = cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -75,7 +75,7 @@ TEST(Cluster, CrashIsAbruptShutdownIsGraceful) {
 }
 
 TEST(Cluster, DeadNodeTimersNeverFire) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   cluster.StartAll();
   int fired = 0;
@@ -86,7 +86,7 @@ TEST(Cluster, DeadNodeTimersNeverFire) {
 }
 
 TEST(Cluster, EveryRepeatsUntilDeath) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   cluster.StartAll();
   int ticks = 0;
@@ -97,7 +97,7 @@ TEST(Cluster, EveryRepeatsUntilDeath) {
 }
 
 TEST(Cluster, UnhandledExceptionAbortsNodeAndLogsIt) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   auto* b = cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -121,7 +121,7 @@ class CriticalNode : public EchoNode {
 };
 
 TEST(Cluster, CriticalNodeAbortTakesClusterDown) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   cluster.AddNode<CriticalNode>("master:1");
   cluster.StartAll();
@@ -132,7 +132,7 @@ TEST(Cluster, CriticalNodeAbortTakesClusterDown) {
 }
 
 TEST(Cluster, NodeCrashedSignalSilentlyEndsHandler) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   auto* b = cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -143,7 +143,7 @@ TEST(Cluster, NodeCrashedSignalSilentlyEndsHandler) {
 }
 
 TEST(Cluster, CurrentNodeTracksExecutingHandler) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* a = cluster.AddNode<EchoNode>("a:1");
   cluster.AddNode<EchoNode>("b:1");
   cluster.StartAll();
@@ -180,7 +180,7 @@ class BurstNode : public Node {
 };
 
 TEST(Cluster, SameTickBurstPrecedesLaterEventsWhenAHandlerReentersTheLoop) {
-  Cluster cluster(1);
+  Cluster cluster;
   std::vector<std::string> order;
   cluster.AddNode<BurstNode>("a:1", &order);
   cluster.AddNode<BurstNode>("b:1", &order);
@@ -191,7 +191,7 @@ TEST(Cluster, SameTickBurstPrecedesLaterEventsWhenAHandlerReentersTheLoop) {
 }
 
 TEST(Cluster, DeferredNodesStartExplicitly) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* late = cluster.AddNode<EchoNode>("late:1");
   late->set_defer_start(true);
   cluster.StartAll();
@@ -201,7 +201,7 @@ TEST(Cluster, DeferredNodesStartExplicitly) {
 }
 
 TEST(Cluster, ConfigHostsDeduplicates) {
-  Cluster cluster(1);
+  Cluster cluster;
   cluster.AddNode<EchoNode>("host1:10");
   cluster.AddNode<EchoNode>("host1:20");
   cluster.AddNode<EchoNode>("host2:10");
@@ -220,7 +220,7 @@ class MonitorNode : public Node {
 };
 
 TEST(FailureDetector, DeclaresSilentNodesLostAfterTimeout) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* monitor = cluster.AddNode<MonitorNode>("m:1");
   cluster.StartAll();
   monitor->StartFd();
@@ -234,7 +234,7 @@ TEST(FailureDetector, DeclaresSilentNodesLostAfterTimeout) {
 }
 
 TEST(FailureDetector, HeartbeatsKeepNodesAlive) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* monitor = cluster.AddNode<MonitorNode>("m:1");
   cluster.StartAll();
   monitor->StartFd();
@@ -248,7 +248,7 @@ TEST(FailureDetector, HeartbeatsKeepNodesAlive) {
 
 TEST(FailureDetector, NotifyLeftIsImmediate) {
   // The graceful-shutdown fast path: no timeout wait.
-  Cluster cluster(1);
+  Cluster cluster;
   auto* monitor = cluster.AddNode<MonitorNode>("m:1");
   cluster.StartAll();
   monitor->StartFd();
@@ -258,7 +258,7 @@ TEST(FailureDetector, NotifyLeftIsImmediate) {
 }
 
 TEST(FailureDetector, ForgetSuppressesCallback) {
-  Cluster cluster(1);
+  Cluster cluster;
   auto* monitor = cluster.AddNode<MonitorNode>("m:1");
   cluster.StartAll();
   monitor->StartFd();
