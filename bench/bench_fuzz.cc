@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
     row.coverage_pairs = static_cast<int>(serial.coverage.size());
     row.bug_runs = serial.bug_runs;
     row.deterministic = serial.trace_hash == parallel.trace_hash &&
-                        serial.corpus.size() == parallel.corpus.size() &&
-                        serial.new_keys == parallel.new_keys;
+                        serial.corpus == parallel.corpus && serial.new_keys == parallel.new_keys;
     serial_total += row.serial_seconds;
     parallel_total += row.parallel_seconds;
 

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                                       single.profile.baseline, single.profile.normal_duration_ms);
   auto seq_start = std::chrono::steady_clock::now();
   ctcore::MultiCrashReport report =
-      tester.TestPairs(single.profile, single.injections, max_pairs, 424242);
+      tester.TestPairs(single.profile, single.injections, max_pairs);
   double seq_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - seq_start).count();
 
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   if (jobs > 1) {
     auto par_start = std::chrono::steady_clock::now();
     ctcore::MultiCrashReport parallel =
-        tester.TestPairs(single.profile, single.injections, max_pairs, 424242, jobs);
+        tester.TestPairs(single.profile, single.injections, max_pairs, jobs);
     double par_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - par_start).count();
     std::printf("parallel    : jobs=%d, %.3fs wall vs %.3fs sequential (%.2fx), report %s\n",

@@ -12,8 +12,6 @@
 //   --fuzz N                   after the pipeline, run N independently
 //                              drawn workload-fuzzing runs per system
 //                              (reports gain a "fuzz" section);
-//   --corpus-dir DIR           save each system's fuzz corpus under
-//                              DIR/<stem>/ (implies nothing without --fuzz);
 //   --dossier-dir DIR          observe the campaigns and write one
 //                              crashtuner-dossier-v1 JSON per failing run as
 //                              DIR/<stem>-slot<N>.json (src/obs/dossier.h).
@@ -52,7 +50,6 @@ bool ReportWriteFailure(const std::string& path) {
 // any write failed.
 bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& base_options,
             const std::filesystem::path& directory, int fuzz_runs,
-            const std::filesystem::path& corpus_dir,
             const std::filesystem::path& dossier_dir) {
   ctcore::CrashTunerDriver driver;
   ctcore::DriverOptions options = base_options;
@@ -76,9 +73,6 @@ bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
     fuzz_options.seed = options.seed;
     fuzz_options.jobs = options.jobs;
     fuzz_options.observer = options.observer;
-    if (!corpus_dir.empty()) {
-      fuzz_options.corpus_dir = (corpus_dir / stem).string();
-    }
     ctfuzz::RunFuzzPhase(system, &report, fuzz_options);
   }
   const std::pair<const char*, std::string> files[] = {
@@ -112,7 +106,6 @@ int main(int argc, char** argv) {
   ctcore::DriverOptions options;
   int scale = 1;
   int fuzz_runs = 0;
-  std::filesystem::path corpus_dir;
   std::filesystem::path dossier_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -126,8 +119,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--fuzz must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--corpus-dir" && i + 1 < argc) {
-      corpus_dir = argv[++i];
     } else if (arg == "--dossier-dir" && i + 1 < argc) {
       dossier_dir = argv[++i];
     } else if (arg == "--scale" && i + 1 < argc) {
@@ -139,7 +130,7 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr,
                    "usage: export_report [DIR] [--static-only] [--jobs N] [--scale N] "
-                   "[--fuzz N] [--corpus-dir DIR] [--dossier-dir DIR]\n");
+                   "[--fuzz N] [--dossier-dir DIR]\n");
       return 2;
     } else {
       directory = arg;
@@ -161,7 +152,7 @@ int main(int argc, char** argv) {
   for (ctcore::SystemUnderTest* system :
        std::initializer_list<ctcore::SystemUnderTest*>{&yarn, &hdfs, &hbase, &zk, &cass}) {
     system->set_scale(scale);
-    ok = Export(*system, options, directory, fuzz_runs, corpus_dir, dossier_dir) && ok;
+    ok = Export(*system, options, directory, fuzz_runs, dossier_dir) && ok;
   }
   return ok ? 0 : 1;
 }

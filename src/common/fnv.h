@@ -1,10 +1,9 @@
 // FNV-1a 64-bit, fed incrementally.
 //
-// The repository's one fingerprint hash: event traces, campaign trace
-// hashes, fuzz workload checksums and content-derived pair seeds all use it.
-// Feeding bytes in pieces gives the same value as feeding their
-// concatenation, which is what lets a trace be hashed as it is recorded,
-// without ever serializing it.
+// The repository's one fingerprint hash: run traces and the campaign and
+// fuzz-phase trace hashes use it. Feeding bytes in pieces gives the same
+// value as feeding their concatenation, which is what lets a trace be hashed
+// as it is recorded, without ever serializing it.
 #ifndef SRC_COMMON_FNV_H_
 #define SRC_COMMON_FNV_H_
 

@@ -1,8 +1,10 @@
 // Deterministic pseudo-random source.
 //
-// Every stochastic decision in the reproduction (workload shapes, random
-// fault-injection schedules, sampling for the soundness probe) draws from a
-// seeded Rng so that each run — and thus each reported bug — is replayable.
+// The stochastic decisions made outside a run (the synthetic catalog's
+// shape, fuzz op generation, the random baselines' fault schedules, the
+// property tests' random inputs) draw from a seeded Rng, so each is
+// reproducible. Nothing inside a run draws: a run is fixed by its workload
+// and its faults.
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
@@ -32,10 +34,6 @@ class Rng {
 
   // Bernoulli draw with probability p of returning true.
   bool Chance(double p) { return Double() < p; }
-
-  // Derives an independent child seed; used to give sub-components their own
-  // streams without correlating them.
-  uint64_t Fork() { return engine_(); }
 
  private:
   std::mt19937_64 engine_;

@@ -127,10 +127,19 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
       options.observer != nullptr ? &options.observer->driver_observer() : nullptr;
   auto driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "analysis", "driver");
 
+  const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
+
   // --- Phase 1a: collect logs with an uninstrumented run. -------------------
-  // The run's own tracer starts in kOff; no global reset needed.
+  // The run's own tracer starts in kOff; no global reset needed. Static-only
+  // mode instruments no run at all, so this run is also its profile: the
+  // oracle baseline and the fault-free duration come from it.
   auto log_run = system.NewRun(system.default_workload_size(), options.seed);
-  Executor::Execute(*log_run, /*baseline=*/nullptr);
+  const RunOutcome log_outcome = Executor::Execute(*log_run, /*baseline=*/nullptr);
+  if (static_mode) {
+    Executor::AccumulateBaseline(log_run->cluster().logs(), &report.profile.baseline);
+    report.profile.normal_duration_ms = log_outcome.virtual_duration_ms;
+    report.profile.iterations = 1;
+  }
   std::vector<ctlog::Instance> run_logs = log_run->cluster().logs().instances();
   std::vector<std::string> hosts = log_run->cluster().config_hosts();
   log_run.reset();
@@ -144,7 +153,6 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   seed_types.insert(options.annotated_seed_types.begin(), options.annotated_seed_types.end());
   report.metainfo = inference.Infer(seed_types, report.log_result.seed_fields);
 
-  const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
   ctanalysis::CrashPointOptions crash_point_options = options.crash_point_options;
   if (static_mode) {
     crash_point_options.prune_statically_unreachable = true;
@@ -160,14 +168,10 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "profile", "driver");
 
   // --- Phase 1c: dynamic crash points (profiled or enumerated). -------------
-  Profiler profiler;
   if (!static_mode) {
-    report.profile =
-        profiler.Profile(system, report.crash_points.PointIds(), /*io_points=*/{}, options.seed);
+    report.profile = Profiler().Profile(system, report.crash_points.PointIds(),
+                                        /*io_points=*/{}, options.seed);
   } else {
-    // No instrumentation at all; the run supplies baseline and duration.
-    report.profile = profiler.Profile(system, /*access_points=*/{}, /*io_points=*/{},
-                                      options.seed, /*max_iterations=*/1);
     ctanalysis::CallGraph graph(model);
     ctanalysis::ContextEnumeration enumeration(&graph);
     // Enumerate at the bound the run's tracers record, so static call strings
@@ -206,8 +210,6 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
                               report.profile.baseline, report.profile.normal_duration_ms,
                               options.pre_read_wait_ms);
   tester.set_injection_mode(options.injection_mode);
-  tester.set_record_store(options.record_traces);
-  tester.set_replay_store(options.replay_traces);
   tester.set_observer(options.observer);
   driver_span.reset();
   driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "campaign", "driver");

@@ -118,8 +118,8 @@ struct SystemReport {
 // Where the driver's dynamic crash points come from (Definition 1 pairs).
 //   kProfiled    workload-doubling profiling fixpoint (§3.1.3; the default)
 //   kStaticOnly  bounded call-string enumeration over the declared call graph
-//                replaces the profiled set; no instrumented run at all — a
-//                single tracer-off run provides the oracle baseline and the
+//                replaces the profiled set; no instrumented run at all — the
+//                Phase-1a log run provides the oracle baseline and the
 //                fault-free duration
 // kStaticOnly bounds call strings at the depth the run's tracers record
 // (AccessTracer::DefaultStackDepth) and always applies the per-call-string
@@ -149,12 +149,6 @@ struct DriverOptions {
   // window from the model's declared network-fault windows, falling back to
   // FaultInjectionTester::kDefaultPartitionMs.
   InjectionMode injection_mode = InjectionMode::kCrash;
-  // Campaign trace record/replay (either may be null). With record_traces,
-  // every Phase-2 run stores its event trace by injection index; with
-  // replay_traces, every run is verified event-by-event against the stored
-  // trace and the driver throws ctsim::TraceDivergence on any departure.
-  TraceStore* record_traces = nullptr;
-  const TraceStore* replay_traces = nullptr;
   // Campaign observability (may be null). When set, the driver opens
   // wall-clock spans around its own phases (analysis, profile, campaign),
   // every Phase-2 run records phase spans + metrics into it, and the driver

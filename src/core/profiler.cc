@@ -3,18 +3,14 @@
 namespace ctcore {
 
 ProfileResult Profiler::Profile(const SystemUnderTest& system, const std::set<int>& access_points,
-                                const std::set<int>& io_points, uint64_t seed,
-                                int max_iterations) const {
+                                const std::set<int>& io_points, uint64_t seed) const {
   ProfileResult result;
 
-  if (max_iterations < 1) {
-    max_iterations = 1;
-  }
-  // With nothing to instrument (the static-only mode) the run is a plain
-  // observation run: the tracer stays kOff and no profiling work happens.
+  // With nothing to instrument the run is a plain observation run: the
+  // tracer stays kOff and no profiling work happens.
   const bool instrument = !access_points.empty() || !io_points.empty();
   int size = system.default_workload_size();
-  for (int iteration = 0; iteration < max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     // Prepare the run's own tracer before construction so hooks fired while
     // the deployment is built are already profiled.
     auto run = system.NewRun(size, seed + static_cast<uint64_t>(iteration),

@@ -25,8 +25,8 @@ struct ProfileResult {
   ctsim::Time normal_duration_ms = 0;  // fault-free runtime at default size
   int iterations = 0;
   // Runs that actually carried instrumentation (tracer in kProfile). With no
-  // points to instrument the workload executes tracer-off, so a static-only
-  // pipeline can prove it ran zero profiling workloads.
+  // points to instrument the workload executes tracer-off. A static-only
+  // pipeline profiles nothing, so it proves zero profiling workloads here.
   int instrumented_runs = 0;
 };
 
@@ -36,12 +36,10 @@ class Profiler {
 
   // `access_points` / `io_points` are the static point ids to instrument
   // (static crash points for CrashTuner, static IO points for the IO
-  // baseline; either may be empty). `max_iterations` caps the workload
-  // doubling; 1 yields a single observation run (the static-only context mode
-  // needs the baseline and duration but not the fixpoint).
+  // baseline; either may be empty). The workload doubles at most
+  // kMaxIterations times.
   ProfileResult Profile(const SystemUnderTest& system, const std::set<int>& access_points,
-                        const std::set<int>& io_points, uint64_t seed,
-                        int max_iterations = kMaxIterations) const;
+                        const std::set<int>& io_points, uint64_t seed) const;
 };
 
 }  // namespace ctcore

@@ -8,11 +8,11 @@
 #include <string>
 #include <utility>
 
-#include "src/common/fnv.h"
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
 #include "src/obs/span.h"
 #include "src/sim/exception.h"
+#include "src/sim/trace.h"
 
 namespace ctcore {
 
@@ -56,22 +56,6 @@ class StashFeed {
   ctlog::CustomStash stash_;
   std::vector<std::unique_ptr<ctlog::LogstashAgent>> agents_;
 };
-
-// Content-derived pair seed: FNV-1a over both endpoints, mixed with the base
-// seed. Position-independent, so a pair runs the same simulation whatever
-// the cap and wherever it sits in the walk.
-uint64_t PairSeed(uint64_t seed, const CrashPairCandidate& pair) {
-  ctcommon::Fnv1a hash;
-  auto mix = [&hash](const std::string& text) {
-    hash.Add(text);
-    hash.AddByte(0xff);
-  };
-  mix(std::to_string(pair.first.point_id));
-  mix(pair.first.stack_key);
-  mix(std::to_string(pair.second.point_id));
-  mix(pair.second.stack_key);
-  return seed + (hash.value() >> 1);
-}
 
 }  // namespace
 
@@ -132,21 +116,8 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   }
 
   // Recorder before the run: the cluster holds a raw pointer to it, so it
-  // must outlive the run. Every run is traced (the hash lands in the result);
-  // the events themselves are kept only for a record store, and replay mode
-  // verifies each one against the stored trace.
-  const ctsim::Trace* expected = nullptr;
-  if (replay_store_ != nullptr) {
-    expected = replay_store_->Get(trace_slot);
-    if (expected == nullptr) {
-      throw ctsim::TraceDivergence("replay store has no trace for injection slot " +
-                                   std::to_string(trace_slot));
-    }
-  }
-  const bool recording = record_store_ != nullptr && trace_slot >= 0;
-  ctsim::TraceRecorder recorder = expected != nullptr
-                                      ? ctsim::TraceRecorder(expected)
-                                      : ctsim::TraceRecorder(/*keep_events=*/recording);
+  // must outlive the run. Every run is traced; the hash lands in the result.
+  ctsim::TraceRecorder recorder;
 
   auto run = system_->NewRun(system_->default_workload_size(), seed);
   ctsim::Cluster& cluster = run->cluster();
@@ -202,11 +173,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   result.outcome = Executor::Execute(*run, &baseline_);
   result.point_hit = result.point_hit || tracer.trigger_fired();
   total_virtual_ms_.fetch_add(result.outcome.virtual_duration_ms, std::memory_order_relaxed);
-  recorder.FinishReplay();  // a recording longer than the run is a divergence
   result.trace_hash = recorder.hash();
-  if (recording) {
-    record_store_->Put(trace_slot, recorder.trace());
-  }
 
   if (observer_ != nullptr && trace_slot >= 0) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
@@ -217,9 +184,6 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
       metrics.Add("injection.injected");
     }
     metrics.Add("outcome." + MetricName(result.outcome.PrimarySymptom()));
-    if (expected != nullptr) {
-      metrics.Add("runs.replayed");
-    }
     metrics.Add("trace.events", recorder.size());
     if (result.outcome.IsBug()) {
       // Failure dossier: the canonical signature of this failing run —
@@ -281,8 +245,7 @@ std::vector<InjectionResult> FaultInjectionTester::TestAll(const ProfileResult& 
 }
 
 PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& first,
-                                                   const ctrt::DynamicPoint& second,
-                                                   uint64_t seed) {
+                                                   const ctrt::DynamicPoint& second) {
   PairInjectionResult result;
   result.first = first;
   result.second = second;
@@ -299,7 +262,7 @@ PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& fir
   const ctanalysis::CrashPointKind second_kind =
       kind_of(second.point_id, &result.second_location);
 
-  auto run = system_->NewRun(system_->default_workload_size(), seed);
+  auto run = system_->NewRun(system_->default_workload_size(), /*seed=*/0);
   ctsim::Cluster& cluster = run->cluster();
   StashFeed feed(cluster, filter_);
 
@@ -332,7 +295,7 @@ PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& fir
 
 MultiCrashReport FaultInjectionTester::TestPairs(
     const ProfileResult& profile, const std::vector<InjectionResult>& single_results,
-    int max_pairs, uint64_t seed, int jobs) {
+    int max_pairs, int jobs) {
   MultiCrashReport report;
   // Failure signatures already reachable with one crash: a pair only counts
   // as "multi-only" if its signature is new.
@@ -353,7 +316,7 @@ MultiCrashReport FaultInjectionTester::TestPairs(
   std::vector<PairInjectionResult> results =
       engine.Map(static_cast<int>(pairs.size()), [&](int i) {
         const CrashPairCandidate& task = pairs[static_cast<size_t>(i)];
-        return TestPair(task.first, task.second, PairSeed(seed, task));
+        return TestPair(task.first, task.second);
       });
 
   // Aggregate in pair order: double summation and report rows come out the

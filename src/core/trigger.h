@@ -12,18 +12,14 @@
 //   network:    (InjectionMode::kNetworkFault) instead of killing the target,
 //               partition it from the cluster for the declared window and
 //               heal — fault-on-appearance of a meta-info value.
-// The oracle then classifies the run. Every run records an event trace; its
-// hash lands in the result, and a TraceStore enables campaign-level
-// record/replay (replaying a stored trace re-executes the run and verifies
-// every scheduled event against the recording). Multi-crash pair runs
-// (multi_crash.h) chain a second trigger onto the first and reuse the same
-// fault action.
+// The oracle then classifies the run. Every run hashes its event trace into
+// the result: re-executing the run and comparing hashes is the reproduction
+// check. Multi-crash pair runs (multi_crash.h) chain a second trigger onto
+// the first and reuse the same fault action.
 #ifndef SRC_CORE_TRIGGER_H_
 #define SRC_CORE_TRIGGER_H_
 
 #include <atomic>
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +31,6 @@
 #include "src/core/system_under_test.h"
 #include "src/logging/stash.h"
 #include "src/runtime/tracer.h"
-#include "src/sim/trace.h"
 
 namespace ctobs {
 class CampaignObserver;
@@ -47,32 +42,6 @@ namespace ctcore {
 enum class InjectionMode {
   kCrash,         // crash/shutdown per the point kind (the paper's trigger)
   kNetworkFault,  // transient partition + heal in the same meta-info window
-};
-
-// Thread-safe slot → trace map shared by a campaign's runs: record mode
-// fills it, replay mode reads it. Slots are injection indices, so a store
-// recorded at any jobs count replays at any other.
-class TraceStore {
- public:
-  void Put(int slot, ctsim::Trace trace) {
-    std::lock_guard<std::mutex> lock(mu_);
-    traces_[slot] = std::move(trace);
-  }
-  // Pointer stays valid until the store is destroyed or the slot overwritten.
-  const ctsim::Trace* Get(int slot) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = traces_.find(slot);
-    return it == traces_.end() ? nullptr : &it->second;
-  }
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return traces_.size();
-  }
-  std::map<int, ctsim::Trace>& traces() { return traces_; }
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, ctsim::Trace> traces_;
 };
 
 struct InjectionResult {
@@ -115,14 +84,6 @@ class FaultInjectionTester {
   // model's declared network-fault window, else kDefaultPartitionMs.
   void set_injection_mode(InjectionMode mode) { mode_ = mode; }
 
-  // Campaign-level record/replay: with a record store, each TestPoint writes
-  // its trace under its slot; with a replay store, each TestPoint verifies
-  // its run event-by-event against the stored trace and throws
-  // ctsim::TraceDivergence on the first departure (including a missing or
-  // truncated recording).
-  void set_record_store(TraceStore* store) { record_store_ = store; }
-  void set_replay_store(const TraceStore* store) { replay_store_ = store; }
-
   // Campaign observability. When set, every campaign run (trace_slot >= 0)
   // gets its RunObserver enabled — phase spans, a model-named injection span,
   // and the simulator counters — and is absorbed into the observer under its
@@ -133,8 +94,8 @@ class FaultInjectionTester {
 
   // Tests one dynamic crash point; `kind` comes from its static point. Safe
   // to call concurrently: each call owns its run (and the run its tracer).
-  // `trace_slot` keys the record/replay stores (injection index; -1 when the
-  // call is outside a campaign).
+  // `trace_slot` is the run's injection index, which keys its observer slot
+  // and dossier (-1 when the call is outside a campaign).
   InjectionResult TestPoint(const ctrt::DynamicPoint& point, ctanalysis::CrashPointKind kind,
                             uint64_t seed, int trace_slot = -1);
 
@@ -146,19 +107,17 @@ class FaultInjectionTester {
 
   // Tests one ordered pair: the second point is armed after the first fault
   // lands. Safe to call concurrently: each call owns its run and tracer.
-  PairInjectionResult TestPair(const ctrt::DynamicPoint& first, const ctrt::DynamicPoint& second,
-                               uint64_t seed);
+  PairInjectionResult TestPair(const ctrt::DynamicPoint& first, const ctrt::DynamicPoint& second);
 
   // Walks the unordered pairs of the dynamic crash-point set (deterministic
   // order) up to `max_pairs` runs fanned across `jobs` worker threads
   // (campaign.h; aggregation is pair-index ordered, so the report is
   // identical at any thread count), comparing failing pairs against the
-  // single-injection outcomes from `single_results`. Each pair's seed derives
-  // from the pair itself (point ids + call strings), not its list position,
-  // so a pair runs the same simulation under any cap.
+  // single-injection outcomes from `single_results`. A pair run is fixed by
+  // its two points alone, so a pair runs the same simulation under any cap.
   MultiCrashReport TestPairs(const ProfileResult& profile,
                              const std::vector<InjectionResult>& single_results, int max_pairs,
-                             uint64_t seed, int jobs = 1);
+                             int jobs = 1);
 
   // Total virtual time spent across TestPoint calls (Table 11 test column).
   ctsim::Time total_virtual_ms() const { return total_virtual_ms_.load(); }
@@ -181,8 +140,6 @@ class FaultInjectionTester {
   ctsim::Time normal_duration_ms_;
   ctsim::Time pre_read_wait_ms_;
   InjectionMode mode_ = InjectionMode::kCrash;
-  TraceStore* record_store_ = nullptr;
-  const TraceStore* replay_store_ = nullptr;
   ctobs::CampaignObserver* observer_ = nullptr;
   // Atomic: concurrent TestPoint calls accumulate into it. Integer addition
   // commutes, so the total is thread-count independent.

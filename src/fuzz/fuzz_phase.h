@@ -23,16 +23,15 @@
 #include <vector>
 
 #include "src/core/crashtuner.h"
-#include "src/fuzz/corpus.h"
+#include "src/fuzz/workload.h"
 #include "src/runtime/tracer.h"
 
 namespace ctfuzz {
 
 struct FuzzPhaseOptions {
-  int runs = 0;            // fuzz budget; 0 leaves the report untouched
-  std::string corpus_dir;  // when set, the final corpus is saved here
-  // Campaign seed (DriverOptions::seed). The phase fuzzes under seed + 2000,
-  // keeping its runs disjoint from profiling (seed) and Phase 2 (seed+1000).
+  int runs = 0;  // fuzz budget; 0 leaves the report untouched
+  // Campaign seed (DriverOptions::seed). Only op generation draws from it,
+  // through the seed + 2000 stream above; the runs themselves draw nothing.
   uint64_t seed = 2019;
   int jobs = 1;
   // Same observer the driver used (may be null): the phase opens a "fuzz"
@@ -41,8 +40,18 @@ struct FuzzPhaseOptions {
   ctobs::CampaignObserver* observer = nullptr;
 };
 
+// A run that first reached a dynamic point, kept in run order.
+struct CorpusEntry {
+  FuzzWorkload workload;
+  uint64_t trace_hash = 0;  // trace hash of the run that admitted it
+  int run_index = -1;       // fuzz run index that produced it
+  int new_keys = 0;         // dynamic points it was first to reach
+
+  bool operator==(const CorpusEntry&) const = default;
+};
+
 struct FuzzResult {
-  Corpus corpus;                          // runs that first reached a pair
+  std::vector<CorpusEntry> corpus;        // runs that first reached a pair
   std::set<ctrt::DynamicPoint> coverage;  // script ∪ everything fuzzing reached
   std::set<ctrt::DynamicPoint> new_keys;  // reached by fuzzing, absent from the script
   int runs = 0;
@@ -55,17 +64,10 @@ struct FuzzResult {
 // Fuzzes `system` seeded by the pipeline's report: candidate points are the
 // report's static crash points, baseline coverage is the fixed script's
 // profiled dynamic points, and the oracle uses the profile's common-exception
-// baseline. Fills report->fuzz (active = true) and saves the corpus when
-// corpus_dir is set. Returns the full result for callers that need the
-// corpus or coverage sets (tests, bench).
+// baseline. Fills report->fuzz (active = true). Returns the full result for
+// callers that need the corpus or coverage sets (tests, bench).
 FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemReport* report,
                         const FuzzPhaseOptions& options);
-
-// Re-executes every corpus entry with `access_points` profiled and verifies
-// its recorded trace hash; throws std::runtime_error naming the entry on any
-// divergence.
-void ReplayCorpus(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
-                  const Corpus& corpus);
 
 }  // namespace ctfuzz
 

@@ -1,7 +1,6 @@
 #include "src/fuzz/fuzz_phase.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -110,11 +109,6 @@ void ScheduleOps(ctcore::WorkloadRun& run, const ctmodel::ProgramModel& model,
                  const FuzzWorkload& workload) {
   ctsim::Cluster& cluster = run.cluster();
   for (const FuzzOp& op : workload.ops) {
-    if (op.op_index < 0 || op.op_index >= model.NumGrammarOps()) {
-      throw std::runtime_error("fuzz workload: op index " + std::to_string(op.op_index) +
-                               " out of range for model with " +
-                               std::to_string(model.NumGrammarOps()) + " grammar ops");
-    }
     const ctmodel::GrammarOpDecl& decl = model.grammar_ops()[op.op_index];
     cluster.loop().Schedule(op.time_ms,
                             [&cluster, &decl, op] { FireOp(cluster, decl, op); });
@@ -127,16 +121,16 @@ struct RunRecord {
   ctcore::RunOutcome outcome;
 };
 
-// One profiled run of `workload`. A null `baseline` skips the oracle's
-// uncommon-exception check; a null `observer` leaves the run unobserved.
+// One profiled run of `workload`, judged against `baseline`. A null
+// `observer` leaves the run unobserved.
 RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
-                     const FuzzWorkload& workload, const ctcore::OracleBaseline* baseline,
+                     const FuzzWorkload& workload, const ctcore::OracleBaseline& baseline,
                      ctobs::CampaignObserver* observer, int slot) {
   auto prepare = [&access_points](ctrt::RunContext& context) {
     context.tracer().Reset(ctrt::TraceMode::kProfile);
     context.tracer().SetProfiledPoints(access_points, /*io_points=*/{});
   };
-  auto run = system.NewRun(workload.workload_size, workload.run_seed, prepare);
+  auto run = system.NewRun(workload.workload_size, /*seed=*/0, prepare);
   ctsim::Cluster& cluster = run->cluster();
   ctsim::TraceRecorder recorder;
   cluster.set_trace_recorder(&recorder);
@@ -148,7 +142,7 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
 
   ScheduleOps(*run, system.model(), workload);
   RunRecord record;
-  record.outcome = ctcore::Executor::Execute(*run, baseline);
+  record.outcome = ctcore::Executor::Execute(*run, &baseline);
   for (const auto& entry : run->context().tracer().dynamic_access_points()) {
     record.points.insert(entry.first);
   }
@@ -195,7 +189,7 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
     ctcommon::Rng rng(SplitMix64(stream + static_cast<uint64_t>(g)));
     Drawn out;
     out.workload = generator.Generate(rng, workload_size);
-    out.record = ExecuteOne(system, access_points, out.workload, &report->profile.baseline,
+    out.record = ExecuteOne(system, access_points, out.workload, report->profile.baseline,
                             options.observer, slot_base + g);
     return out;
   });
@@ -221,7 +215,7 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
       entry.trace_hash = run.record.trace_hash;
       entry.run_index = g;
       entry.new_keys = fresh;
-      result.corpus.Add(std::move(entry));
+      result.corpus.push_back(std::move(entry));
     }
     if (run.record.outcome.IsBug()) {
       // A fuzz run has no crash-point location, so TriageBugs reports it
@@ -237,10 +231,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
     result.bug_ids.push_back(bug.bug_id);
   }
   result.trace_hash = budget > 0 ? trace_hash.value() : 0;
-
-  if (!options.corpus_dir.empty()) {
-    result.corpus.SaveTo(options.corpus_dir);
-  }
 
   ctcore::FuzzSummary& summary = report->fuzz;
   summary.active = true;
@@ -261,22 +251,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
     metrics.Add("fuzz.runs", static_cast<uint64_t>(result.runs));
   }
   return result;
-}
-
-void ReplayCorpus(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
-                  const Corpus& corpus) {
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    const CorpusEntry& entry = corpus[i];
-    // Only the trace hash is compared, and the oracle never feeds the trace.
-    const RunRecord record = ExecuteOne(system, access_points, entry.workload,
-                                        /*baseline=*/nullptr, /*observer=*/nullptr, /*slot=*/-1);
-    if (record.trace_hash != entry.trace_hash) {
-      throw std::runtime_error(
-          "fuzz corpus replay: entry " + std::to_string(i) + " (run " +
-          std::to_string(entry.run_index) + ") diverged: recorded trace hash " +
-          std::to_string(entry.trace_hash) + ", replayed " + std::to_string(record.trace_hash));
-    }
-  }
 }
 
 }  // namespace ctfuzz

@@ -41,7 +41,6 @@ FuzzWorkload OpSequenceGenerator::Generate(ctcommon::Rng& rng, int workload_size
   for (int i = 0; i < count; ++i) {
     workload.ops.push_back(DrawOp(rng));
   }
-  workload.run_seed = rng.Fork();
   workload.Canonicalize();
   return workload;
 }
@@ -66,7 +65,6 @@ FuzzWorkload OpSequenceGenerator::Mutate(const FuzzWorkload& parent, ctcommon::R
     op.magnitude = static_cast<uint32_t>(
         rng.Uniform(1, static_cast<uint64_t>(std::max(1, decl.max_magnitude))));
   }
-  child.run_seed = rng.Fork();
   child.Canonicalize();
   return child;
 }

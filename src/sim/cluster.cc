@@ -219,7 +219,7 @@ void Cluster::TraceRecord(const char* kind, std::string_view detail) {
 
 void Cluster::TraceMessage(const char* kind, const Message& message) {
   if (trace_ != nullptr) {
-    // In pieces: a hash-only recorder hashes the symbols' own text in place.
+    // In pieces: the recorder hashes the symbols' own text in place.
     trace_->Record(loop_.Now(), kind,
                    {message.from.str(), ">", message.to.str(), " ", message.method.str()});
   }

@@ -150,9 +150,9 @@ class Cluster {
     uint64_t saved_;
   };
 
-  // Trace record/replay. When set, every delivery, drop, timer firing, crash,
-  // shutdown, start, and partition window is recorded (or verified, in replay
-  // mode). The recorder must outlive the run.
+  // Trace hashing. When set, every delivery, drop, timer firing, crash,
+  // shutdown, start, and partition window is hashed into the recorder; unset,
+  // the run hashes nothing. The recorder must outlive the run.
   void set_trace_recorder(TraceRecorder* recorder) { trace_ = recorder; }
 
   // Whole-cluster failure flag (e.g. the master aborted).

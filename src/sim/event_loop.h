@@ -4,7 +4,7 @@
 // heartbeats, RPC deliveries, monitor ticks, workload steps — is an event in
 // one totally ordered queue keyed by (virtual time, sequence number). Virtual
 // time makes each interleaving reproducible, which is what lets a reported
-// bug be replayed from its ⟨crash point, seed⟩ alone.
+// bug be re-executed from its crash point alone.
 //
 // The loop supports bounded *nested* draining: the pre-read trigger (§3.2.2)
 // issues a shutdown RPC and then waits a timeout window so the recovery
@@ -74,7 +74,7 @@ class EventLoop {
 
   // Installed by the cluster; called just before an *owned* event fires
   // (node timers — deliveries are ownerless and traced by the cluster with
-  // richer detail). Used for trace record/replay.
+  // richer detail). Used for trace hashing.
   void SetTraceHook(std::function<void(Time, NodeId)> hook) {
     trace_hook_ = std::move(hook);
   }

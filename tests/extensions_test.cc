@@ -77,7 +77,7 @@ TEST(MultiCrash, PairRunsChainTwoInjections) {
   }
   ASSERT_GE(first.point_id, 0);
   ASSERT_GE(second.point_id, 0);
-  PairInjectionResult result = tester.TestPair(second, first, 777);
+  PairInjectionResult result = tester.TestPair(second, first);
   EXPECT_TRUE(result.first_injected);
   // The second point may or may not execute after the first fault; when it
   // does, a second node dies.
@@ -91,20 +91,20 @@ TEST(MultiCrash, ReportSeparatesMultiOnlyFailures) {
   const SystemReport& single = CachedReport();
   FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
                               single.profile.baseline, single.profile.normal_duration_ms);
-  MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 6, 888);
+  MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 6);
   EXPECT_EQ(report.pairs_tested, 6);
   EXPECT_LE(report.multi_only.size(), report.failing.size());
   EXPECT_GT(report.virtual_hours, 0.0);
 }
 
 // bench_multicrash's default campaign: the first 60 pairs of the profiled
-// YARN point set at seed 424242.
+// YARN point set.
 TEST(MultiCrash, BenchCampaignCountsArePinned) {
   ctyarn::YarnSystem yarn;
   const SystemReport& single = CachedReport();
   FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
                               single.profile.baseline, single.profile.normal_duration_ms);
-  MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 60, 424242);
+  MultiCrashReport report = tester.TestPairs(single.profile, single.injections, 60);
   EXPECT_EQ(report.pairs_tested, 60);
   EXPECT_EQ(report.failing.size(), 54u);
   EXPECT_EQ(report.multi_only.size(), 9u);
@@ -133,20 +133,18 @@ std::vector<std::string> RowKeys(const std::vector<PairInjectionResult>& rows) {
   return keys;
 }
 
-// Pair seeds derive from pair content, not list position, and results are
-// aggregated in pair order: a capped campaign reproduces the matching prefix
-// of a longer one row for row, and no report field depends on the thread
-// count. No mini system draws from its run seed in crash mode, so what these
-// rows pin down is the pair walk and the aggregation order.
+// A pair run is fixed by its two points alone, and results are aggregated in
+// pair order: a capped campaign reproduces the matching prefix of a longer
+// one row for row, and no report field depends on the thread count. What
+// these rows pin down is the pair walk and the aggregation order.
 TEST(MultiCrash, CappedCampaignIsPrefixAndJobsInvariant) {
   ctyarn::YarnSystem yarn;
   const SystemReport& single = CachedReport();
   FaultInjectionTester tester(&yarn, &single.crash_points, single.filter,
                               single.profile.baseline, single.profile.normal_duration_ms);
 
-  MultiCrashReport six = tester.TestPairs(single.profile, single.injections, 6, 888, /*jobs=*/1);
-  MultiCrashReport three =
-      tester.TestPairs(single.profile, single.injections, 3, 888, /*jobs=*/1);
+  MultiCrashReport six = tester.TestPairs(single.profile, single.injections, 6, /*jobs=*/1);
+  MultiCrashReport three = tester.TestPairs(single.profile, single.injections, 3, /*jobs=*/1);
   EXPECT_EQ(three.pairs_tested, 3);
   const std::vector<CrashPairCandidate> prefix =
       EnumerateCrashPairs(single.profile.dynamic_access_points, 3);
@@ -162,8 +160,7 @@ TEST(MultiCrash, CappedCampaignIsPrefixAndJobsInvariant) {
   EXPECT_EQ(RowKeys(three.failing), RowKeys(six_in_prefix));
 
   ASSERT_FALSE(six.multi_only.empty()) << "the jobs comparison needs a multi-only row";
-  MultiCrashReport parallel =
-      tester.TestPairs(single.profile, single.injections, 6, 888, /*jobs=*/4);
+  MultiCrashReport parallel = tester.TestPairs(single.profile, single.injections, 6, /*jobs=*/4);
   EXPECT_EQ(RowKeys(parallel.failing), RowKeys(six.failing));
   EXPECT_EQ(RowKeys(parallel.multi_only), RowKeys(six.multi_only));
   EXPECT_EQ(parallel.virtual_hours, six.virtual_hours);
