@@ -7,14 +7,14 @@
 // checks:
 //
 //   1. Passivity: the two SystemReports serialize byte-identically and carry
-//      the same campaign trace hash. Flow stamping, span recording and
-//      dossier capture must not perturb a single event.
-//   2. Dwell attribution: the quorum-broadcast component span absorbs >= 50%
-//      of the campaign's virtual time (ZooKeeper's only component sweep is
-//      the peer-heartbeat fan-out, and scaled quorums spend their lives
+//      the same campaign trace hash. Flow stamping, span recording, dwell
+//      marks and dossier capture must not perturb a single event.
+//   2. Dwell attribution: the quorum-broadcast component absorbs >= 50% of
+//      the campaign's virtual time (ZooKeeper's only marked sweep is the
+//      peer-heartbeat fan-out, and scaled quorums spend their lives
 //      gossiping — their superlinear chatter made visible).
-//   3. Flows: deliveries were recorded, a majority resolve to an originating
-//      span, and causal chains actually nest (max depth >= 2).
+//   3. Flows: deliveries were recorded and causal chains actually nest
+//      (max depth >= 2).
 //   4. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5
 //      lists no new ZooKeeper bugs) must emit one dossier per bug-verdict
 //      injection, each round-tripping through the crashtuner-dossier-v1
@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
       ctcore::CrashTunerDriver().Run(baseline_system, off_options);
   const double off_wall = Wall(off_start);
 
-  // Pass 2: observation on — spans, flows, and dossiers all recording.
+  // Pass 2: observation on — spans, dwell marks, flows, and dossiers all
+  // recording.
   ctzk::ZkSystem observed_system;
   observed_system.set_scale(scale);
   ctbench::BenchObservation observation(flags);
@@ -120,9 +121,9 @@ int main(int argc, char** argv) {
     total_virtual_ms = it->second.sum();
   }
   unsigned long long broadcast_dwell_ms = 0;
-  if (auto it = metrics.metrics.counters().find("component.quorum-broadcast.dwell_ms");
-      it != metrics.metrics.counters().end()) {
-    broadcast_dwell_ms = it->second;
+  if (auto it = metrics.metrics.components().find("quorum-broadcast");
+      it != metrics.metrics.components().end()) {
+    broadcast_dwell_ms = it->second.dwell_ms;
   }
   const double dwell_share =
       total_virtual_ms > 0
@@ -137,16 +138,13 @@ int main(int argc, char** argv) {
 
   // 3. Flows.
   const ctobs::FlowStats& flows = metrics.flows;
-  const bool flows_ok = flows.messages > 0 && flows.span_resolved * 2 >= flows.messages &&
-                        flows.max_depth >= 2;
-  std::printf("flows: %llu deliveries, %llu roots, %llu span-resolved, max depth %llu — %s\n",
+  const bool flows_ok = flows.messages > 0 && flows.max_depth >= 2;
+  std::printf("flows: %llu deliveries, %llu roots, max depth %llu — %s\n",
               static_cast<unsigned long long>(flows.messages),
               static_cast<unsigned long long>(flows.roots),
-              static_cast<unsigned long long>(flows.span_resolved),
               static_cast<unsigned long long>(flows.max_depth), flows_ok ? "ok" : "FAIL");
   records.Add("flows.messages", "count", flows.messages);
   records.Add("flows.roots", "count", flows.roots);
-  records.Add("flows.span_resolved", "count", flows.span_resolved);
   records.Add("flows.max_depth", "count", flows.max_depth);
   records.AddBar("flows.ok", "bool", flows_ok, "== 1", flows_ok);
 

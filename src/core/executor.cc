@@ -46,25 +46,22 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
   ctobs::RunObserver* observer = &run.context().observer();
   if (observer->enabled()) {
     // Causal-flow observation: the cluster stamps posted messages with the
-    // current span id and reports every delivery edge into the run's flow
-    // recorder. Installed only for observed runs — with no hook the cluster
-    // does no flow work at all — and passive by construction (no RNG, no
-    // scheduling), so the trace hash and SystemReport never move.
-    cluster.SetFlowHooks(
-        [observer] { return observer->current_span_id(); },
-        [observer, &loop](uint64_t flow_id, uint64_t parent_flow, uint64_t origin_span,
-                          const ctsim::Message& message) {
+    // delivery being handled and reports every delivery edge into the run's
+    // flow recorder. Installed only for observed runs — with no hook the
+    // cluster does no flow work at all — and passive by construction (no
+    // RNG, no scheduling), so the trace hash and SystemReport never move.
+    cluster.SetFlowHook(
+        [observer, &loop](uint64_t flow_id, uint64_t parent_flow, const ctsim::Message& message) {
           ctobs::FlowRecorder& flows = observer->flows();
           if (flows.full()) {
             // Past the per-run cap only the counters move: no record, no
             // string copies.
-            flows.CountDropped(parent_flow, origin_span, message.method.str());
+            flows.CountDropped(parent_flow, message.method.str());
             return;
           }
           ctobs::FlowRecord record;
           record.id = flow_id;
           record.parent = parent_flow;
-          record.origin_span = origin_span;
           record.method = message.method.str();
           record.from = message.from.str();
           record.to = message.to.str();

@@ -243,13 +243,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   summary.bug_runs = result.bug_runs;
   summary.bug_ids = result.bug_ids;
   summary.trace_hash = result.trace_hash;
-
-  if (driver_obs != nullptr) {
-    ctobs::MetricsShard& metrics = driver_obs->metrics();
-    metrics.SetGauge("fuzz.corpus_size", static_cast<int64_t>(result.corpus.size()));
-    metrics.Add("fuzz.new_coverage", static_cast<uint64_t>(result.new_keys.size()));
-    metrics.Add("fuzz.runs", static_cast<uint64_t>(result.runs));
-  }
   return result;
 }
 

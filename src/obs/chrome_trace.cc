@@ -41,9 +41,6 @@ void ChromeTraceWriter::AddCompleteEvent(int pid, int tid, const SpanEvent& even
     json_.Key("span_id").String(std::to_string(event.id));
     json_.Key("parent_span").String(std::to_string(event.parent_id));
   }
-  if (!event.component.empty()) {
-    json_.Key("component").String(event.component);
-  }
   for (const auto& [key, value] : event.args) {
     json_.Key(key).String(value);
   }

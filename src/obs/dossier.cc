@@ -1,8 +1,11 @@
 #include "src/obs/dossier.h"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <system_error>
 
 #include "src/obs/json.h"
 
@@ -24,6 +27,12 @@ std::string RequireString(const JsonValue& value, const std::string& key) {
     throw std::runtime_error("dossier: field '" + key + "' is not a string");
   }
   return found.string_value;
+}
+
+// A non-negative int field (a slot or an access point id).
+int RequireInt(const JsonValue& value, const std::string& key) {
+  return static_cast<int>(JsonInteger(Require(value, key), "dossier: field '" + key + "'", 0,
+                                      std::numeric_limits<int>::max()));
 }
 
 }  // namespace
@@ -65,12 +74,13 @@ Dossier Dossier::FromJson(const JsonValue& value) {
   }
   Dossier out;
   out.system = RequireString(value, "system");
-  const JsonValue& slot = Require(value, "slot");
-  if (!slot.is_number()) {
-    throw std::runtime_error("dossier: field 'slot' is not a number");
+  out.slot = RequireInt(value, "slot");
+  // The seed travels as a decimal string; std::stoull would wrap "-3".
+  const std::string seed = RequireString(value, "seed");
+  const auto [end, error] = std::from_chars(seed.data(), seed.data() + seed.size(), out.seed);
+  if (error != std::errc() || end != seed.data() + seed.size()) {
+    throw std::runtime_error("dossier: field 'seed' is \"" + seed + "\", not a decimal uint64");
   }
-  out.slot = static_cast<int>(slot.number_value);
-  out.seed = std::stoull(RequireString(value, "seed"));
   out.failed_invariant = RequireString(value, "failed_invariant");
   const JsonValue& points = Require(value, "injected_points");
   if (!points.is_array()) {
@@ -78,11 +88,7 @@ Dossier Dossier::FromJson(const JsonValue& value) {
   }
   for (const JsonValue& item : points.array_items) {
     DossierPoint point;
-    const JsonValue& id = Require(item, "point_id");
-    if (!id.is_number()) {
-      throw std::runtime_error("dossier: point_id is not a number");
-    }
-    point.point_id = static_cast<int>(id.number_value);
+    point.point_id = RequireInt(item, "point_id");
     point.call_string = RequireString(item, "call_string");
     point.target_node = RequireString(item, "target_node");
     point.mode = RequireString(item, "mode");

@@ -1,10 +1,9 @@
-// Causal message flows: which span sent which message, and which delivery
-// caused which.
+// Causal message flows: which delivery caused which.
 //
 // The cluster stamps every posted message with the currently-dispatching
 // flow id (the delivery being handled, 0 for a root send from a timer or
-// node start) and the originating span id read off the run observer. At
-// delivery time it allocates the next flow id and reports the edge here.
+// node start). At delivery time it allocates the next flow id and reports
+// the edge here.
 // Flow ids are assigned in delivery order by the deterministic event loop,
 // so the recorded DAG — like every other deterministic observation — is
 // byte-identical at any --jobs count.
@@ -29,12 +28,10 @@ namespace ctobs {
 
 // One delivered message. `parent` is the flow id of the delivery whose
 // handler posted this message (0 = root: a timer tick, node start, or the
-// workload driver). `origin_span` is the span id open on the run observer
-// when the message was posted (0 = no span open).
+// workload driver).
 struct FlowRecord {
   uint64_t id = 0;
   uint64_t parent = 0;
-  uint64_t origin_span = 0;
   std::string method;
   std::string from;
   std::string to;
@@ -54,24 +51,23 @@ class FlowRecorder {
   // Counts one delivery and keeps its record, or drops it once full().
   void Record(FlowRecord record) {
     if (full()) {
-      CountDropped(record.parent, record.origin_span, record.method);
+      CountDropped(record.parent, record.method);
       return;
     }
-    Count(record.parent, record.origin_span, record.method);
+    Count(record.parent, record.method);
     records_.push_back(std::move(record));
   }
 
   // What Record does with a delivery once full(), without the FlowRecord.
-  void CountDropped(uint64_t parent, uint64_t origin_span, const std::string& method) {
+  void CountDropped(uint64_t parent, const std::string& method) {
     CT_CHECK(full());
-    Count(parent, origin_span, method);
+    Count(parent, method);
     ++dropped_;
   }
 
   const std::vector<FlowRecord>& records() const { return records_; }
   uint64_t messages() const { return messages_; }
   uint64_t roots() const { return roots_; }
-  uint64_t span_resolved() const { return span_resolved_; }
   uint64_t max_depth() const { return max_depth_; }
   uint64_t dropped() const { return dropped_; }
   const std::map<std::string, uint64_t>& per_method() const { return per_method_; }
@@ -87,13 +83,10 @@ class FlowRecorder {
   bool empty() const { return messages_ == 0; }
 
  private:
-  void Count(uint64_t parent, uint64_t origin_span, const std::string& method) {
+  void Count(uint64_t parent, const std::string& method) {
     ++messages_;
     if (parent == 0) {
       ++roots_;
-    }
-    if (origin_span != 0) {
-      ++span_resolved_;
     }
     // Flow ids are allocated sequentially from 1 and a parent is always
     // delivered before its children, so depth is a single lookup.
@@ -111,7 +104,6 @@ class FlowRecorder {
   std::map<std::string, uint64_t> per_method_;
   uint64_t messages_ = 0;
   uint64_t roots_ = 0;
-  uint64_t span_resolved_ = 0;
   uint64_t max_depth_ = 0;
   uint64_t dropped_ = 0;
 };

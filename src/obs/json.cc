@@ -1,6 +1,7 @@
 #include "src/obs/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -273,6 +274,20 @@ class Parser {
 }  // namespace
 
 JsonValue ParseJson(const std::string& text) { return Parser(text).Parse(); }
+
+int64_t JsonInteger(const JsonValue& value, std::string_view field, int64_t min, int64_t max) {
+  const double number = value.number_value;
+  if (value.is_number() && number == std::floor(number) && number >= static_cast<double>(min) &&
+      number <= static_cast<double>(max)) {
+    return static_cast<int64_t>(number);
+  }
+  char shown[32] = "not a number";
+  if (value.is_number()) {
+    std::snprintf(shown, sizeof(shown), "%.17g", number);
+  }
+  throw std::runtime_error(std::string(field) + " is " + shown + ", not an integer in [" +
+                           std::to_string(min) + ", " + std::to_string(max) + "]");
+}
 
 void JsonWriter::Separate() {
   if (after_key_) {

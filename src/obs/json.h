@@ -11,6 +11,7 @@
 #define SRC_OBS_JSON_H_
 
 #include <concepts>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +40,17 @@ struct JsonValue {
 
 // Throws std::runtime_error on malformed input or trailing garbage.
 JsonValue ParseJson(const std::string& text);
+
+// The largest integer up to which a JSON number (a double) holds every
+// integer exactly: 2^53 - 1.
+inline constexpr int64_t kJsonMaxInteger = (int64_t{1} << 53) - 1;
+
+// Reads an integer field: `value` must be a number with no fractional part
+// in [min, max] (`max` no larger than kJsonMaxInteger). Otherwise throws
+// std::runtime_error naming `field`, so a negative count, a fraction or a
+// value past 2^53 fails loudly instead of wrapping or truncating in a cast.
+int64_t JsonInteger(const JsonValue& value, std::string_view field, int64_t min = 0,
+                    int64_t max = kJsonMaxInteger);
 
 // Compact JSON text, built front to back. The writer places the commas and
 // colons; the caller nests the calls: every object member is Key() then one

@@ -1,20 +1,22 @@
 // Deterministic campaign metrics.
 //
 // The injection campaign is embarrassingly parallel, and so is its
-// measurement: every run writes counters, gauges and fixed-bucket histograms
-// into its own shard, and shards are merged strictly in slot (injection
-// index) order after the pool drains — the same discipline campaign.h uses
-// for results. Because every recorded value is derived from simulator events
-// (virtual time, message counts), the aggregate is byte-identical at any
-// --jobs count; wall-clock data is kept *outside* the shard (see
-// snapshot.h) so the deterministic half of a snapshot can be diffed across
-// thread counts.
+// measurement: every run writes counters, gauges, fixed-bucket histograms
+// and component dwell into its own shard, and the campaign folds each shard
+// into its own as the run retires. Every merge is a sum, a maximum or a
+// bucket-wise histogram merge, so the fold commutes; and because every
+// recorded value is derived from simulator events (virtual time, message
+// counts), the aggregate is byte-identical at any --jobs count. Wall-clock
+// data is kept *outside* the shard (see snapshot.h) so the deterministic
+// half of a snapshot can be diffed across thread counts.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ctobs {
@@ -24,8 +26,7 @@ namespace ctobs {
 // bounds: a sample lands in the first bucket whose bound is >= the sample,
 // or in the implicit overflow bucket past the last bound. With bounds fixed
 // at construction, Merge is associative and commutative, so shard
-// aggregation order cannot change the result — we still merge in index
-// order for the doubles-free invariants to extend to future fields.
+// aggregation order cannot change the result.
 class Histogram {
  public:
   // Default bounds cover the simulator's dynamic range: 1 ms phases up to
@@ -66,43 +67,48 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-// One worker's (one run's) worth of metrics. Counters add, gauges keep the
-// maximum across merges (they record high-water marks like cluster size),
-// histograms merge bucket-wise.
+// Virtual time charged to one component by its dwell marks
+// (ctrt::MarkComponent). A mark charges the virtual time since the run's
+// previous mark to its component, so a run's dwell totals partition its
+// virtual time up to its last mark.
+struct ComponentDwell {
+  std::string role;  // model role class doing the work ("QuorumPeer")
+  uint64_t dwell_ms = 0;
+  uint64_t events = 0;  // marks
+};
+
+// One run's (or one campaign's) worth of metrics. Counters add, gauges keep
+// the maximum across merges (they record high-water marks like cluster
+// size), histograms merge bucket-wise, and component dwell and events add.
 class MetricsShard {
  public:
+  // Components are keyed by name; std::less<> lets a mark find its entry by
+  // string_view, so only a component's first mark in a shard allocates.
+  using ComponentTable = std::map<std::string, ComponentDwell, std::less<>>;
+
   void Add(const std::string& name, uint64_t delta = 1);
   void SetGauge(const std::string& name, int64_t value);
   void Observe(const std::string& name, uint64_t value);
+  // Charges `dwell_ms` and one event to `component`; the first mark of a
+  // component sets its role.
+  void AddDwell(std::string_view component, std::string_view role, uint64_t dwell_ms);
 
   uint64_t counter(const std::string& name) const;
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
   const std::map<std::string, int64_t>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
+  const ComponentTable& components() const { return components_; }
 
   void Merge(const MetricsShard& other);
-  bool empty() const { return counters_.empty() && gauges_.empty() && histograms_.empty(); }
+  bool empty() const {
+    return counters_.empty() && gauges_.empty() && histograms_.empty() && components_.empty();
+  }
 
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, int64_t> gauges_;
   std::map<std::string, Histogram> histograms_;
-};
-
-// Slot-indexed shard store for one campaign. Workers write distinct slots
-// concurrently (guarded by the caller — CampaignObserver serializes the
-// absorb); Aggregate merges the shards in ascending slot order.
-class MetricsRegistry {
- public:
-  // The shard for `slot`, created on first use.
-  MetricsShard& shard(int slot) { return shards_[slot]; }
-  const std::map<int, MetricsShard>& shards() const { return shards_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  MetricsShard Aggregate() const;
-
- private:
-  std::map<int, MetricsShard> shards_;
+  ComponentTable components_;
 };
 
 }  // namespace ctobs

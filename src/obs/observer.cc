@@ -9,46 +9,22 @@ namespace ctobs {
 
 void RunObserver::BeginSpan(SpanEvent* event) {
   event->id = ++next_span_id_;
-  event->parent_id = open_spans_.empty() ? 0 : open_spans_.back().id;
-  std::string path =
-      open_spans_.empty() ? event->name : open_spans_.back().path + "/" + event->name;
-  if (!event->component.empty()) {
-    // Charge all virtual time since the previous component-span open to this
-    // component: the dwell totals partition the run's clock advance across
-    // the instrumented sweeps, deterministically.
-    const uint64_t now = event->sim_begin_ms;
-    const uint64_t delta = now >= last_dwell_mark_ms_ ? now - last_dwell_mark_ms_ : 0;
-    metrics_.Add("component." + event->name + ".dwell_ms", delta);
-    metrics_.Add("component." + event->name + ".events");
-    last_dwell_mark_ms_ = now;
-  }
-  open_spans_.push_back(OpenSpan{event->id, std::move(path)});
+  event->parent_id = open_spans_.empty() ? 0 : open_spans_.back();
+  open_spans_.push_back(event->id);
 }
 
 void RunObserver::EndSpan(SpanEvent event) {
-  std::string path = event.name;
-  if (!open_spans_.empty() && open_spans_.back().id == event.id) {
-    path = std::move(open_spans_.back().path);
+  if (!open_spans_.empty() && open_spans_.back() == event.id) {
     open_spans_.pop_back();
   }
-  SpanAggregate& aggregate = span_tree_[path];
-  if (aggregate.count == 0) {
-    aggregate.name = event.name;
-    aggregate.component = event.component;
-  }
-  ++aggregate.count;
-  aggregate.sim_ms += event.sim_duration_ms();
-  spans_.Append(std::move(event));
+  spans_.push_back(std::move(event));
 }
 
 void CampaignObserver::AbsorbRun(int slot, RunObserver run) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (run.spans().dropped() > 0) {
-    run.metrics().Add("spans.dropped", run.spans().dropped());
-  }
-  registry_.shard(slot) = std::move(run.metrics());
+  ++runs_;
+  metrics_.Merge(run.metrics());
   spans_by_slot_[slot] = std::move(run.spans());
-  span_tree_by_slot_[slot] = run.span_tree();
   if (!run.flows().empty()) {
     flows_by_slot_[slot] = std::move(run.flows());
   }
@@ -69,30 +45,20 @@ std::vector<Dossier> CampaignObserver::dossiers() const {
   return out;
 }
 
-int CampaignObserver::runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return registry_.num_shards();
-}
-
 SystemMetrics CampaignObserver::Finalize() const {
   std::lock_guard<std::mutex> lock(mu_);
   SystemMetrics out;
   out.system = system_;
   out.jobs = jobs_;
   out.campaign_wall_seconds = campaign_wall_seconds_;
-  out.runs = registry_.num_shards();
-  out.metrics = registry_.Aggregate();
+  out.runs = runs_;
+  out.metrics = metrics_;
   // Fold spans into per-phase sim-time histograms, walking slots in index
   // order; wall durations go into the nondeterministic sidecar maps. Model-
   // named injection spans share one "phase.injection" histogram and keep
-  // their identity as per-span counters. Component spans stay out of the
-  // phase histograms — they live in the span tree and the component.*
-  // dwell counters instead.
+  // their identity as per-span counters.
   for (const auto& [slot, spans] : spans_by_slot_) {
-    for (const SpanEvent& event : spans.events()) {
-      if (event.category == "component") {
-        continue;
-      }
+    for (const SpanEvent& event : spans) {
       if (event.category == "injection") {
         out.metrics.Observe("phase.injection", event.sim_duration_ms());
         out.metrics.Add("span." + event.name);
@@ -103,50 +69,17 @@ SystemMetrics CampaignObserver::Finalize() const {
       }
     }
   }
-  // Merge per-slot span trees in slot order; the path keys give a stable
-  // lexicographic order in which parents precede their children.
-  std::map<std::string, SpanAggregate> merged_tree;
-  for (const auto& [slot, tree] : span_tree_by_slot_) {
-    for (const auto& [path, aggregate] : tree) {
-      SpanAggregate& into = merged_tree[path];
-      if (into.count == 0) {
-        into.name = aggregate.name;
-        into.component = aggregate.component;
-      }
-      into.count += aggregate.count;
-      into.sim_ms += aggregate.sim_ms;
-    }
-  }
-  std::map<std::string, int> index_of_path;
-  for (const auto& [path, aggregate] : merged_tree) {
-    SpanTreeNode node;
-    node.path = path;
-    node.name = aggregate.name;
-    node.component = aggregate.component;
-    node.count = aggregate.count;
-    node.sim_ms = aggregate.sim_ms;
-    if (path.size() > aggregate.name.size()) {
-      const std::string parent_path =
-          path.substr(0, path.size() - aggregate.name.size() - 1);
-      auto found = index_of_path.find(parent_path);
-      node.parent = found != index_of_path.end() ? found->second : -1;
-    }
-    index_of_path[path] = static_cast<int>(out.span_tree.size());
-    out.span_tree.push_back(std::move(node));
-  }
-  // Merge flow statistics in slot order (sums and a max; order-insensitive,
-  // but keep the deterministic walk anyway).
+  // Merge flow statistics (sums and a max) in slot order.
   for (const auto& [slot, flows] : flows_by_slot_) {
     out.flows.messages += flows.messages();
     out.flows.roots += flows.roots();
-    out.flows.span_resolved += flows.span_resolved();
     out.flows.max_depth = std::max(out.flows.max_depth, flows.max_depth());
     out.flows.records_dropped += flows.dropped();
     for (const auto& [method, count] : flows.per_method()) {
       out.flows.per_method[method] += count;
     }
   }
-  for (const SpanEvent& event : driver_observer_.spans().events()) {
+  for (const SpanEvent& event : driver_observer_.spans()) {
     out.driver_wall_seconds[event.name] += event.wall_seconds();
   }
   return out;
@@ -157,7 +90,7 @@ void CampaignObserver::AppendChromeTrace(ChromeTraceWriter* writer, int pid,
   std::lock_guard<std::mutex> lock(mu_);
   writer->AddProcessName(pid, process_name);
   // Driver phases on a wall axis normalized to the earliest driver span.
-  const auto& driver_events = driver_observer_.spans().events();
+  const std::vector<SpanEvent>& driver_events = driver_observer_.spans();
   if (!driver_events.empty()) {
     writer->AddThreadName(pid, 0, "driver (wall)");
     uint64_t origin_ns = driver_events.front().wall_begin_ns;
@@ -175,7 +108,7 @@ void CampaignObserver::AppendChromeTrace(ChromeTraceWriter* writer, int pid,
   for (const auto& [slot, spans] : spans_by_slot_) {
     const int tid = slot + 1;
     writer->AddThreadName(pid, tid, "run #" + std::to_string(slot) + " (virtual)");
-    for (const SpanEvent& event : spans.events()) {
+    for (const SpanEvent& event : spans) {
       writer->AddCompleteEvent(pid, tid, event, static_cast<double>(event.sim_begin_ms) * 1e3,
                                static_cast<double>(event.sim_duration_ms()) * 1e3);
     }

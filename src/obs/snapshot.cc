@@ -41,26 +41,22 @@ void WriteWallMap(JsonWriter& json, const std::map<std::string, double>& seconds
   json.EndObject();
 }
 
-void WriteSpanTree(JsonWriter& json, const std::vector<SpanTreeNode>& tree) {
-  json.BeginArray();
-  for (const SpanTreeNode& node : tree) {
-    json.BeginObject();
-    json.Key("path").String(node.path);
-    json.Key("name").String(node.name);
-    json.Key("component").String(node.component);
-    json.Key("parent").Int(node.parent);
-    json.Key("count").Int(node.count);
-    json.Key("sim_ms").Int(node.sim_ms);
+void WriteComponents(JsonWriter& json, const MetricsShard::ComponentTable& components) {
+  json.BeginObject();
+  for (const auto& [name, dwell] : components) {
+    json.Key(name).BeginObject();
+    json.Key("role").String(dwell.role);
+    json.Key("dwell_ms").Int(dwell.dwell_ms);
+    json.Key("events").Int(dwell.events);
     json.EndObject();
   }
-  json.EndArray();
+  json.EndObject();
 }
 
 void WriteFlows(JsonWriter& json, const FlowStats& flows) {
   json.BeginObject();
   json.Key("messages").Int(flows.messages);
   json.Key("roots").Int(flows.roots);
-  json.Key("span_resolved").Int(flows.span_resolved);
   json.Key("max_depth").Int(flows.max_depth);
   json.Key("records_dropped").Int(flows.records_dropped);
   WriteIntMap(json.Key("per_method"), flows.per_method);
@@ -78,7 +74,7 @@ void WriteSystem(JsonWriter& json, const SystemMetrics& system, bool include_wal
     WriteHistogram(json.Key(name), histogram);
   }
   json.EndObject();
-  WriteSpanTree(json.Key("span_tree"), system.span_tree);
+  WriteComponents(json.Key("components"), system.metrics.components());
   WriteFlows(json.Key("flows"), system.flows);
   if (include_wall) {
     const double runs_per_second =

@@ -1,8 +1,8 @@
 // Campaign metrics snapshot: the exportable form of a campaign's metrics.
 //
 // The snapshot is split along the determinism boundary. Everything derived
-// from simulator events — counters, gauges, sim-time histograms, run counts
-// — is identical at any --jobs count and serializes into the deterministic
+// from simulator events — counters, gauges, sim-time histograms, component
+// dwell, flow statistics, run counts — is identical at any --jobs count and serializes into the deterministic
 // section; wall-clock data (per-phase wall seconds, campaign wall time,
 // worker count) lives in a per-system "wall" object that
 // ToJson(include_wall=false) omits entirely. campaign_test diffs the
@@ -18,29 +18,13 @@
 
 namespace ctobs {
 
-inline constexpr const char* kSnapshotSchema = "crashtuner-metrics-v2";
-// Superseded by v2 (span hierarchy + flow statistics); ctstat rejects it
-// with a versioned error instead of misreading it.
-inline constexpr const char* kSnapshotSchemaV1 = "crashtuner-metrics-v1";
-
-// One node of the campaign-merged span tree. Nodes are ordered by their
-// '/'-joined name path, which puts every parent strictly before its
-// children; `parent` is the index of the parent node (-1 = root), so the
-// serialized form carries the hierarchy without repeating paths.
-struct SpanTreeNode {
-  std::string path;       // "workload/quorum-broadcast"
-  std::string name;       // last path segment
-  std::string component;  // model role class ("" = plain phase span)
-  int parent = -1;
-  uint64_t count = 0;
-  uint64_t sim_ms = 0;
-};
+// The tag ctstat checks; v3 carries component dwell as `components`.
+inline constexpr const char* kSnapshotSchema = "crashtuner-metrics-v3";
 
 // Campaign-merged causal-flow statistics (deterministic).
 struct FlowStats {
   uint64_t messages = 0;       // delivered messages observed
   uint64_t roots = 0;          // deliveries with no causal parent
-  uint64_t span_resolved = 0;  // deliveries whose origin span is known
   uint64_t max_depth = 0;      // longest causal chain (roots are depth 1)
   uint64_t records_dropped = 0;  // raw records past the per-run cap
   std::map<std::string, uint64_t> per_method;  // deliveries per RPC method
@@ -49,9 +33,8 @@ struct FlowStats {
 struct SystemMetrics {
   std::string system;
   int runs = 0;           // absorbed injection runs (deterministic)
-  MetricsShard metrics;   // deterministic counters/gauges/histograms
-  std::vector<SpanTreeNode> span_tree;  // deterministic
-  FlowStats flows;                      // deterministic
+  MetricsShard metrics;   // deterministic counters/gauges/histograms/components
+  FlowStats flows;        // deterministic
 
   // Wall-clock sidecar (excluded from the deterministic section).
   int jobs = 1;

@@ -19,11 +19,7 @@ uint64_t WallNowNs() {
 }  // namespace
 
 ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
-                       std::string_view category)
-    : ScopedSpan(observer, loop, name, category, std::string_view()) {}
-
-ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
-                       std::string_view category, std::string_view component) {
+                       std::string_view category) {
   if (observer == nullptr || !observer->enabled()) {
     return;
   }
@@ -31,7 +27,6 @@ ScopedSpan::ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std:
   loop_ = loop;
   event_.name = name;
   event_.category = category;
-  event_.component = component;
   event_.sim_begin_ms = loop_ != nullptr ? loop_->Now() : 0;
   event_.wall_begin_ns = WallNowNs();
   observer_->BeginSpan(&event_);

@@ -1,15 +1,13 @@
 // Phase spans: named intervals on both clocks, nested into a hierarchy.
 //
 // A SpanEvent captures one phase of one run — boot, workload, window-arm,
-// injection, recovery-check, or a component-level sweep inside a phase —
-// with its extent in *virtual* time (read off the run's event loop;
-// deterministic) and in *wall* time (steady_clock; nondeterministic, kept
-// strictly out of every hash and deterministic snapshot section). Spans
-// nest: the observer assigns ids in open order and records the id of the
-// enclosing open span as the parent, so traces are navigable below run
-// granularity. A span may also carry a `component` attribute (the model
-// role class doing the work, e.g. "QuorumPeer"); component spans are what
-// the virtual-time profiler (`ctstat --top`) attributes dwell to.
+// injection, or recovery-check — or one driver phase, with its extent in
+// *virtual* time (read off the run's event loop; deterministic) and in
+// *wall* time (steady_clock; nondeterministic, kept strictly out of every
+// hash and deterministic snapshot section). Spans nest: the observer assigns
+// ids in open order and records the id of the enclosing open span as the
+// parent, so an injection span sits under the phase it fired in. Component
+// sweeps are not spans; they are dwell marks (ctrt::MarkComponent).
 // ScopedSpan is the RAII recorder: construction opens the span, destruction
 // closes it, so a span stays correct even when the body unwinds through
 // NodeCrashedSignal.
@@ -32,8 +30,7 @@ class RunObserver;
 
 struct SpanEvent {
   std::string name;      // "boot", "workload", "inject:<model span>", ...
-  std::string category;  // "phase" | "injection" | "driver" | "component"
-  std::string component;  // model role class doing the work ("" = none)
+  std::string category;  // "phase" | "injection" | "driver"
   uint64_t id = 0;         // 1-based, assigned by the observer in open order
   uint64_t parent_id = 0;  // id of the enclosing open span (0 = root)
   uint64_t sim_begin_ms = 0;
@@ -50,33 +47,8 @@ struct SpanEvent {
   }
 };
 
-class SpanRecorder {
- public:
-  // Raw component spans are capped; the aggregate span tree (RunObserver)
-  // keeps exact counts past the cap so high-frequency component spans at
-  // scale cannot blow up per-run memory. Every other span is kept: a run
-  // opens at most five phase and injection spans, and the phase histograms
-  // and the Chrome trace are built from them.
-  static constexpr size_t kMaxEvents = 4096;
-
-  void Append(SpanEvent event) {
-    if (event.category != "component" || events_.size() < kMaxEvents) {
-      events_.push_back(std::move(event));
-    } else {
-      ++dropped_;
-    }
-  }
-  const std::vector<SpanEvent>& events() const { return events_; }
-  uint64_t dropped() const { return dropped_; }
-  bool empty() const { return events_.empty(); }
-
- private:
-  std::vector<SpanEvent> events_;
-  uint64_t dropped_ = 0;
-};
-
-// Opens a span on construction and records it into the observer's recorder
-// on destruction. A null observer, a disabled observer, or a null loop
+// Opens a span on construction and records it into the observer on
+// destruction. A null observer, a disabled observer, or a null loop
 // (driver-level spans have no virtual clock; their sim extent stays 0..0)
 // all degrade gracefully; the disabled case records nothing at all, so
 // instrumented code paths cost two branches when observability is off.
@@ -86,10 +58,6 @@ class ScopedSpan {
   // unobserved span allocates nothing.
   ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
              std::string_view category);
-  // Component-span variant: tags the span with the model role class whose
-  // work it covers and feeds the observer's per-component dwell attribution.
-  ScopedSpan(RunObserver* observer, const ctsim::EventLoop* loop, std::string_view name,
-             std::string_view category, std::string_view component);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

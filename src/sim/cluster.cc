@@ -135,10 +135,9 @@ void Cluster::Post(Message message) {
   if (IsHeartbeatMethod(message.method)) {
     ++heartbeat_messages_;
   }
-  // Causal stamps are written at post time (see SetFlowHooks).
+  // The causal stamp is written at post time (see SetFlowHook).
   if (flow_delivery_hook_) {
     message.flow = current_flow_;
-    message.origin_span = flow_origin_hook_ ? flow_origin_hook_() : 0;
   }
   if (!partitions_.empty() && LinkCut(message.from, message.to)) {
     ++plan_dropped_messages_;
@@ -176,7 +175,7 @@ void Cluster::DeliverNow(const Message& message) {
     // report the causal edge, and make this delivery the parent of anything
     // its handler posts.
     const uint64_t flow_id = ++next_flow_id_;
-    flow_delivery_hook_(flow_id, message.flow, message.origin_span, message);
+    flow_delivery_hook_(flow_id, message.flow, message);
     const uint64_t previous_flow = current_flow_;
     current_flow_ = flow_id;
     target->Dispatch(message);

@@ -110,21 +110,15 @@ class Cluster {
 
   // Causal-flow observation. When a delivery hook is installed (the executor
   // does this for observed runs only), every posted message is stamped with
-  // the flow id of the delivery being handled and the observer span id from
-  // the origin hook, and every delivery allocates the next flow id and
-  // reports ⟨id, parent flow, origin span, message⟩ to the hook. The hooks
-  // must be passive: flow ids advance with deliveries on the deterministic
-  // event loop, nothing here draws RNG or schedules events, and the stamps
-  // stay out of every hash and trace record — so observed and unobserved
-  // runs are byte-identical everywhere it counts.
-  using FlowOriginHook = std::function<uint64_t()>;
+  // the flow id of the delivery being handled, and every delivery allocates
+  // the next flow id and reports ⟨id, parent flow, message⟩ to the hook. The
+  // hook must be passive: flow ids advance with deliveries on the
+  // deterministic event loop, nothing here draws RNG or schedules events,
+  // and the stamps stay out of every hash and trace record — so observed and
+  // unobserved runs are byte-identical everywhere it counts.
   using FlowDeliveryHook =
-      std::function<void(uint64_t flow_id, uint64_t parent_flow, uint64_t origin_span,
-                         const Message& message)>;
-  void SetFlowHooks(FlowOriginHook origin, FlowDeliveryHook delivery) {
-    flow_origin_hook_ = std::move(origin);
-    flow_delivery_hook_ = std::move(delivery);
-  }
+      std::function<void(uint64_t flow_id, uint64_t parent_flow, const Message& message)>;
+  void SetFlowHook(FlowDeliveryHook delivery) { flow_delivery_hook_ = std::move(delivery); }
   bool flow_observed() const { return static_cast<bool>(flow_delivery_hook_); }
   // Flow id of the delivery currently being handled (0 between deliveries
   // or when a root context — timer, node start, shutdown — is executing).
@@ -211,7 +205,6 @@ class Cluster {
   NodeId current_node_;
   std::vector<PartitionWindow> partitions_;
   TraceRecorder* trace_ = nullptr;
-  FlowOriginHook flow_origin_hook_;
   FlowDeliveryHook flow_delivery_hook_;
   uint64_t current_flow_ = 0;
   uint64_t next_flow_id_ = 0;

@@ -87,13 +87,11 @@ struct Message {
   Symbol method;  // RPC name, e.g. "commitPending"
   ArgVec args;    // named payload fields
 
-  // Causal-flow stamps, written by the cluster only while flow observation
-  // is on (zero otherwise; never hashed or traced). `flow` is the flow id of
-  // the delivery whose handler posted this message (0 = root send from a
-  // timer, node start, or the workload driver); `origin_span` is the
-  // observer span open at post time.
+  // Causal-flow stamp, written by the cluster only while flow observation
+  // is on (zero otherwise; never hashed or traced): the flow id of the
+  // delivery whose handler posted this message (0 = root send from a timer,
+  // node start, or the workload driver).
   uint64_t flow = 0;
-  uint64_t origin_span = 0;
 
   // Reads a payload field, or empty string if missing.
   const std::string& Arg(const std::string& key) const { return args.Find(key); }

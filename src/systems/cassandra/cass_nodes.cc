@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/runtime/component_span.h"
+#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -74,7 +74,7 @@ void CassNode::OnStart() {
   ring_.push_back(id());
   log().Log(artifacts_->stmts.node_joined, {id()});
   Every(config_->gossip_ms, [this] {
-    ctrt::ComponentSpan round(&this->cluster().loop(), "gossip-round", "Gossiper");
+    ctrt::MarkComponent(this->cluster().loop(), "gossip-round", "Gossiper");
     for (const auto& peer : seeds_) {
       if (peer != id()) {
         Send(peer, "gossip", {});

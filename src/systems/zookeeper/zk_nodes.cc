@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/runtime/component_span.h"
+#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -88,7 +88,7 @@ void ZkPeer::OnStart() {
   Every(config_->gossip_ms, [this] {
     // One quorum-broadcast round: every peer heartbeats every other, so a
     // round is O(peers²) messages cluster-wide.
-    ctrt::ComponentSpan round(&this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
+    ctrt::MarkComponent(this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
     for (const auto& peer : peers_) {
       if (peer != id()) {
         Send(peer, "peerHeartbeat", {});

@@ -257,16 +257,20 @@ TEST(ParallelDeterminism, ObservationIsPassiveAndSnapshotDeterministic) {
   EXPECT_EQ(snap_seq.ToJson(/*include_wall=*/false),
             snap_par.ToJson(/*include_wall=*/false));
 
-  // The v2 additions actually recorded: a span hierarchy and causal flows.
+  // Component dwell and causal flows actually recorded: the RM's node-list
+  // refresh marks every run, and its dwell stays within the runs' virtual
+  // time.
   const ctobs::SystemMetrics& finalized = snap_seq.systems[0];
-  EXPECT_FALSE(finalized.span_tree.empty());
   EXPECT_GT(finalized.flows.messages, 0u);
-  EXPECT_GT(finalized.flows.span_resolved, 0u);
-  for (size_t i = 0; i < finalized.span_tree.size(); ++i) {
-    // Index-ordered merge: every parent precedes its children.
-    EXPECT_LT(finalized.span_tree[i].parent, static_cast<long long>(i));
-    EXPECT_GE(finalized.span_tree[i].parent, -1);
+  const auto refresh = finalized.metrics.components().find("rm.node-list-refresh");
+  ASSERT_NE(refresh, finalized.metrics.components().end());
+  EXPECT_EQ(refresh->second.role, "NodesListManager");
+  EXPECT_GT(refresh->second.events, 0u);
+  uint64_t total_dwell_ms = 0;
+  for (const auto& [name, dwell] : finalized.metrics.components()) {
+    total_dwell_ms += dwell.dwell_ms;
   }
+  EXPECT_LE(total_dwell_ms, finalized.metrics.histograms().at("run.virtual_ms").sum());
 
   // Failure dossiers are part of the deterministic observation: the same
   // failing runs produce the same dossiers at any worker count.
@@ -282,11 +286,11 @@ TEST(ParallelDeterminism, ObservationIsPassiveAndSnapshotDeterministic) {
   }
 }
 
-TEST(FlowDag, EveryDeliveredMessageResolvesToItsOriginatingSpan) {
+TEST(FlowDag, DeliveriesChainToTheirCauses) {
   // Golden-run flow check on a real campaign: run mini-YARN observed, then
   // validate the flow DAG of each absorbed run via the finalized statistics —
-  // parents always precede children (FlowRecorder depth relies on it), root
-  // count is sane, and a majority of deliveries carry an originating span.
+  // parents always precede children (FlowRecorder depth relies on it), the
+  // root count is sane, and every delivery is counted under its method.
   ctyarn::YarnSystem yarn;
   ctcore::CrashTunerDriver driver;
   ctobs::CampaignObserver observer;
@@ -300,9 +304,6 @@ TEST(FlowDag, EveryDeliveredMessageResolvesToItsOriginatingSpan) {
   EXPECT_LE(metrics.flows.roots, metrics.flows.messages);
   // Handlers send messages while handling deliveries, so chains must nest.
   EXPECT_GE(metrics.flows.max_depth, 2u);
-  // Every injection run opens phase spans around its whole lifetime, so
-  // every message posted from node code resolves to some span.
-  EXPECT_EQ(metrics.flows.span_resolved, metrics.flows.messages);
   unsigned long long per_method_total = 0;
   for (const auto& [method, count] : metrics.flows.per_method) {
     EXPECT_FALSE(method.empty());

@@ -24,8 +24,8 @@ class ProbeNode : public Node {
 };
 
 TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
-  // Every delivery carries the origin span open when it was posted, a post
-  // outside any delivery is a DAG root, and flow ids are never reused.
+  // A post outside any delivery is a DAG root, and flow ids are never
+  // reused.
   Cluster cluster;
   auto* a = cluster.AddNode<ProbeNode>("a:1");
   auto* b = cluster.AddNode<ProbeNode>("b:1");
@@ -34,14 +34,11 @@ TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
   struct Delivered {
     uint64_t flow;
     uint64_t parent;
-    uint64_t origin;
   };
   std::vector<Delivered> deliveries;
-  cluster.SetFlowHooks(
-      [] { return uint64_t{42}; },
-      [&](uint64_t flow_id, uint64_t parent_flow, uint64_t origin_span, const Message&) {
-        deliveries.push_back({flow_id, parent_flow, origin_span});
-      });
+  cluster.SetFlowHook([&](uint64_t flow_id, uint64_t parent_flow, const Message&) {
+    deliveries.push_back({flow_id, parent_flow});
+  });
   const int kMessages = 20;
   for (int i = 0; i < kMessages; ++i) {
     a->Send("b:1", "ping");
@@ -51,8 +48,7 @@ TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
   ASSERT_EQ(deliveries.size(), static_cast<size_t>(kMessages));
   std::vector<uint64_t> seen_ids;
   for (const Delivered& delivery : deliveries) {
-    EXPECT_EQ(delivery.origin, 42u);  // the span open at post time
-    EXPECT_EQ(delivery.parent, 0u);   // posted outside any delivery: DAG roots
+    EXPECT_EQ(delivery.parent, 0u);  // posted outside any delivery: DAG roots
     seen_ids.push_back(delivery.flow);
   }
   std::sort(seen_ids.begin(), seen_ids.end());

@@ -1,4 +1,4 @@
-# Runs ctstat --check --json on a valid v2 snapshot whose system name and one
+# Runs ctstat --check --json on a valid v3 snapshot whose system name and one
 # phase name hold '"' and '\'. Expects exit status 0 and a summary that
 # string(JSON) parses, with both names read back unchanged.
 #
@@ -6,10 +6,9 @@
 file(REMOVE_RECURSE "${OUT}")
 file(MAKE_DIRECTORY "${OUT}")
 file(WRITE "${OUT}/snapshot.json" [=[
-{"schema":"crashtuner-metrics-v2","systems":[{"system":"Yarn \"rm\" C:\\work","runs":1,
-"counters":{},"gauges":{},"histograms":{},"span_tree":[],
-"flows":{"messages":0,"roots":0,"span_resolved":0,"max_depth":0,"records_dropped":0,
-"per_method":{}},
+{"schema":"crashtuner-metrics-v3","systems":[{"system":"Yarn \"rm\" C:\\work","runs":1,
+"counters":{},"gauges":{},"histograms":{},"components":{},
+"flows":{"messages":0,"roots":0,"max_depth":0,"records_dropped":0,"per_method":{}},
 "wall":{"jobs":1,"campaign_seconds":2.0,"runs_per_second":0.5,
 "phases":{"boot \"cold\" a\\b":1.0},"driver":{}}}]}
 ]=])

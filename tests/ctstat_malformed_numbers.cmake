@@ -1,0 +1,41 @@
+# Runs ctstat --check on three snapshots that are valid v3 but for one
+# integer field each: a negative counter, a fractional histogram max, and a
+# bucket count past 2^53 (a JSON number cannot hold it exactly). Each must
+# exit 1 with a failure naming the field, not wrap or truncate the value.
+#
+#   cmake -DCTSTAT=<ctstat binary> -DOUT=<work dir> -P <this file>
+file(REMOVE_RECURSE "${OUT}")
+file(MAKE_DIRECTORY "${OUT}")
+
+# The snapshot with @COUNTER@, @COUNT1@ and @MAX@ substituted.
+set(template [=[
+{"schema":"crashtuner-metrics-v3","systems":[{"system":"Sys","runs":2,
+"counters":{"run.count":@COUNTER@},"gauges":{},
+"histograms":{"run.virtual_ms":{"bounds":[100,1000],"counts":[0,@COUNT1@,0],"count":2,
+"sum":1000,"max":@MAX@}},"components":{},
+"flows":{"messages":0,"roots":0,"max_depth":0,"records_dropped":0,"per_method":{}}}]}
+]=])
+
+function(expect_failure name counter count1 max want)
+  set(COUNTER "${counter}")
+  set(COUNT1 "${count1}")
+  set(MAX "${max}")
+  string(CONFIGURE "${template}" snapshot @ONLY)
+  file(WRITE "${OUT}/${name}.json" "${snapshot}")
+  execute_process(COMMAND "${CTSTAT}" "${OUT}/${name}.json" --check
+                  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT result EQUAL 1)
+    message(FATAL_ERROR "${name}: ctstat exited '${result}', want 1\n${out}${err}")
+  endif()
+  string(FIND "${out}" "${want}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${name}: no failure '${want}' in\n${out}")
+  endif()
+endfunction()
+
+expect_failure(negative -3 2 600
+  [=[systems[0]: counter "run.count" is -3, not an integer in [0, 9007199254740991]]=])
+expect_failure(fractional 2 2 2.5
+  [=[systems[0].run.virtual_ms: max is 2.5, not an integer in [0, 9007199254740991]]=])
+expect_failure(past_2_53 2 9007199254740993 600
+  [=[systems[0].run.virtual_ms: counts[1] is 9007199254740992, not an integer]=])

@@ -1,7 +1,8 @@
 // Unit tests for the observability subsystem (src/obs/): histogram bucket
-// edges and merge algebra, shard/registry aggregation order, span recording
-// against a real event loop, snapshot serialization (wall segregation), the
-// Chrome-trace writer, and the JSON reader that closes the loop.
+// edges and merge algebra, shard merges and campaign absorb order, span
+// recording against a real event loop, component dwell marks, snapshot
+// serialization (wall segregation), the Chrome-trace writer, dossiers, and
+// the JSON reader (checked integer fields included) that closes the loop.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -108,7 +109,7 @@ TEST(HistogramTest, FromPartsRoundTripsSerializedState) {
 }
 
 // ---------------------------------------------------------------------------
-// Shards and the registry
+// Shards
 
 TEST(MetricsShardTest, MergeAddsCountersAndKeepsGaugeMaxima) {
   MetricsShard a;
@@ -116,37 +117,25 @@ TEST(MetricsShardTest, MergeAddsCountersAndKeepsGaugeMaxima) {
   a.Add("runs");
   a.SetGauge("nodes", 4);
   a.Observe("latency", 7);
+  a.AddDwell("gossip-round", "Gossiper", 30);
 
   MetricsShard b;
   b.Add("runs", 3);
   b.SetGauge("nodes", 3);
   b.Observe("latency", 12);
+  b.AddDwell("gossip-round", "Gossiper", 20);
+  b.AddDwell("tick", "Ticker", 5);
 
   a.Merge(b);
   EXPECT_EQ(a.counter("runs"), 5u);
   EXPECT_EQ(a.gauges().at("nodes"), 4);  // max, not last-writer
   EXPECT_EQ(a.histograms().at("latency").count(), 2u);
   EXPECT_EQ(a.histograms().at("latency").sum(), 19u);
-}
-
-TEST(MetricsRegistryTest, AggregateIsIndependentOfInsertionOrder) {
-  // Slots filled out of order (as a jobs=N pool would) must aggregate to the
-  // same shard as in-order filling — the registry walks slots ascending.
-  ctobs::MetricsRegistry scrambled;
-  ctobs::MetricsRegistry ordered;
-  for (int slot : {3, 0, 2, 1}) {
-    scrambled.shard(slot).Add("slot.hits", static_cast<uint64_t>(slot + 1));
-    scrambled.shard(slot).Observe("virtual_ms", static_cast<uint64_t>(100 * slot));
-  }
-  for (int slot : {0, 1, 2, 3}) {
-    ordered.shard(slot).Add("slot.hits", static_cast<uint64_t>(slot + 1));
-    ordered.shard(slot).Observe("virtual_ms", static_cast<uint64_t>(100 * slot));
-  }
-  const MetricsShard a = scrambled.Aggregate();
-  const MetricsShard b = ordered.Aggregate();
-  EXPECT_EQ(a.counter("slot.hits"), 10u);
-  EXPECT_EQ(a.counters(), b.counters());
-  ExpectSame(a.histograms().at("virtual_ms"), b.histograms().at("virtual_ms"));
+  ASSERT_EQ(a.components().size(), 2u);
+  EXPECT_EQ(a.components().at("gossip-round").role, "Gossiper");
+  EXPECT_EQ(a.components().at("gossip-round").dwell_ms, 50u);
+  EXPECT_EQ(a.components().at("gossip-round").events, 2u);
+  EXPECT_EQ(a.components().at("tick").dwell_ms, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +151,8 @@ TEST(SpanTest, ScopedSpanRecordsBothClocksFromTheEventLoop) {
     span.AddArg("point", "p1");
     loop.RunToCompletion();  // advances virtual time to 250
   }
-  ASSERT_EQ(observer.spans().events().size(), 1u);
-  const ctobs::SpanEvent& event = observer.spans().events()[0];
+  ASSERT_EQ(observer.spans().size(), 1u);
+  const ctobs::SpanEvent& event = observer.spans()[0];
   EXPECT_EQ(event.name, "workload");
   EXPECT_EQ(event.category, "phase");
   EXPECT_EQ(event.sim_begin_ms, 0u);
@@ -193,101 +182,66 @@ TEST(SpanTest, NestedSpansGetSequentialIdsAndParents) {
   {
     ctobs::ScopedSpan outer(&observer, &loop, "workload", "phase");
     EXPECT_EQ(outer.id(), 1u);
-    EXPECT_EQ(observer.current_span_id(), 1u);
     {
-      ctobs::ScopedSpan inner(&observer, &loop, "quorum-broadcast", "component",
-                              "QuorumPeer");
+      ctobs::ScopedSpan inner(&observer, &loop, "inject:rm.register-node", "injection");
       EXPECT_EQ(inner.id(), 2u);
-      EXPECT_EQ(observer.current_span_id(), 2u);
     }
-    EXPECT_EQ(observer.current_span_id(), 1u);
   }
-  EXPECT_EQ(observer.current_span_id(), 0u);
+  {
+    ctobs::ScopedSpan next(&observer, &loop, "recovery-check", "phase");
+    EXPECT_EQ(next.id(), 3u);
+  }
   // Inner closes first, so it is recorded first.
-  ASSERT_EQ(observer.spans().events().size(), 2u);
-  const ctobs::SpanEvent& inner = observer.spans().events()[0];
-  const ctobs::SpanEvent& outer = observer.spans().events()[1];
-  EXPECT_EQ(inner.name, "quorum-broadcast");
+  ASSERT_EQ(observer.spans().size(), 3u);
+  const ctobs::SpanEvent& inner = observer.spans()[0];
+  const ctobs::SpanEvent& outer = observer.spans()[1];
+  const ctobs::SpanEvent& next = observer.spans()[2];
+  EXPECT_EQ(inner.name, "inject:rm.register-node");
   EXPECT_EQ(inner.parent_id, outer.id);
-  EXPECT_EQ(inner.component, "QuorumPeer");
   EXPECT_EQ(outer.parent_id, 0u);
-  // The path-keyed aggregate tree carries the hierarchy exactly, with the
-  // parent path lexicographically before the child's.
-  ASSERT_EQ(observer.span_tree().size(), 2u);
-  EXPECT_EQ(observer.span_tree().count("workload"), 1u);
-  EXPECT_EQ(observer.span_tree().count("workload/quorum-broadcast"), 1u);
-  EXPECT_EQ(observer.span_tree().at("workload/quorum-broadcast").component, "QuorumPeer");
+  EXPECT_EQ(next.parent_id, 0u);  // the stack popped back to the root
 }
 
-TEST(SpanTest, ComponentSpansPartitionVirtualTimeIntoDwell) {
-  ctsim::EventLoop loop;
+TEST(SpanTest, DwellMarksPartitionVirtualTime) {
   ctobs::RunObserver observer;
   observer.Enable();
-  loop.Schedule(100, [] {});
-  loop.RunToCompletion();  // now = 100
-  {
-    // Opening a component span charges the time since the last mark (run
-    // start) to this sweep: 100 ms.
-    ctobs::ScopedSpan sweep(&observer, &loop, "gossip-round", "component", "Gossiper");
-  }
-  loop.Schedule(150, [] {});
-  loop.RunToCompletion();  // now = 250
-  {
-    ctobs::ScopedSpan sweep(&observer, &loop, "gossip-round", "component", "Gossiper");
-  }
-  EXPECT_EQ(observer.metrics().counter("component.gossip-round.dwell_ms"), 250u);
-  EXPECT_EQ(observer.metrics().counter("component.gossip-round.events"), 2u);
-}
-
-TEST(SpanTest, RawEventCapDropsButAggregatesStayExact) {
-  ctsim::EventLoop loop;
-  ctobs::RunObserver observer;
-  observer.Enable();
-  const size_t total = ctobs::SpanRecorder::kMaxEvents + 10;
-  {
-    // The phase span closes after its component children, past the cap;
-    // the cap applies to component spans only, so the phase is kept.
-    ctobs::ScopedSpan workload(&observer, &loop, "workload", "phase");
-    for (size_t i = 0; i < total; ++i) {
-      ctobs::ScopedSpan span(&observer, &loop, "tick", "component", "Ticker");
-    }
-  }
-  EXPECT_EQ(observer.spans().events().size(), ctobs::SpanRecorder::kMaxEvents + 1);
-  EXPECT_EQ(observer.spans().dropped(), 10u);
-  EXPECT_EQ(observer.span_tree().at("workload/tick").count, total);
-  EXPECT_EQ(observer.metrics().counter("component.tick.events"), total);
-
-  ctobs::CampaignObserver campaign;
-  campaign.AbsorbRun(0, observer);
-  const ctobs::SystemMetrics metrics = campaign.Finalize();
-  EXPECT_EQ(metrics.metrics.histograms().at("phase.workload").count(), 1u);
-  EXPECT_EQ(metrics.metrics.counters().at("spans.dropped"), 10u);
+  // Each mark charges the time since the previous mark (or the run start)
+  // to its own component: 100 ms, then 150 ms to gossip-round, then 50 ms
+  // to tick. No span is recorded.
+  observer.MarkComponent(100, "gossip-round", "Gossiper");
+  observer.MarkComponent(250, "gossip-round", "Gossiper");
+  observer.MarkComponent(300, "tick", "Ticker");
+  const MetricsShard::ComponentTable& components = observer.metrics().components();
+  ASSERT_EQ(components.size(), 2u);
+  EXPECT_EQ(components.at("gossip-round").role, "Gossiper");
+  EXPECT_EQ(components.at("gossip-round").dwell_ms, 250u);
+  EXPECT_EQ(components.at("gossip-round").events, 2u);
+  EXPECT_EQ(components.at("tick").dwell_ms, 50u);
+  EXPECT_EQ(components.at("tick").events, 1u);
+  EXPECT_TRUE(observer.spans().empty());
 }
 
 // ---------------------------------------------------------------------------
 // Flow recorder
 
-ctobs::FlowRecord MakeFlow(uint64_t id, uint64_t parent, uint64_t origin_span,
-                           const std::string& method) {
+ctobs::FlowRecord MakeFlow(uint64_t id, uint64_t parent, const std::string& method) {
   ctobs::FlowRecord record;
   record.id = id;
   record.parent = parent;
-  record.origin_span = origin_span;
   record.method = method;
   record.from = "a";
   record.to = "b";
   return record;
 }
 
-TEST(FlowRecorderTest, TracksDepthRootsAndSpanResolution) {
+TEST(FlowRecorderTest, TracksDepthAndRoots) {
   ctobs::FlowRecorder flows;
-  flows.Record(MakeFlow(1, 0, 5, "gossip"));    // root, from span 5
-  flows.Record(MakeFlow(2, 1, 5, "writeRow"));  // caused by delivery 1
-  flows.Record(MakeFlow(3, 2, 0, "rowAck"));    // caused by delivery 2, no span
-  flows.Record(MakeFlow(4, 0, 0, "gossip"));    // independent root
+  flows.Record(MakeFlow(1, 0, "gossip"));    // root
+  flows.Record(MakeFlow(2, 1, "writeRow"));  // caused by delivery 1
+  flows.Record(MakeFlow(3, 2, "rowAck"));    // caused by delivery 2
+  flows.Record(MakeFlow(4, 0, "gossip"));    // independent root
   EXPECT_EQ(flows.messages(), 4u);
   EXPECT_EQ(flows.roots(), 2u);
-  EXPECT_EQ(flows.span_resolved(), 2u);
   EXPECT_EQ(flows.max_depth(), 3u);
   EXPECT_EQ(flows.DepthOf(1), 1u);
   EXPECT_EQ(flows.DepthOf(3), 3u);
@@ -302,7 +256,7 @@ TEST(FlowRecorderTest, RecordCapDropsRawRecordsButCountsExactly) {
   ctobs::FlowRecorder flows;
   const uint64_t total = ctobs::FlowRecorder::kMaxRecords + 7;
   for (uint64_t i = 1; i <= total; ++i) {
-    flows.Record(MakeFlow(i, i - 1, 0, "tick"));  // one long causal chain
+    flows.Record(MakeFlow(i, i - 1, "tick"));  // one long causal chain
   }
   EXPECT_EQ(flows.records().size(), ctobs::FlowRecorder::kMaxRecords);
   EXPECT_EQ(flows.dropped(), 7u);
@@ -365,6 +319,30 @@ TEST(DossierTest, RejectsWrongSchemaAndMissingFields) {
   EXPECT_THROW(ctobs::Dossier::FromJsonText("not json"), std::runtime_error);
 }
 
+TEST(DossierTest, RejectsMalformedIntegers) {
+  const std::string json = MakeDossier().ToJson();
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string copy = json;
+    const size_t at = copy.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return copy.replace(at, from.size(), to);
+  };
+  // A negative slot, a fractional point id, a slot past 2^53 (which a JSON
+  // number cannot hold exactly) and a negative seed string all throw instead
+  // of being cast or wrapped.
+  for (const std::string& bad :
+       {with("\"slot\":12", "\"slot\":-3"), with("\"point_id\":7", "\"point_id\":2.5"),
+        with("\"slot\":12", "\"slot\":9007199254740993"),
+        with("\"seed\":\"" + std::to_string(MakeDossier().seed) + "\"", "\"seed\":\"-3\"")}) {
+    EXPECT_THROW(ctobs::Dossier::FromJsonText(bad), std::runtime_error) << bad;
+  }
+  try {
+    ctobs::Dossier::FromJsonText(with("\"slot\":12", "\"slot\":-3"));
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("'slot'"), std::string::npos) << error.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Campaign observer + snapshot + trace
 
@@ -395,6 +373,43 @@ TEST(CampaignObserverTest, FinalizeFoldsSpansIntoPhaseHistograms) {
   // per-span counter carrying the model's span name.
   EXPECT_EQ(metrics.metrics.histograms().at("phase.injection").count(), 1u);
   EXPECT_EQ(metrics.metrics.counters().at("span.inject:rm.register-node"), 1u);
+}
+
+TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
+  // Slots absorbed out of order (as a jobs=N pool would) must give the same
+  // deterministic snapshot as in-order absorption: every shard fold commutes.
+  auto absorb = [](std::initializer_list<int> slots) {
+    ctobs::CampaignObserver campaign;
+    campaign.set_system("TestSys");
+    for (int slot : slots) {
+      ctsim::EventLoop loop;
+      loop.Schedule(static_cast<ctsim::Time>(10 * (slot + 1)), [] {});
+      ctobs::RunObserver run;
+      run.Enable();
+      {
+        ctobs::ScopedSpan span(&run, &loop, "boot", "phase");
+        loop.RunToCompletion();
+      }
+      run.MarkComponent(loop.Now(), slot % 2 == 0 ? "gossip-round" : "tick",
+                        slot % 2 == 0 ? "Gossiper" : "Ticker");
+      run.metrics().Add("slot.hits", static_cast<uint64_t>(slot + 1));
+      run.metrics().SetGauge("slot.max", slot);
+      run.metrics().Observe("run.virtual_ms", loop.Now());
+      run.flows().Record(MakeFlow(1, 0, slot % 2 == 0 ? "gossip" : "tick"));
+      campaign.AbsorbRun(slot, std::move(run));
+    }
+    ctobs::MetricsSnapshot snapshot;
+    snapshot.systems.push_back(campaign.Finalize());
+    return snapshot.ToJson(/*include_wall=*/false);
+  };
+  const std::string ordered = absorb({0, 1, 2, 3});
+  EXPECT_EQ(absorb({3, 0, 2, 1}), ordered);
+  const ctobs::JsonValue system = ctobs::ParseJson(ordered).Find("systems")->array_items.at(0);
+  EXPECT_EQ(system.Find("runs")->number_value, 4.0);
+  EXPECT_EQ(system.Find("counters")->Find("slot.hits")->number_value, 10.0);
+  EXPECT_EQ(system.Find("gauges")->Find("slot.max")->number_value, 3.0);
+  EXPECT_EQ(system.Find("components")->Find("tick")->Find("dwell_ms")->number_value,
+            20.0 + 40.0);
 }
 
 TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
@@ -459,7 +474,7 @@ TEST(ChromeTraceTest, TraceJsonParsesAndCarriesSpans) {
   EXPECT_TRUE(found_span);
 }
 
-TEST(SnapshotTest, V2CarriesSpanTreeAndFlowsInDeterministicSection) {
+TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
   ctsim::EventLoop loop;
   loop.Schedule(30, [] {});
   ctobs::CampaignObserver campaign;
@@ -468,20 +483,16 @@ TEST(SnapshotTest, V2CarriesSpanTreeAndFlowsInDeterministicSection) {
   run.Enable();
   {
     ctobs::ScopedSpan outer(&run, &loop, "workload", "phase");
-    ctobs::ScopedSpan inner(&run, &loop, "gossip-round", "component", "Gossiper");
     loop.RunToCompletion();
+    run.MarkComponent(loop.Now(), "gossip-round", "Gossiper");
   }
-  run.flows().Record(MakeFlow(1, 0, 1, "gossip"));
-  run.flows().Record(MakeFlow(2, 1, 2, "gossip"));
+  run.flows().Record(MakeFlow(1, 0, "gossip"));
+  run.flows().Record(MakeFlow(2, 1, "gossip"));
   campaign.AbsorbRun(0, run);
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
-  ASSERT_EQ(metrics.span_tree.size(), 2u);
-  EXPECT_EQ(metrics.span_tree[0].path, "workload");
-  EXPECT_EQ(metrics.span_tree[0].parent, -1);
-  EXPECT_EQ(metrics.span_tree[1].path, "workload/gossip-round");
-  EXPECT_EQ(metrics.span_tree[1].parent, 0);  // index of "workload"
-  EXPECT_EQ(metrics.span_tree[1].component, "Gossiper");
+  ASSERT_EQ(metrics.metrics.components().size(), 1u);
+  EXPECT_EQ(metrics.metrics.components().at("gossip-round").dwell_ms, 30u);
   EXPECT_EQ(metrics.flows.messages, 2u);
   EXPECT_EQ(metrics.flows.roots, 1u);
   EXPECT_EQ(metrics.flows.max_depth, 2u);
@@ -491,12 +502,15 @@ TEST(SnapshotTest, V2CarriesSpanTreeAndFlowsInDeterministicSection) {
   // Both sections live in the deterministic half: present without wall.
   const std::string without_wall = snapshot.ToJson(/*include_wall=*/false);
   const ctobs::JsonValue parsed = ctobs::ParseJson(without_wall);
-  EXPECT_EQ(parsed.Find("schema")->string_value, ctobs::kSnapshotSchema);
+  EXPECT_EQ(parsed.Find("schema")->string_value, "crashtuner-metrics-v3");
   const ctobs::JsonValue& system = parsed.Find("systems")->array_items.at(0);
-  const ctobs::JsonValue* span_tree = system.Find("span_tree");
-  ASSERT_NE(span_tree, nullptr);
-  ASSERT_EQ(span_tree->array_items.size(), 2u);
-  EXPECT_EQ(span_tree->array_items[1].Find("parent")->number_value, 0.0);
+  const ctobs::JsonValue* components = system.Find("components");
+  ASSERT_NE(components, nullptr);
+  const ctobs::JsonValue* gossip = components->Find("gossip-round");
+  ASSERT_NE(gossip, nullptr);
+  EXPECT_EQ(gossip->Find("role")->string_value, "Gossiper");
+  EXPECT_EQ(gossip->Find("dwell_ms")->number_value, 30.0);
+  EXPECT_EQ(gossip->Find("events")->number_value, 1.0);
   const ctobs::JsonValue* flows = system.Find("flows");
   ASSERT_NE(flows, nullptr);
   EXPECT_EQ(flows->Find("messages")->number_value, 2.0);
@@ -507,9 +521,9 @@ TEST(ChromeTraceTest, FlowArrowsLinkParentAndChildDeliveries) {
   ctobs::CampaignObserver campaign;
   ctobs::RunObserver run;
   run.Enable();
-  ctobs::FlowRecord parent = MakeFlow(1, 0, 0, "gossip");
+  ctobs::FlowRecord parent = MakeFlow(1, 0, "gossip");
   parent.sim_ms = 10;
-  ctobs::FlowRecord child = MakeFlow(2, 1, 0, "writeRow");
+  ctobs::FlowRecord child = MakeFlow(2, 1, "writeRow");
   child.sim_ms = 25;
   run.flows().Record(parent);
   run.flows().Record(child);
@@ -554,6 +568,27 @@ TEST(JsonTest, ParsesScalarsContainersAndEscapes) {
   EXPECT_TRUE(value.Find("c")->bool_value);
   EXPECT_EQ(value.Find("d")->kind, ctobs::JsonValue::Kind::kNull);
   EXPECT_EQ(value.Find("missing"), nullptr);
+}
+
+TEST(JsonTest, IntegerFieldsAreCheckedNotCast) {
+  const ctobs::JsonValue value = ctobs::ParseJson(
+      "[42,-3,2.5,9007199254740991,9007199254740993,\"7\",-7]");
+  const std::vector<ctobs::JsonValue>& items = value.array_items;
+  EXPECT_EQ(ctobs::JsonInteger(items[0], "count"), 42);
+  EXPECT_EQ(ctobs::JsonInteger(items[3], "count"), ctobs::kJsonMaxInteger);
+  EXPECT_EQ(ctobs::JsonInteger(items[6], "gauge", -10, 10), -7);
+  // Negative, fractional, past 2^53, and not a number at all.
+  for (size_t bad : {1u, 2u, 4u, 5u}) {
+    EXPECT_THROW(ctobs::JsonInteger(items[bad], "count"), std::runtime_error) << bad;
+  }
+  EXPECT_THROW(ctobs::JsonInteger(items[0], "jobs", 1, 8), std::runtime_error);
+  try {
+    ctobs::JsonInteger(items[1], "counter \"run.count\"");
+    ADD_FAILURE() << "-3 read as a count";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "counter \"run.count\" is -3, not an integer in [0, 9007199254740991]");
+  }
 }
 
 TEST(JsonTest, RejectsMalformedInput) {

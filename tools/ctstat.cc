@@ -8,19 +8,19 @@
 // injection/outcome counters, and the runs-per-second throughput line.
 //
 // --top answers "where does the virtual time go?": the per-component dwell
-// table built from the component.<span>.dwell_ms counters, each row's share
-// of the campaign's total virtual time (the run.virtual_ms histogram sum).
+// table from the snapshot's `components` object, each row's share of the
+// campaign's total virtual time (the run.virtual_ms histogram sum).
 //
 // --flows prints the causal message-flow statistics: delivered messages,
-// root sends, span-resolution rate, maximum causal chain depth, and the
-// per-method delivery table.
+// root sends, maximum causal chain depth, and the per-method delivery table.
 //
 // --check validates the file instead of merely rendering it: schema tag
-// (crashtuner-metrics-v2; a v1 file is rejected with a versioned error),
-// non-empty system list, histogram shape (ascending bounds, counts ==
-// bounds+overflow, bucket counts summing to `count`), span-tree shape
-// (parents precede children, indices in range), flow-section shape,
-// wall-section consistency, and phase completeness (phase.workload and
+// (crashtuner-metrics-v3), non-empty system list, every integer field an
+// integer in range (no negative count, fraction or value past 2^53),
+// histogram shape (ascending bounds, counts == bounds+overflow, bucket
+// counts summing to `count`), components (a non-empty role, total dwell no
+// larger than the run.virtual_ms sum), flow-section shape, wall-section
+// consistency, and phase completeness (phase.workload and
 // phase.recovery-check hold as many samples as phase.boot). Exit code 0
 // only when every check passes — CI runs this on the snapshot the
 // observability stage produces.
@@ -31,8 +31,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,19 +49,16 @@ struct ParsedHistogram {
   ctobs::Histogram histogram = ctobs::Histogram();
 };
 
-struct ParsedSpanNode {
-  std::string path;
+struct ParsedComponent {
   std::string name;
-  std::string component;
-  long long parent = -1;
-  unsigned long long count = 0;
-  unsigned long long sim_ms = 0;
+  std::string role;
+  unsigned long long dwell_ms = 0;
+  unsigned long long events = 0;
 };
 
 struct ParsedFlows {
   unsigned long long messages = 0;
   unsigned long long roots = 0;
-  unsigned long long span_resolved = 0;
   unsigned long long max_depth = 0;
   unsigned long long records_dropped = 0;
   std::map<std::string, unsigned long long> per_method;
@@ -71,7 +70,7 @@ struct ParsedSystem {
   std::vector<std::pair<std::string, unsigned long long>> counters;
   std::vector<std::pair<std::string, long long>> gauges;
   std::vector<ParsedHistogram> histograms;
-  std::vector<ParsedSpanNode> span_tree;
+  std::vector<ParsedComponent> components;
   ParsedFlows flows;
   bool has_wall = false;
   int jobs = 0;
@@ -93,6 +92,19 @@ struct Checker {
 
   void Fail(const std::string& where, const std::string& what) {
     failures.push_back(where + ": " + what);
+  }
+
+  // Reads an integer field through ctobs::JsonInteger. A value that is not
+  // an integer in [min, max] is a failure naming the field, and reads as 0.
+  int64_t Integer(const ctobs::JsonValue& value, const std::string& where,
+                  const std::string& field, int64_t min = 0,
+                  int64_t max = ctobs::kJsonMaxInteger) {
+    try {
+      return ctobs::JsonInteger(value, field, min, max);
+    } catch (const std::runtime_error& error) {
+      Fail(where, error.what());
+      return 0;
+    }
   }
 };
 
@@ -121,9 +133,24 @@ bool LoadHistogram(const std::string& name, const ctobs::JsonValue& json,
       !counts_json->is_array()) {
     return false;
   }
+  const size_t failures_before = checker->failures.size();
   std::vector<uint64_t> bounds;
-  for (const auto& item : bounds_json->array_items) {
-    bounds.push_back(static_cast<uint64_t>(item.number_value));
+  for (size_t i = 0; i < bounds_json->array_items.size(); ++i) {
+    bounds.push_back(checker->Integer(bounds_json->array_items[i], where,
+                                      "bounds[" + std::to_string(i) + "]"));
+  }
+  std::vector<uint64_t> counts;
+  uint64_t total = 0;
+  for (size_t i = 0; i < counts_json->array_items.size(); ++i) {
+    counts.push_back(checker->Integer(counts_json->array_items[i], where,
+                                      "counts[" + std::to_string(i) + "]"));
+    total += counts.back();
+  }
+  const uint64_t count = checker->Integer(*count_json, where, "count");
+  const uint64_t sum = checker->Integer(*sum_json, where, "sum");
+  const uint64_t max = checker->Integer(*max_json, where, "max");
+  if (checker->failures.size() > failures_before) {
+    return false;
   }
   if (bounds.empty()) {
     checker->Fail(where, "empty bounds");
@@ -135,24 +162,16 @@ bool LoadHistogram(const std::string& name, const ctobs::JsonValue& json,
       return false;
     }
   }
-  std::vector<uint64_t> counts;
-  uint64_t total = 0;
-  for (const auto& item : counts_json->array_items) {
-    counts.push_back(static_cast<uint64_t>(item.number_value));
-    total += counts.back();
-  }
   if (counts.size() != bounds.size() + 1) {
     checker->Fail(where, "counts must have one entry per bound plus overflow");
     return false;
   }
-  if (total != static_cast<uint64_t>(count_json->number_value)) {
+  if (total != count) {
     checker->Fail(where, "bucket counts do not sum to \"count\"");
     return false;
   }
   out->name = name;
-  out->histogram = ctobs::Histogram::FromParts(
-      std::move(bounds), std::move(counts), static_cast<uint64_t>(sum_json->number_value),
-      static_cast<uint64_t>(max_json->number_value));
+  out->histogram = ctobs::Histogram::FromParts(std::move(bounds), std::move(counts), sum, max);
   if (out->histogram.count() > 0 && out->histogram.sum() < out->histogram.max()) {
     checker->Fail(where, "sum below max");
   }
@@ -174,14 +193,7 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
   const ctobs::JsonValue* schema = Require(root, "schema", "root", checker);
   if (schema != nullptr) {
     snapshot.schema = schema->string_value;
-    if (snapshot.schema == ctobs::kSnapshotSchemaV1) {
-      checker->Fail("root", "schema is \"" + snapshot.schema +
-                                "\" — a v1 snapshot from an older build; this ctstat "
-                                "reads \"" +
-                                ctobs::kSnapshotSchema +
-                                "\" (span_tree + flows). Regenerate the snapshot with "
-                                "the current --metrics-out writer.");
-    } else if (snapshot.schema != ctobs::kSnapshotSchema) {
+    if (snapshot.schema != ctobs::kSnapshotSchema) {
       checker->Fail("root", "schema is \"" + snapshot.schema + "\", expected \"" +
                                 ctobs::kSnapshotSchema + "\"");
     }
@@ -213,20 +225,19 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
     }
     const ctobs::JsonValue* runs = Require(json, "runs", where, checker);
     if (runs != nullptr) {
-      system.runs = static_cast<long long>(runs->number_value);
-      if (system.runs < 0) {
-        checker->Fail(where, "negative run count");
-      }
+      system.runs = checker->Integer(*runs, where, "runs");
     }
     if (const ctobs::JsonValue* counters = json.Find("counters")) {
       for (const auto& [counter, value] : counters->object_items) {
-        system.counters.emplace_back(counter,
-                                     static_cast<unsigned long long>(value.number_value));
+        system.counters.emplace_back(
+            counter, checker->Integer(value, where, "counter \"" + counter + "\""));
       }
     }
     if (const ctobs::JsonValue* gauges = json.Find("gauges")) {
       for (const auto& [gauge, value] : gauges->object_items) {
-        system.gauges.emplace_back(gauge, static_cast<long long>(value.number_value));
+        system.gauges.emplace_back(gauge, checker->Integer(value, where,
+                                                           "gauge \"" + gauge + "\"",
+                                                           -ctobs::kJsonMaxInteger));
       }
     }
     if (const ctobs::JsonValue* histograms = json.Find("histograms")) {
@@ -238,13 +249,16 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
         }
       }
     }
-    // Every observed run opens boot, workload and recovery-check once, and
-    // boot closes before any component span opens, so the three phases hold
-    // equal sample counts (a missing histogram holds none). A shortfall means
-    // phase spans were lost.
+    // Every observed run opens boot, workload and recovery-check once, so the
+    // three phases hold equal sample counts (a missing histogram holds none).
+    // A shortfall means phase spans were lost.
     std::map<std::string, uint64_t> phase_samples;
+    uint64_t total_virtual_ms = 0;
     for (const ParsedHistogram& parsed : system.histograms) {
       phase_samples[parsed.name] = parsed.histogram.count();
+      if (parsed.name == "run.virtual_ms") {
+        total_virtual_ms = parsed.histogram.sum();
+      }
     }
     for (const std::string phase : {"phase.workload", "phase.recovery-check"}) {
       if (phase_samples[phase] != phase_samples["phase.boot"]) {
@@ -253,48 +267,43 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
                                  std::to_string(phase_samples["phase.boot"]));
       }
     }
-    const ctobs::JsonValue* span_tree = Require(json, "span_tree", where, checker);
-    if (span_tree != nullptr) {
-      if (!span_tree->is_array()) {
-        checker->Fail(where, "\"span_tree\" is not an array");
+    // Each dwell mark charges virtual time up to its own instant, so the
+    // dwell totals never exceed the runs' virtual time.
+    const ctobs::JsonValue* components = Require(json, "components", where, checker);
+    if (components != nullptr) {
+      if (!components->is_object()) {
+        checker->Fail(where, "\"components\" is not an object");
       } else {
-        for (size_t n = 0; n < span_tree->array_items.size(); ++n) {
-          const ctobs::JsonValue& node_json = span_tree->array_items[n];
-          const std::string node_where = where + ".span_tree[" + std::to_string(n) + "]";
-          if (!node_json.is_object()) {
-            checker->Fail(node_where, "not an object");
+        uint64_t total_dwell_ms = 0;
+        for (const auto& [name, entry] : components->object_items) {
+          const std::string component_where = where + ".components." + name;
+          if (!entry.is_object()) {
+            checker->Fail(component_where, "not an object");
             continue;
           }
-          ParsedSpanNode node;
-          if (const ctobs::JsonValue* path = Require(node_json, "path", node_where, checker)) {
-            node.path = path->string_value;
+          ParsedComponent component;
+          component.name = name;
+          if (const ctobs::JsonValue* role = Require(entry, "role", component_where, checker)) {
+            component.role = role->string_value;
+            if (component.role.empty()) {
+              checker->Fail(component_where, "empty role");
+            }
           }
-          if (const ctobs::JsonValue* nm = Require(node_json, "name", node_where, checker)) {
-            node.name = nm->string_value;
+          if (const ctobs::JsonValue* dwell =
+                  Require(entry, "dwell_ms", component_where, checker)) {
+            component.dwell_ms = checker->Integer(*dwell, component_where, "dwell_ms");
           }
-          if (const ctobs::JsonValue* component = node_json.Find("component")) {
-            node.component = component->string_value;
+          if (const ctobs::JsonValue* events =
+                  Require(entry, "events", component_where, checker)) {
+            component.events = checker->Integer(*events, component_where, "events");
           }
-          if (const ctobs::JsonValue* parent =
-                  Require(node_json, "parent", node_where, checker)) {
-            node.parent = static_cast<long long>(parent->number_value);
-          }
-          if (const ctobs::JsonValue* count = Require(node_json, "count", node_where, checker)) {
-            node.count = static_cast<unsigned long long>(count->number_value);
-          }
-          if (const ctobs::JsonValue* sim = Require(node_json, "sim_ms", node_where, checker)) {
-            node.sim_ms = static_cast<unsigned long long>(sim->number_value);
-          }
-          if (node.path.empty() || node.name.empty()) {
-            checker->Fail(node_where, "empty span path or name");
-          }
-          // Parents are emitted before their children, so a parent index must
-          // point strictly earlier in the array (or be -1 for a root).
-          if (node.parent < -1 || node.parent >= static_cast<long long>(n)) {
-            checker->Fail(node_where, "parent index " + std::to_string(node.parent) +
-                                          " does not precede node " + std::to_string(n));
-          }
-          system.span_tree.push_back(std::move(node));
+          total_dwell_ms += component.dwell_ms;
+          system.components.push_back(std::move(component));
+        }
+        if (total_dwell_ms > total_virtual_ms) {
+          checker->Fail(where, "component dwell totals " + std::to_string(total_dwell_ms) +
+                                   " ms, more than the run.virtual_ms sum " +
+                                   std::to_string(total_virtual_ms));
         }
       }
     }
@@ -306,27 +315,22 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
         const std::string flow_where = where + ".flows";
         auto load_flow_count = [&](const char* key, unsigned long long* out) {
           if (const ctobs::JsonValue* value = Require(*flows, key, flow_where, checker)) {
-            if (value->number_value < 0) {
-              checker->Fail(flow_where, std::string("negative \"") + key + "\"");
-            }
-            *out = static_cast<unsigned long long>(value->number_value);
+            *out = checker->Integer(*value, flow_where, key);
           }
         };
         load_flow_count("messages", &system.flows.messages);
         load_flow_count("roots", &system.flows.roots);
-        load_flow_count("span_resolved", &system.flows.span_resolved);
         load_flow_count("max_depth", &system.flows.max_depth);
         load_flow_count("records_dropped", &system.flows.records_dropped);
-        if (system.flows.roots > system.flows.messages ||
-            system.flows.span_resolved > system.flows.messages) {
-          checker->Fail(flow_where, "roots/span_resolved exceed total messages");
+        if (system.flows.roots > system.flows.messages) {
+          checker->Fail(flow_where, "roots exceed total messages");
         }
         if (const ctobs::JsonValue* per_method =
                 Require(*flows, "per_method", flow_where, checker)) {
           unsigned long long method_total = 0;
           for (const auto& [method, count] : per_method->object_items) {
             system.flows.per_method[method] =
-                static_cast<unsigned long long>(count.number_value);
+                checker->Integer(count, flow_where, "per_method \"" + method + "\"");
             method_total += system.flows.per_method[method];
           }
           if (method_total != system.flows.messages) {
@@ -338,10 +342,8 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
     if (const ctobs::JsonValue* wall = json.Find("wall")) {
       system.has_wall = true;
       if (const ctobs::JsonValue* jobs = wall->Find("jobs")) {
-        system.jobs = static_cast<int>(jobs->number_value);
-        if (system.jobs < 1) {
-          checker->Fail(where, "wall.jobs below 1");
-        }
+        system.jobs = static_cast<int>(
+            checker->Integer(*jobs, where, "wall.jobs", 1, std::numeric_limits<int>::max()));
       }
       if (const ctobs::JsonValue* seconds = wall->Find("campaign_seconds")) {
         system.campaign_seconds = seconds->number_value;
@@ -427,11 +429,11 @@ void PrintSystem(const ParsedSystem& system) {
   }
 }
 
-// --top: the virtual-time profiler view. Every component-span open charges
-// the millis since the previous component mark to component.<span>.dwell_ms,
-// so the counters partition each run's virtual time across the declared
-// component sweeps; the share column divides by the campaign's total virtual
-// time (run.virtual_ms histogram sum).
+// --top: the virtual-time profiler view. Every dwell mark charges the millis
+// since the run's previous mark to its component, so the dwell totals
+// partition each run's virtual time across the marked component sweeps; the
+// share column divides by the campaign's total virtual time (run.virtual_ms
+// histogram sum).
 void PrintTop(const ParsedSystem& system) {
   std::printf("\n%s — where does the virtual time go?\n", system.system.c_str());
   unsigned long long total_virtual_ms = 0;
@@ -440,58 +442,22 @@ void PrintTop(const ParsedSystem& system) {
       total_virtual_ms = parsed.histogram.sum();
     }
   }
-  struct TopRow {
-    std::string component;
-    unsigned long long dwell_ms = 0;
-    unsigned long long events = 0;
-  };
-  std::map<std::string, TopRow> rows;
-  const std::string prefix = "component.";
-  const std::string dwell_suffix = ".dwell_ms";
-  const std::string events_suffix = ".events";
-  for (const auto& [name, value] : system.counters) {
-    if (name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    if (name.size() > dwell_suffix.size() &&
-        name.compare(name.size() - dwell_suffix.size(), dwell_suffix.size(), dwell_suffix) ==
-            0) {
-      const std::string span =
-          name.substr(prefix.size(), name.size() - prefix.size() - dwell_suffix.size());
-      rows[span].dwell_ms = value;
-    } else if (name.size() > events_suffix.size() &&
-               name.compare(name.size() - events_suffix.size(), events_suffix.size(),
-                            events_suffix) == 0) {
-      const std::string span =
-          name.substr(prefix.size(), name.size() - prefix.size() - events_suffix.size());
-      rows[span].events = value;
-    }
-  }
-  // The span tree knows which role class each component span covers.
-  for (auto& [span, row] : rows) {
-    for (const ParsedSpanNode& node : system.span_tree) {
-      if (node.name == span && !node.component.empty()) {
-        row.component = node.component;
-        break;
-      }
-    }
-  }
-  if (rows.empty()) {
+  if (system.components.empty()) {
     std::printf("  (no component spans recorded — run with observation on)\n");
     return;
   }
-  std::vector<std::pair<std::string, TopRow>> sorted(rows.begin(), rows.end());
+  std::vector<ParsedComponent> sorted = system.components;
   std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second.dwell_ms != b.second.dwell_ms) {
-      return a.second.dwell_ms > b.second.dwell_ms;
+    if (a.dwell_ms != b.dwell_ms) {
+      return a.dwell_ms > b.dwell_ms;
     }
-    return a.first < b.first;
+    return a.name < b.name;
   });
   std::printf("  total virtual time %llu ms across %lld runs\n", total_virtual_ms,
               system.runs);
   std::printf("  %-28s %-22s %12s %10s %8s\n", "component span", "role class", "dwell(ms)",
               "events", "share");
-  for (const auto& [span, row] : sorted) {
+  for (const ParsedComponent& row : sorted) {
     char share_cell[16];
     if (total_virtual_ms > 0) {
       std::snprintf(share_cell, sizeof(share_cell), "%6.1f%%",
@@ -500,7 +466,7 @@ void PrintTop(const ParsedSystem& system) {
     } else {
       std::snprintf(share_cell, sizeof(share_cell), "%7s", "-");
     }
-    std::printf("  %-28s %-22s %12llu %10llu %8s\n", span.c_str(), row.component.c_str(),
+    std::printf("  %-28s %-22s %12llu %10llu %8s\n", row.name.c_str(), row.role.c_str(),
                 row.dwell_ms, row.events, share_cell);
   }
 }
@@ -513,12 +479,8 @@ void PrintFlows(const ParsedSystem& system) {
     std::printf("  (no flow records — run with observation on)\n");
     return;
   }
-  const double resolved_share =
-      100.0 * static_cast<double>(flows.span_resolved) / static_cast<double>(flows.messages);
-  std::printf("  deliveries %llu | roots %llu | span-resolved %llu (%.1f%%) | "
-              "max depth %llu | records dropped %llu\n",
-              flows.messages, flows.roots, flows.span_resolved, resolved_share,
-              flows.max_depth, flows.records_dropped);
+  std::printf("  deliveries %llu | roots %llu | max depth %llu | records dropped %llu\n",
+              flows.messages, flows.roots, flows.max_depth, flows.records_dropped);
   std::vector<std::pair<std::string, unsigned long long>> methods(flows.per_method.begin(),
                                                                   flows.per_method.end());
   std::sort(methods.begin(), methods.end(), [](const auto& a, const auto& b) {
