@@ -171,45 +171,6 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
     }
   }
 
-  // Declared multi-crash pairs must be armable end to end: both points in
-  // range and executable (a trigger needs a runtime hook), and both anchors
-  // statically reachable — above all the second, whose trigger is re-armed
-  // mid-recovery and silently never fires if no workload path reaches it.
-  for (size_t i = 0; i < model.multi_crash_pairs().size(); ++i) {
-    const ctmodel::MultiCrashPairDecl& pair = model.multi_crash_pairs()[i];
-    const std::string subject = "pair#" + std::to_string(i) + " (" +
-                                std::to_string(pair.first_point) + " -> " +
-                                std::to_string(pair.second_point) + ")";
-    bool in_range = true;
-    for (const auto& [role, id] : {std::pair<const char*, int>{"first", pair.first_point},
-                                   {"second", pair.second_point}}) {
-      if (id < 0 || id >= num_points) {
-        report("static-pair-unreachable", subject,
-               std::string(role) + " point id is out of range");
-        in_range = false;
-      }
-    }
-    if (!in_range) {
-      continue;
-    }
-    for (const auto& [role, id] : {std::pair<const char*, int>{"first", pair.first_point},
-                                   {"second", pair.second_point}}) {
-      const ctmodel::AccessPointDecl& point = model.access_point(id);
-      if (!point.executable) {
-        report("static-pair-unreachable", subject,
-               std::string(role) + " point " + PointSubject(point) +
-                   " is not executable — no runtime hook to arm");
-        continue;
-      }
-      const std::string anchor = ctmodel::ProgramModel::ContextMethodOf(point);
-      if (!graph.IsReachable(anchor)) {
-        report("static-pair-unreachable", subject,
-               std::string(role) + " point anchor '" + anchor +
-                   "' is unreachable from every entry point");
-      }
-    }
-  }
-
   // Declared network-fault windows must be triggerable: an armable anchor
   // point (in range, executable, statically reachable), a positive partition
   // window, and a bug id giving the window its ground truth.
@@ -242,94 +203,10 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
     }
   }
 
-  // Span declarations must be well-formed, and every fault window the model
-  // declares — both points of each multi-crash pair and each network-fault
-  // window's anchor — must map to a declared observability span, so campaign
-  // traces render those injections under a stable human-readable name rather
-  // than a raw frame string.
-  std::set<std::string> span_names;
-  for (size_t i = 0; i < model.spans().size(); ++i) {
-    const ctmodel::SpanDecl& span = model.spans()[i];
-    const std::string subject = "span#" + std::to_string(i) + " ('" + span.name + "')";
-    if (span.name.empty()) {
-      report("window-without-span-anchor", subject, "span has an empty name");
-    } else if (!span_names.insert(span.name).second) {
-      report("window-without-span-anchor", subject,
-             "span name '" + span.name + "' is declared more than once");
-    }
-    if (model.FindMethod(span.method) == nullptr) {
-      report("window-without-span-anchor", subject,
-             "span method '" + span.method + "' is not a declared method");
-    }
-  }
-  auto require_span = [&](const std::string& subject, int point_id) {
-    if (point_id < 0 || point_id >= num_points) {
-      return;  // the range violation is already reported by the window checks
-    }
-    const ctmodel::AccessPointDecl& point = model.access_point(point_id);
-    if (!point.executable) {
-      return;  // ditto: un-armable windows are someone else's finding
-    }
-    const std::string anchor = ctmodel::ProgramModel::ContextMethodOf(point);
-    if (model.FindSpanForMethod(anchor) == nullptr) {
-      report("window-without-span-anchor", subject,
-             "anchor method '" + anchor + "' has no declared span (AddSpan)");
-    }
-  };
-  for (size_t i = 0; i < model.multi_crash_pairs().size(); ++i) {
-    const ctmodel::MultiCrashPairDecl& pair = model.multi_crash_pairs()[i];
-    const std::string subject = "pair#" + std::to_string(i) + " (" +
-                                std::to_string(pair.first_point) + " -> " +
-                                std::to_string(pair.second_point) + ")";
-    require_span(subject, pair.first_point);
-    require_span(subject, pair.second_point);
-  }
-  for (size_t i = 0; i < model.network_fault_windows().size(); ++i) {
-    const ctmodel::NetworkFaultWindowDecl& window = model.network_fault_windows()[i];
-    require_span("netwindow#" + std::to_string(i) + " (point " +
-                     std::to_string(window.point) + ")",
-                 window.point);
-  }
-
-  // Component attribution must be grounded both ways: a span's component must
-  // name a class that can actually appear on a stack (otherwise `ctstat --top`
-  // charges dwell to a phantom role), and every replicated role the fuzz
-  // grammar kills or shuts down must own at least one component span
-  // (otherwise its recovery sweeps are invisible to the profiler).
-  std::set<std::string> span_components;
-  for (size_t i = 0; i < model.spans().size(); ++i) {
-    const ctmodel::SpanDecl& span = model.spans()[i];
-    if (span.component.empty()) {
-      continue;
-    }
-    span_components.insert(span.component);
-    if (model.MethodsOf(span.component).empty()) {
-      report("component-without-span",
-             "span#" + std::to_string(i) + " ('" + span.name + "')",
-             "component '" + span.component + "' names no declared class with "
-             "methods — dwell would be attributed to a role that cannot appear "
-             "on any stack");
-    }
-  }
-  for (const auto& op : model.grammar_ops()) {
-    if (op.kind != ctmodel::GrammarOpKind::kCrash &&
-        op.kind != ctmodel::GrammarOpKind::kShutdown) {
-      continue;
-    }
-    if (op.target_class.empty() || span_components.count(op.target_class) > 0) {
-      continue;
-    }
-    report("component-without-span", "grammar-op '" + op.name + "'",
-           "killed role '" + op.target_class + "' has no component span — its "
-           "recovery sweeps would be invisible to ctstat --top");
-  }
-
   // Scale invariance: declarations must not embed concrete node indices or
   // host:port instances. The --scale knob multiplies replicated roles, so a
   // decl naming one concrete member ("rserver3.open") matches only the first
-  // replica of a scaled deployment and quietly under-counts the rest. Span
-  // notes are exempt: they are prose for humans, not matched against runtime
-  // state.
+  // replica of a scaled deployment and quietly under-counts the rest.
   for (const auto& point : model.access_points()) {
     for (const std::string* token : {&point.clazz, &point.method, &point.context_method}) {
       if (EmbedsConcreteNodeIndex(*token)) {
@@ -337,18 +214,6 @@ LintResult LintModel(const ctmodel::ProgramModel& model) {
                "'" + *token + "' embeds a concrete node index — declare the role, "
                "not one deployment member");
         break;  // one finding per point is enough to act on
-      }
-    }
-  }
-  for (size_t i = 0; i < model.spans().size(); ++i) {
-    const ctmodel::SpanDecl& span = model.spans()[i];
-    for (const std::string* token : {&span.name, &span.method}) {
-      if (EmbedsConcreteNodeIndex(*token)) {
-        report("scale-invariant-decl",
-               "span#" + std::to_string(i) + " ('" + span.name + "')",
-               "'" + *token + "' embeds a concrete node index — declare the role, "
-               "not one deployment member");
-        break;
       }
     }
   }

@@ -28,12 +28,6 @@
 //                        method (its frame could never be on a stack)
 //   unreachable-io-point executable IO point whose callsite the call graph
 //                        cannot reach from any entry point
-//   static-pair-unreachable
-//                        model-declared multi-crash pair whose points cannot
-//                        both be armed: an out-of-range or non-executable
-//                        point, or (chiefly) a second point whose anchor the
-//                        call graph cannot reach — the re-armed trigger would
-//                        never fire and the declared scenario is untestable
 //   network-window-invalid
 //                        model-declared network-fault window that cannot
 //                        trigger: an out-of-range, non-executable, or
@@ -42,7 +36,7 @@
 //                        dropped); or an empty bug id (the window would have
 //                        no ground truth to assert against)
 //   scale-invariant-decl
-//                        access point or span whose class, method or name
+//                        access point whose class, method or context method
 //                        embeds a concrete node index or host:port instance —
 //                        under --scale it would match only one replica of a
 //                        replicated role
@@ -52,22 +46,6 @@
 //                        no methods — the generated op would be unroutable;
 //                        also malformed shape (duplicate/empty name, missing
 //                        victim prefix, non-positive weight, empty window)
-//   window-without-span-anchor
-//                        malformed span declaration (empty or duplicate name,
-//                        undeclared method), or a declared fault window —
-//                        either point of a multi-crash pair, or a
-//                        network-fault window's anchor — whose armable anchor
-//                        method has no SpanDecl: its injection phase would
-//                        render in campaign traces under a raw frame string
-//                        instead of the model's vocabulary
-//   component-without-span
-//                        span declaring a component that names no declared
-//                        class with methods (the profiler would attribute
-//                        dwell to a role that cannot appear on any stack), or
-//                        a replicated role the fuzz grammar kills/shuts down
-//                        (a crash/shutdown op's target_class) with no
-//                        component span at all — its recovery sweeps would be
-//                        invisible to `ctstat --top`
 //
 // `tools/ctlint` runs this over all five shipped models in CI.
 #ifndef SRC_ANALYSIS_MODEL_LINT_H_

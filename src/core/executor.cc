@@ -55,7 +55,7 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
           ctobs::FlowRecorder& flows = observer->flows();
           if (flows.full()) {
             // Past the per-run cap only the counters move: no record, no
-            // string copies.
+            // string copy.
             flows.CountDropped(parent_flow, message.method.str());
             return;
           }
@@ -63,8 +63,6 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
           record.id = flow_id;
           record.parent = parent_flow;
           record.method = message.method.str();
-          record.from = message.from.str();
-          record.to = message.to.str();
           record.sim_ms = loop.Now();
           flows.Record(std::move(record));
         });

@@ -131,13 +131,11 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   if (observer_ != nullptr && trace_slot >= 0) {
     run_observer->Enable();
   }
-  // Injection spans carry the model's vocabulary: the anchor frame of the
-  // armed point, renamed by a SpanDecl when the model declares one.
-  const ctmodel::ProgramModel& model = system_->model();
-  std::string anchor = ctmodel::ProgramModel::ContextMethodOf(model.access_point(point.point_id));
-  const ctmodel::SpanDecl* span_decl = model.FindSpanForMethod(anchor);
+  // Injection spans are named after the anchor frame of the armed point, a
+  // declared method that ctlint keeps reachable.
   const std::string injection_span_name =
-      "inject:" + (span_decl != nullptr ? span_decl->name : anchor);
+      "inject:" +
+      ctmodel::ProgramModel::ContextMethodOf(system_->model().access_point(point.point_id));
 
   std::optional<StashFeed> feed;
   {
@@ -165,7 +163,6 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     // NodeCrashedSignal unwinding through here still ends the span.
     ctobs::ScopedSpan inject(run_observer, &cluster.loop(), injection_span_name, "injection");
     inject.AddArg("point", std::to_string(point.point_id));
-    inject.AddArg("anchor", anchor);
     inject.AddArg("target", *target);
     Strike(cluster, *target, point.point_id, kind);
   });

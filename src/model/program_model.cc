@@ -1,7 +1,5 @@
 #include "src/model/program_model.h"
 
-#include <set>
-
 #include "src/common/check.h"
 
 namespace ctmodel {
@@ -48,35 +46,11 @@ int ProgramModel::AddIoPoint(IoPointDecl point) {
   return io_points_.back().id;
 }
 
-void ProgramModel::AddMultiCrashPair(MultiCrashPairDecl pair) {
-  multi_crash_pairs_.push_back(std::move(pair));
-}
-
 void ProgramModel::AddNetworkFaultWindow(NetworkFaultWindowDecl window) {
   network_fault_windows_.push_back(std::move(window));
 }
 
-void ProgramModel::AddSpan(SpanDecl span) { spans_.push_back(std::move(span)); }
-
 void ProgramModel::AddGrammarOp(GrammarOpDecl op) { grammar_ops_.push_back(std::move(op)); }
-
-const GrammarOpDecl* ProgramModel::FindGrammarOp(const std::string& name) const {
-  for (const auto& op : grammar_ops_) {
-    if (op.name == name) {
-      return &op;
-    }
-  }
-  return nullptr;
-}
-
-const SpanDecl* ProgramModel::FindSpanForMethod(const std::string& method) const {
-  for (const auto& span : spans_) {
-    if (span.method == method) {
-      return &span;
-    }
-  }
-  return nullptr;
-}
 
 const TypeDecl* ProgramModel::FindType(const std::string& name) const {
   auto it = type_index_.find(name);
@@ -103,11 +77,6 @@ std::string ProgramModel::ContextMethodOf(const AccessPointDecl& point) {
 const AccessPointDecl& ProgramModel::access_point(int id) const {
   CT_CHECK(id >= 0 && id < static_cast<int>(access_points_.size()));
   return access_points_[id];
-}
-
-const IoPointDecl& ProgramModel::io_point(int id) const {
-  CT_CHECK(id >= 0 && id < static_cast<int>(io_points_.size()));
-  return io_points_[id];
 }
 
 bool ProgramModel::IsSubtypeOf(const std::string& name, const std::string& ancestor) const {
@@ -150,31 +119,11 @@ std::vector<std::string> ProgramModel::CollectionsOf(const std::string& name) co
   return out;
 }
 
-std::vector<const FieldDecl*> ProgramModel::FieldsOf(const std::string& clazz) const {
-  std::vector<const FieldDecl*> out;
-  for (const auto& field : fields_) {
-    if (field.clazz == clazz) {
-      out.push_back(&field);
-    }
-  }
-  return out;
-}
-
 std::vector<const MethodDecl*> ProgramModel::MethodsOf(const std::string& clazz) const {
   std::vector<const MethodDecl*> out;
   for (const auto& method : methods_) {
     if (method.clazz == clazz) {
       out.push_back(&method);
-    }
-  }
-  return out;
-}
-
-std::vector<const AccessPointDecl*> ProgramModel::PointsOn(const std::string& field_id) const {
-  std::vector<const AccessPointDecl*> out;
-  for (const auto& point : access_points_) {
-    if (point.field_id == field_id) {
-      out.push_back(&point);
     }
   }
   return out;

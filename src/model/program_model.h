@@ -123,51 +123,18 @@ struct IoPointDecl {
   bool executable = false;
 };
 
-// A model-declared multi-crash scenario: crash at the first access point,
-// then re-arm and crash at the second during the recovery it started. These
-// are hypotheses the system authors consider worth the quadratic search;
-// ctlint's static-pair-unreachable check verifies both points are actually
-// armable (executable, with statically reachable anchors).
-struct MultiCrashPairDecl {
-  int first_point = -1;
-  int second_point = -1;
-  std::string note;  // the recovery window the pair targets
-};
-
 // A model-declared network-fault bug window: when the anchor access point
 // fires in network-fault mode, the resolved node is partitioned from the
 // cluster for `partition_ms` (long enough for the failure detector to expire
 // it) and then healed — the message-race variant of crash-on-appearance.
 // `bug_id` names the seeded message-race bug the window is expected to
-// expose; ctlint's network-window-unreachable check verifies the anchor is
+// expose; ctlint's network-window-invalid check verifies the anchor is
 // armable and the window well-formed.
 struct NetworkFaultWindowDecl {
   int point = -1;            // anchor access point (armed like a crash point)
   uint64_t partition_ms = 0; // isolation window before the heal
   std::string bug_id;        // expected message-race bug (known-bug table id)
   std::string note;          // the race the window targets
-};
-
-// A model-declared observability span: a stable human-readable name for the
-// injection phase anchored at `method` (the ContextMethodOf an access point).
-// The campaign observer labels each injection span "inject:<name>" so traces
-// read in the system's vocabulary instead of raw frame strings. ctlint's
-// window-without-span-anchor check requires every multi-crash pair point and
-// network-fault window anchor to resolve to a declared span. A span may also
-// name the `component` (a declared role class, e.g. "QuorumPeer") whose hot
-// path it covers: component spans are what the virtual-time profiler
-// attributes dwell to, and ctlint's component-without-span check requires
-// the class to exist and every fuzz-killable role to have one.
-struct SpanDecl {
-  SpanDecl() = default;
-  SpanDecl(std::string name, std::string method, std::string note,
-           std::string component = "")
-      : name(std::move(name)), method(std::move(method)), note(std::move(note)),
-        component(std::move(component)) {}
-  std::string name;       // e.g. "rm.register-node"
-  std::string method;     // anchor frame, "Class.method"
-  std::string note;       // what the phase covers (docs only)
-  std::string component;  // role class whose hot path this span covers ("")
 };
 
 // How a fuzz-grammar op acts on the running cluster.
@@ -219,9 +186,7 @@ class ProgramModel {
   void BindLog(LogBinding binding);
   void AddIoMethod(IoMethodDecl method);
   int AddIoPoint(IoPointDecl point);
-  void AddMultiCrashPair(MultiCrashPairDecl pair);
   void AddNetworkFaultWindow(NetworkFaultWindowDecl window);
-  void AddSpan(SpanDecl span);
   void AddGrammarOp(GrammarOpDecl op);
 
   // --- Queries -------------------------------------------------------------
@@ -229,17 +194,10 @@ class ProgramModel {
   const FieldDecl* FindField(const std::string& id) const;
   const MethodDecl* FindMethod(const std::string& id) const;
   const AccessPointDecl& access_point(int id) const;
-  const IoPointDecl& io_point(int id) const;
 
   // Innermost runtime frame for an access point: context_method if set,
   // otherwise "clazz.method".
   static std::string ContextMethodOf(const AccessPointDecl& point);
-
-  // First span declared for `method`, or null.
-  const SpanDecl* FindSpanForMethod(const std::string& method) const;
-
-  // Grammar op by name, or null.
-  const GrammarOpDecl* FindGrammarOp(const std::string& name) const;
 
   // True if `name` equals `ancestor` or transitively extends it.
   bool IsSubtypeOf(const std::string& name, const std::string& ancestor) const;
@@ -247,12 +205,8 @@ class ProgramModel {
   std::vector<std::string> SubtypesOf(const std::string& name) const;
   // Collection types having `name` among their element types.
   std::vector<std::string> CollectionsOf(const std::string& name) const;
-  // Fields declared by class `clazz`.
-  std::vector<const FieldDecl*> FieldsOf(const std::string& clazz) const;
   // Methods declared by class `clazz`.
   std::vector<const MethodDecl*> MethodsOf(const std::string& clazz) const;
-  // All access points touching `field_id`.
-  std::vector<const AccessPointDecl*> PointsOn(const std::string& field_id) const;
 
   const std::vector<TypeDecl>& types() const { return types_; }
   const std::vector<FieldDecl>& fields() const { return fields_; }
@@ -262,11 +216,9 @@ class ProgramModel {
   const std::vector<LogBinding>& log_bindings() const { return log_bindings_; }
   const std::vector<IoMethodDecl>& io_methods() const { return io_methods_; }
   const std::vector<IoPointDecl>& io_points() const { return io_points_; }
-  const std::vector<MultiCrashPairDecl>& multi_crash_pairs() const { return multi_crash_pairs_; }
   const std::vector<NetworkFaultWindowDecl>& network_fault_windows() const {
     return network_fault_windows_;
   }
-  const std::vector<SpanDecl>& spans() const { return spans_; }
   const std::vector<GrammarOpDecl>& grammar_ops() const { return grammar_ops_; }
 
   // Table 10 / Table 8 totals.
@@ -278,9 +230,7 @@ class ProgramModel {
   int NumIoClasses() const;
   int NumIoMethods() const { return static_cast<int>(io_methods_.size()); }
   int NumIoPoints() const { return static_cast<int>(io_points_.size()); }
-  int NumMultiCrashPairs() const { return static_cast<int>(multi_crash_pairs_.size()); }
   int NumNetworkFaultWindows() const { return static_cast<int>(network_fault_windows_.size()); }
-  int NumSpans() const { return static_cast<int>(spans_.size()); }
   int NumGrammarOps() const { return static_cast<int>(grammar_ops_.size()); }
 
  private:
@@ -296,9 +246,7 @@ class ProgramModel {
   std::vector<LogBinding> log_bindings_;
   std::vector<IoMethodDecl> io_methods_;
   std::vector<IoPointDecl> io_points_;
-  std::vector<MultiCrashPairDecl> multi_crash_pairs_;
   std::vector<NetworkFaultWindowDecl> network_fault_windows_;
-  std::vector<SpanDecl> spans_;
   std::vector<GrammarOpDecl> grammar_ops_;
 };
 

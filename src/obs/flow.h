@@ -33,8 +33,6 @@ struct FlowRecord {
   uint64_t id = 0;
   uint64_t parent = 0;
   std::string method;
-  std::string from;
-  std::string to;
   uint64_t sim_ms = 0;
 
   bool is_root() const { return parent == 0; }

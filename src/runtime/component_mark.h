@@ -5,9 +5,12 @@
 // role class doing the work. It charges the virtual time since the run's
 // previous mark to that component and counts one event (see
 // ctobs::RunObserver::MarkComponent); `ctstat --top` renders the totals.
-// The observer comes off the thread-bound RunContext (the executor binds it
-// for the duration of the run), so node code needs no plumbing and an
-// unobserved run pays one thread-local read and one branch.
+// The role must be a model class with methods, and every role the fuzz
+// grammar kills needs a mark; campaign_test's ComponentMarks case checks
+// both on each system's observed campaign. The observer comes off the
+// thread-bound RunContext (the executor binds it for the duration of the
+// run), so node code needs no plumbing and an unobserved run pays one
+// thread-local read and one branch.
 //
 // Usage, at the top of a node handler or timer body:
 //   ctrt::MarkComponent(loop(), "quorum-broadcast", "QuorumPeer");

@@ -92,7 +92,6 @@ CassArtifacts* Build() {
   add_method("HintsService", "write");
   add_method("StorageService", "handleStateNormal");
   add_method("Gossiper", "markAlive");
-  add_method("Gossiper", "gossipRound");
   // Gossip state application dispatches NORMAL transitions to the storage
   // service and flips endpoints alive on heartbeat echoes.
   model.AddCallEdge({"Gossiper.applyStateLocally", "StorageService.handleStateNormal",
@@ -150,17 +149,6 @@ CassArtifacts* Build() {
   spec.seed = 0xca;
   ctmodel::PopulateCatalog(&model, spec);
 
-  // Multi-crash hypotheses: a second peer dies while gossip/hints are still
-  // converging on the first death.
-  model.AddMultiCrashPair(
-      {artifacts->points.coordinator_ring_read, artifacts->points.gossip_state_write,
-       "replica lost under the coordinator's ring read (CA-15131), second peer lost "
-       "while gossip is still propagating the first death"});
-  model.AddMultiCrashPair(
-      {artifacts->points.gossip_state_write, artifacts->points.hint_store_write,
-       "peer lost during a gossip state update, hint target lost while hints for the "
-       "first death are being stored"});
-
   // Network-fault window: partition the gossiping peer across markDead
   // (gossip fd 1500 ms + sweep), then heal — its resumed gossip is applied
   // without the restart/generation check (the CASSANDRA-15158 class of
@@ -169,24 +157,6 @@ CassArtifacts* Build() {
       {artifacts->points.gossip_state_write, 1900, "CA-15158",
        "peer partitioned across its own markDead, re-announced state applied "
        "without a generation check"});
-
-  // Observability spans for the declared fault windows (campaign traces
-  // label the injections "inject:<name>"; ctlint keeps the set complete).
-  model.AddSpan({"coordinator.write", "StorageProxy.performWrite",
-                 "coordinator write against the replica ring"});
-  model.AddSpan({"gossip.apply-state", "Gossiper.applyStateLocally",
-                 "gossip digest application on a peer"});
-  model.AddSpan({"hints.store", "HintsService.write",
-                 "hint storage for an unreachable replica"});
-  // Recovery-phase anchors of the remaining executable crash points, so every
-  // injection is labelled "inject:<span>" in campaign traces, not by a raw
-  // frame.
-  model.AddSpan({"coordinator.read", "StorageProxy.readRegular",
-                 "coordinator read against the replica ring"});
-  // Component span on its own anchor method (no existing injection anchor
-  // changes): one gossip fan-out round, the role the fuzz grammar kills.
-  model.AddSpan({"gossip-round", "Gossiper.gossipRound",
-                 "one gossip digest fan-out round across the seeds", "Gossiper"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's

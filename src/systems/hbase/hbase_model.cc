@@ -114,7 +114,6 @@ HBaseArtifacts* Build() {
   add_method("MasterRpcServices", "getClusterStatus", /*entry=*/true);
   add_method("HMaster", "finishActiveMasterInitialization", /*entry=*/true);
   add_method("ServerCrashProcedure", "execute", /*entry=*/true);
-  add_method("ServerCrashProcedure", "expireServer");
   add_method("LoadBalancer", "balanceCluster", /*entry=*/true);
   add_method("ReplicationZKWatcher", "refreshPeers", /*entry=*/true);
   add_method("HRegionServer", "initializeMetrics", /*entry=*/true);
@@ -197,17 +196,6 @@ HBaseArtifacts* Build() {
   spec.seed = 0xb5;
   ctmodel::PopulateCatalog(&model, spec);
 
-  // Multi-crash hypotheses: a second RegionServer (or the fresh master) dies
-  // while the cluster is still reassigning after the first crash.
-  model.AddMultiCrashPair(
-      {artifacts->points.master_online_write, artifacts->points.master_activate_read,
-       "RS lost as the master records it online, master itself lost so the backup "
-       "activates over the half-updated server list (HBASE-22041 then HBASE-22017)"});
-  model.AddMultiCrashPair(
-      {artifacts->points.master_balancer_read, artifacts->points.rs_open_rebalance_write,
-       "RS lost under the balancer's region scan, destination RS lost while opening "
-       "the moved region (HBASE-22050 stuck-region window)"});
-
   // Network-fault bug window. The balancer scan is the anchor because it is
   // the earliest read whose value resolves to a region server *after* that
   // server holds a ZK session (rs_zk_register_ms = 3600 ms): the partition
@@ -217,36 +205,6 @@ HBaseArtifacts* Build() {
       {artifacts->points.master_balancer_read, 2500, "HBASE-22862",
        "RS partitioned under the balancer scan, session expired, heals and heartbeats "
        "into the quorum without reconnecting"});
-
-  // Observability spans for the declared fault windows (campaign traces
-  // label the injections "inject:<name>"; ctlint keeps the set complete).
-  model.AddSpan({"master.rs-report", "ServerManager.regionServerReport",
-                 "RS report recording the server online"});
-  model.AddSpan({"master.activate", "HMaster.finishActiveMasterInitialization",
-                 "backup master activation over the recovered server list"});
-  model.AddSpan({"master.balance", "LoadBalancer.balanceCluster",
-                 "balancer scan over the online region servers"});
-  model.AddSpan({"rs.open-region", "HRegion.openRegionRebalance",
-                 "destination RS opening a region moved by the balancer"});
-  // Recovery-phase anchors of the remaining executable crash points, so every
-  // injection is labelled "inject:<span>" in campaign traces, not by a raw
-  // frame.
-  model.AddSpan({"rs.open-region-assign", "HRegion.openRegion",
-                 "RS opening a region on initial assignment"});
-  model.AddSpan({"rs.init-metrics", "HRegionServer.initializeMetrics",
-                 "RS metrics subsystem bring-up"});
-  model.AddSpan({"master.cluster-status", "MasterRpcServices.getClusterStatus",
-                 "client-facing cluster status read on the master"});
-  model.AddSpan({"rs.metrics-wrapper-init", "MetricsRegionServerWrapperImpl.init",
-                 "metrics wrapper initialization over server state"});
-  model.AddSpan({"rs.refresh-peers", "ReplicationZKWatcher.refreshPeers",
-                 "replication peer list refresh from ZK"});
-  // Component span on its own anchor method (keeping the existing
-  // ServerCrashProcedure.execute injection anchor untouched): one full
-  // crash-procedure sweep on the master, the role the fuzz grammar kills.
-  model.AddSpan({"master.server-crash-procedure", "ServerCrashProcedure.expireServer",
-                 "master-side crash procedure recovering a dead RS's regions",
-                 "ServerCrashProcedure"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's

@@ -112,7 +112,6 @@ HdfsArtifacts* Build() {
   add_method("BlockReceiver", "receivePacket", /*entry=*/true);
   add_method("FSNamesystem", "completeFile", /*entry=*/true);
   add_method("FSNamesystem", "startActiveServices", /*entry=*/true);
-  add_method("FSNamesystem", "haHeartbeat");
   add_method("BPOfferService", "register", /*entry=*/true);
   add_method("DatanodeManager", "getDatanode");
   add_method("BlockManager", "addBlock");
@@ -194,17 +193,6 @@ HdfsArtifacts* Build() {
   spec.seed = 0xd5;
   ctmodel::PopulateCatalog(&model, spec);
 
-  // Multi-crash hypotheses: a second DataNode dies while the NameNode is
-  // still recovering from the first loss (ctlint keeps each pair armable).
-  model.AddMultiCrashPair(
-      {artifacts->points.nn_pick_target_read, artifacts->points.nn_block_location_read,
-       "DN lost under block placement, second DN lost while a reader resolves the "
-       "relocated block (both HDFS-14216 paths in one recovery)"});
-  model.AddMultiCrashPair(
-      {artifacts->points.nn_register_dn_write, artifacts->points.dn_block_report_read,
-       "DN lost right after registering, replacement DN stopped mid block report "
-       "(HDFS-14372 window during re-replication)"});
-
   // Network-fault bug window: partition the DN whose id the registration
   // write resolves to, hold the cut past the 1500 ms liveness timeout
   // (expiry at ~1750 ms with the 250 ms sweep), and heal at 1900 ms so the
@@ -214,29 +202,6 @@ HdfsArtifacts* Build() {
       {artifacts->points.nn_register_dn_write, 1900, "HDFS-15113",
        "DN partitioned at registration, expired as dead, heals and heartbeats into the "
        "DatanodeManager without re-registering"});
-
-  // Observability spans for the declared fault windows (campaign traces
-  // label the injections "inject:<name>"; ctlint keeps the set complete).
-  model.AddSpan({"nn.datanode-lookup", "DatanodeManager.getDatanode",
-                 "DN descriptor lookup on the block-placement and read paths"});
-  model.AddSpan({"nn.register-datanode", "DatanodeManager.registerDatanode",
-                 "DN (re-)registration with the NameNode"});
-  // Component attribute on the block-report span: `ctstat --top` attributes
-  // per-sweep virtual-time dwell to the DatanodeManager role, whose state
-  // the report feeds (the ROADMAP's "HDFS block-report handling" hot path).
-  model.AddSpan({"dn.block-report", "BPOfferService.blockReport",
-                 "full block report from a DN to the NameNode", "DatanodeManager"});
-  // Recovery-phase anchors of the remaining executable crash points, so every
-  // injection is labelled "inject:<span>" in campaign traces, not by a raw
-  // frame.
-  model.AddSpan({"nn.edit-replay", "FSEditLogLoader.replay",
-                 "edit-log replay during namespace recovery"});
-  model.AddSpan({"nn.fs-status", "FSNamesystem.getFsStatus",
-                 "filesystem status read against namespace state"});
-  // Component span on its own anchor method (so no existing injection
-  // anchor changes): the active NameNode's HA heartbeat sweep.
-  model.AddSpan({"nn.ha-heartbeat", "FSNamesystem.haHeartbeat",
-                 "active NameNode heartbeat round toward the standby", "FSNamesystem"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's

@@ -476,7 +476,6 @@ void BuildMethods(ProgramModel* model) {
   AddMethod(model, "AbstractYarnScheduler", "allocateContainer");
   AddMethod(model, "CapacityScheduler", "allocateGuaranteed");
   AddMethod(model, "OpportunisticContainerAllocator", "allocateNodes");
-  AddMethod(model, "NodesListManager", "refreshNodes");
   AddMethod(model, "RMAppAttemptImpl", "storeAttempt");
   AddMethod(model, "RMAppAttemptImpl", "attemptFailed");
   AddMethod(model, "RMContainerImpl", "processLaunched");
@@ -589,25 +588,6 @@ void BuildCatalog(ProgramModel* model) {
   PopulateCatalog(model, spec);
 }
 
-// Multi-crash hypotheses (§6 future work): crash at the first point, then
-// crash again at the second during the recovery the first crash started.
-// ctlint's static-pair-unreachable check keeps every pair armable.
-void BuildMultiCrashPairs(YarnArtifacts* artifacts) {
-  const YarnPoints& p = artifacts->points;
-  artifacts->model.AddMultiCrashPair(
-      {p.rm_container_progress_read, p.rm_container_finishing_read,
-       "NM lost mid progress update, second NM lost while the attempt drains FINISHING "
-       "(both YARN-8650 windows in one recovery)"});
-  artifacts->model.AddMultiCrashPair(
-      {p.rm_app_status_read, p.rm_release_attempt_read,
-       "AM host lost under the status poller, replacement host lost during the release "
-       "that follows (YARN-9194 then YARN-9248)"});
-  artifacts->model.AddMultiCrashPair(
-      {p.rm_register_node_write, p.rm_allocate_node_candidate,
-       "node lost right after re-registration, second node lost on the opportunistic "
-       "allocation path it was feeding (YARN-9193 window)"});
-}
-
 // Network-fault bug windows: partition the node a meta-info value resolves
 // to (instead of crashing it), hold the cut past the liveness expiry, heal,
 // and let the presumed-dead node's next heartbeat race the recovered state.
@@ -621,62 +601,6 @@ void BuildNetworkFaultWindows(YarnArtifacts* artifacts) {
       {p.rm_register_node_write, 1900, "YARN-9301",
        "NM partitioned at registration, expired as LOST, heals and heartbeats into the "
        "tracker without a resync"});
-}
-
-// Observability spans: stable names for the injection phases anchored at the
-// declared fault windows. Campaign traces label each injection
-// "inject:<name>"; ctlint's window-without-span-anchor check keeps every
-// multi-crash point and network-window anchor covered.
-void BuildSpans(YarnArtifacts* artifacts) {
-  ProgramModel& model = artifacts->model;
-  model.AddSpan({"rm.container-progress", "ContainerImpl.handle",
-                 "container transition handling under NM progress updates"});
-  model.AddSpan({"rm.app-status-poll", "RMAppImpl.statusUpdate",
-                 "AM status poll against the app attempt"});
-  model.AddSpan({"rm.release-containers", "SchedulerApplicationAttempt.releaseContainers",
-                 "container release after an attempt retires"});
-  model.AddSpan({"rm.register-node", "ResourceTrackerService.registerNodeManager",
-                 "NM (re-)registration with the tracker"});
-  model.AddSpan({"rm.allocate-opportunistic", "OpportunisticContainerAllocator.allocateNodes",
-                 "opportunistic allocation over the candidate node set"});
-  // Recovery-phase anchors of the remaining executable crash points: the
-  // injection label falls back to the raw frame without a span, so every
-  // injectable anchor gets the model's vocabulary.
-  model.AddSpan({"rm.complete-container", "AbstractYarnScheduler.completeContainer",
-                 "scheduler-side container completion bookkeeping"});
-  model.AddSpan({"rm.confirm-container", "AbstractYarnScheduler.confirmContainer",
-                 "scheduler confirmation of an allocated container"});
-  model.AddSpan({"rm.allocate-guaranteed", "CapacityScheduler.allocateGuaranteed",
-                 "guaranteed-capacity allocation pass"});
-  model.AddSpan({"rm.cluster-status", "ClientRMService.getClusterStatus",
-                 "client-facing cluster status read"});
-  model.AddSpan({"nm.launch-jvm", "ContainerLaunch.launchJvm",
-                 "NM-side task JVM launch"});
-  model.AddSpan({"am.task-status-update", "MRAppMaster.statusUpdate",
-                 "AM ingest of a task attempt status report"});
-  model.AddSpan({"rm.node-report", "NodeListManager.getNodeReport",
-                 "node list lookup for a report request"});
-  model.AddSpan({"rm.allocate-opportunistic-ams", "OpportunisticAMSProcessor.allocate",
-                 "AMS-side opportunistic allocate call"});
-  model.AddSpan({"rm.finish-application", "RMAppImpl.finishApplication",
-                 "application finish transition on the RM"});
-  model.AddSpan({"am.container-assigned", "RMContainerAllocator.assigned",
-                 "AM-side record of a container assignment"});
-  model.AddSpan({"rm.container-launched", "RMContainerImpl.processLaunched",
-                 "RM container transition to LAUNCHED"});
-  model.AddSpan({"am.task-attempt-init", "TaskAttemptImpl.initialize",
-                 "task attempt initialization on the AM"});
-  model.AddSpan({"am.commit-pending", "TaskAttemptListener.commitPending",
-                 "task attempt commit-pending notification"});
-  model.AddSpan({"am.task-done", "TaskAttemptListener.done",
-                 "task attempt completion notification"});
-  // Component span: the RM's periodic candidate-node-list refresh (the
-  // YARN-9193 staleness window). Anchored at its own method decl so no
-  // existing injection anchor changes; the component attribute feeds
-  // `ctstat --top` dwell attribution.
-  model.AddSpan({"rm.node-list-refresh", "NodesListManager.refreshNodes",
-                 "periodic rebuild of the opportunistic allocator's candidate list",
-                 "NodesListManager"});
 }
 
 // Workload-fuzzing grammar: the ops the fuzz generator may splice
@@ -781,9 +705,7 @@ YarnArtifacts* BuildArtifacts(YarnMode mode) {
   BuildMethods(&artifacts->model);
   BuildIoPoints(artifacts);
   BuildCatalog(&artifacts->model);
-  BuildMultiCrashPairs(artifacts);
   BuildNetworkFaultWindows(artifacts);
-  BuildSpans(artifacts);
   BuildGrammar(&artifacts->model);
   return artifacts;
 }

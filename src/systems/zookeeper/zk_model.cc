@@ -101,7 +101,6 @@ ZkArtifacts* Build() {
   add_method("DataTree", "createNode");
   add_method("FollowerRequestProcessor", "processRequest");
   add_method("QuorumPeer", "lead");
-  add_method("QuorumPeer", "broadcastHeartbeats");
   add_method("ZooKeeperServer", "loadData");
   add_method("SessionTracker", "createSession");
   add_method("SyncRequestProcessor", "snapshot");
@@ -182,17 +181,6 @@ ZkArtifacts* Build() {
   spec.seed = 0x2b;
   ctmodel::PopulateCatalog(&model, spec);
 
-  // Multi-crash hypotheses: the second crash lands during the leader election
-  // or view change the first crash triggered.
-  model.AddMultiCrashPair(
-      {artifacts->points.leader_session_read, artifacts->points.leader_ref_read,
-       "leader lost on the session write path, new leader lost while a follower "
-       "forwards to it mid election recovery"});
-  model.AddMultiCrashPair(
-      {artifacts->points.znode_create_write, artifacts->points.quorum_member_write,
-       "participant lost right after a znode commit, second participant lost during "
-       "the quorum view update, probing quorum loss handling"});
-
   // Network-fault window: partition the leader resolved from the session
   // read long enough for the quorum to expire it (fd 1500 ms + sweep), then
   // heal — its resumed heartbeats race the peers' election view
@@ -201,26 +189,6 @@ ZkArtifacts* Build() {
       {artifacts->points.leader_session_read, 1900, "ZOOKEEPER-2212",
        "leader partitioned across its own expiry, heartbeats resume into peers "
        "that already voted it out"});
-
-  // Observability spans for the declared fault windows (campaign traces
-  // label the injections "inject:<name>"; ctlint keeps the set complete).
-  model.AddSpan({"leader.prep-request", "PrepRequestProcessor.pRequest",
-                 "request pipeline on the leader's session path"});
-  model.AddSpan({"tree.create-znode", "DataTree.createNode",
-                 "znode commit into the data tree"});
-  model.AddSpan({"quorum.update-vote", "QuorumPeer.updateElectionVote",
-                 "quorum view/vote update during election recovery"});
-  // Recovery-phase anchors of the remaining executable crash points, so every
-  // injection is labelled "inject:<span>" in campaign traces, not by a raw
-  // frame.
-  model.AddSpan({"tree.get-znode", "DataTree.getData",
-                 "znode read out of the data tree"});
-  // Component span: each quorum-broadcast round a peer runs (the O(peers²)
-  // heartbeat fan-out). Anchored at its own method decl so
-  // existing injection-span anchors are untouched; the component attribute
-  // is what `ctstat --top` attributes virtual-time dwell to.
-  model.AddSpan({"quorum-broadcast", "QuorumPeer.broadcastHeartbeats",
-                 "one peer-heartbeat fan-out round across the quorum", "QuorumPeer"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's

@@ -1,10 +1,15 @@
 // Parallel injection-campaign engine: Map ordering/exception semantics, and
 // the headline determinism guarantee — the full driver on mini-YARN produces
-// a field-for-field identical SystemReport at jobs=1 and jobs=4.
+// a field-for-field identical SystemReport at jobs=1 and jobs=4. Observed
+// campaigns: passivity, flow DAGs, and the five systems' component marks
+// checked against their models.
 #include <atomic>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +20,11 @@
 #include "src/obs/observer.h"
 #include "src/obs/snapshot.h"
 #include "src/runtime/run_context.h"
+#include "src/systems/cassandra/cass_system.h"
+#include "src/systems/hbase/hbase_system.h"
+#include "src/systems/hdfs/hdfs_system.h"
 #include "src/systems/yarn/yarn_system.h"
+#include "src/systems/zookeeper/zk_system.h"
 
 namespace {
 
@@ -310,6 +319,45 @@ TEST(FlowDag, DeliveriesChainToTheirCauses) {
     per_method_total += count;
   }
   EXPECT_EQ(per_method_total, metrics.flows.messages);
+}
+
+TEST(ComponentMarks, RolesAreModelClassesAndCoverEveryKilledRole) {
+  // ctstat --top reads the dwell marks each system makes at runtime, so the
+  // marks themselves are checked against the model: every marked role is a
+  // model class with methods, and every role a crash or shutdown grammar op
+  // kills is marked, so its recovery sweeps show up in the dwell profile.
+  std::vector<std::unique_ptr<ctcore::SystemUnderTest>> systems;
+  systems.push_back(std::make_unique<ctyarn::YarnSystem>());
+  systems.push_back(std::make_unique<cthdfs::HdfsSystem>());
+  systems.push_back(std::make_unique<cthbase::HBaseSystem>());
+  systems.push_back(std::make_unique<ctzk::ZkSystem>());
+  systems.push_back(std::make_unique<ctcass::CassSystem>());
+  for (const auto& system : systems) {
+    SCOPED_TRACE(system->name());
+    ctobs::CampaignObserver observer;
+    ctcore::DriverOptions options;
+    options.jobs = 1;
+    options.observer = &observer;
+    (void)ctcore::CrashTunerDriver().Run(*system, options);
+
+    const ctobs::SystemMetrics metrics = observer.Finalize();
+    const ctmodel::ProgramModel& model = system->model();
+    std::set<std::string> roles;
+    for (const auto& [name, dwell] : metrics.metrics.components()) {
+      EXPECT_FALSE(model.MethodsOf(dwell.role).empty())
+          << "component '" << name << "' marks role '" << dwell.role
+          << "', which is no model class with methods";
+      roles.insert(dwell.role);
+    }
+    for (const auto& op : model.grammar_ops()) {
+      if (op.kind == ctmodel::GrammarOpKind::kCrash ||
+          op.kind == ctmodel::GrammarOpKind::kShutdown) {
+        EXPECT_EQ(roles.count(op.target_class), 1u)
+            << "grammar op '" << op.name << "' kills role '" << op.target_class
+            << "', which no component mark names";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 // cover partition drops.
 //
 // Driver-level: a network-fault campaign at jobs=1 and at jobs=4 yields a
-// byte-identical SystemReport, trace hash included, and the campaign
-// includes the system's declared message-race bug.
+// byte-identical SystemReport, trace hash included, and the campaign reports
+// the bug id of each network-fault window the system's model declares.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -127,13 +127,16 @@ TEST(FaultPlanProperty, NetworkCampaignIsByteIdenticalAtAnyJobs) {
         << system->name() << ": the jobs=4 report differs from the jobs=1 report";
     EXPECT_EQ(serial.trace_hash, parallel.trace_hash);
 
-    // The guided campaign must reproduce the system's declared race.
-    bool found_race = false;
-    for (const auto& bug : serial.bugs) {
-      found_race = found_race || bug.scenario == "message-race";
+    // The guided campaign must reproduce each race the system declares.
+    ASSERT_FALSE(system->model().network_fault_windows().empty()) << system->name();
+    for (const auto& window : system->model().network_fault_windows()) {
+      bool found_race = false;
+      for (const auto& bug : serial.bugs) {
+        found_race = found_race || bug.bug_id == window.bug_id;
+      }
+      EXPECT_TRUE(found_race) << system->name() << ": network-fault campaign did not report "
+                              << window.bug_id;
     }
-    EXPECT_TRUE(found_race) << system->name()
-                            << ": network-fault campaign found no message-race bug";
   }
 }
 

@@ -53,7 +53,6 @@ TEST(ProgramModel, FieldIdDerivedFromClassAndName) {
   const FieldDecl* field = model.FindField("Holder.a");
   ASSERT_NE(field, nullptr);
   EXPECT_EQ(field->type, "A");
-  EXPECT_EQ(model.FieldsOf("Holder").size(), 1u);
 }
 
 TEST(ProgramModel, AccessPointIdsAreSequential) {
@@ -64,7 +63,6 @@ TEST(ProgramModel, AccessPointIdsAreSequential) {
   int first = model.AddAccessPoint(point);
   int second = model.AddAccessPoint(point);
   EXPECT_EQ(second, first + 1);
-  EXPECT_EQ(model.PointsOn("Holder.a").size(), 2u);
   EXPECT_EQ(model.access_point(first).field_id, "Holder.a");
 }
 

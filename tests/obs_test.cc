@@ -229,8 +229,6 @@ ctobs::FlowRecord MakeFlow(uint64_t id, uint64_t parent, const std::string& meth
   record.id = id;
   record.parent = parent;
   record.method = method;
-  record.from = "a";
-  record.to = "b";
   return record;
 }
 

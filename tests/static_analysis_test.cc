@@ -328,43 +328,6 @@ TEST(ModelLint, FlagsDeliberatelyBrokenModel) {
   EXPECT_EQ(result.CountOf("unreachable-point"), 1);
 }
 
-TEST(ModelLint, FlagsUnarmableMultiCrashPairs) {
-  ProgramModel model = TinyModel();
-  ctmodel::FieldDecl field;
-  field.clazz = "Server";
-  field.name = "state";
-  field.type = "java.lang.String";
-  model.AddField(field);
-
-  AccessPointDecl reachable;
-  reachable.field_id = "Server.state";
-  reachable.kind = AccessKind::kRead;
-  reachable.clazz = "Server";
-  reachable.method = "leaf";
-  reachable.executable = true;
-  int reachable_id = model.AddAccessPoint(reachable);
-
-  DeclareMethod(&model, "Server", "deadPath");  // no entry point reaches it
-  AccessPointDecl unreachable = reachable;
-  unreachable.method = "deadPath";
-  int unreachable_id = model.AddAccessPoint(unreachable);
-
-  AccessPointDecl catalog_only = reachable;
-  catalog_only.executable = false;
-  catalog_only.synthetic = true;
-  int catalog_id = model.AddAccessPoint(catalog_only);
-
-  model.AddMultiCrashPair({reachable_id, reachable_id, "armable both ways"});
-  model.AddMultiCrashPair({reachable_id, unreachable_id, "second point unreachable"});
-  model.AddMultiCrashPair({reachable_id, catalog_id, "second point not executable"});
-  model.AddMultiCrashPair({reachable_id, 99, "second point id out of range"});
-
-  LintResult result = LintModel(model);
-  EXPECT_EQ(result.CountOf("static-pair-unreachable"), 3);
-  ProgramModel clean = TinyModel();
-  EXPECT_EQ(LintModel(clean).CountOf("static-pair-unreachable"), 0);
-}
-
 TEST(ModelLint, FlagsDeclsEmbeddingConcreteNodeIndices) {
   // Synthetic offenders: decls pinned to one member of one deployment stop
   // matching anything past the first replica once --scale stamps out more.
@@ -387,11 +350,8 @@ TEST(ModelLint, FlagsDeclsEmbeddingConcreteNodeIndices) {
   host_port.method = "connect_namenode1:9000";  // host:port instance
   model.AddAccessPoint(host_port);
 
-  model.AddSpan({"rm.register-zkpeer2", "Server.rpc", "indexed span name"});
-  model.AddSpan({"rm.register-node", "Server.rpc", "clean; note may say node1 freely"});
-
   LintResult result = LintModel(model);
-  EXPECT_EQ(result.CountOf("scale-invariant-decl"), 4);
+  EXPECT_EQ(result.CountOf("scale-invariant-decl"), 3);
 
   // Role names without a trailing index never trip the check.
   ProgramModel clean = TinyModel();
@@ -441,31 +401,6 @@ TEST(ModelLint, FlagsGrammarOpsWithUnknownTargets) {
   ProgramModel clean = TinyModel();
   clean.AddGrammarOp(good);
   EXPECT_EQ(LintModel(clean).CountOf("grammar-op-unknown-target"), 0);
-}
-
-TEST(ModelLint, FlagsPhantomComponentsAndUnspannedKilledRoles) {
-  // Synthetic offenders for the two directions of component grounding: a span
-  // charging dwell to a class that declares no methods, and a fuzz kill op for
-  // a role no component span covers (its recovery sweeps would be invisible
-  // to ctstat --top).
-  ProgramModel model = TinyModel();
-  model.AddSpan({"ghost-sweep", "Server.rpc", "component names nothing", "Ghost"});
-
-  ctmodel::GrammarOpDecl kill;
-  kill.name = "tiny.kill-server";
-  kill.kind = ctmodel::GrammarOpKind::kCrash;
-  kill.target_class = "Server";
-  kill.target_prefix = "srv";
-  model.AddGrammarOp(kill);
-
-  LintResult result = LintModel(model);
-  EXPECT_EQ(result.CountOf("component-without-span"), 2);
-
-  // Once a span names the killed role's declared class, both findings clear.
-  ProgramModel clean = TinyModel();
-  clean.AddSpan({"server-sweep", "Server.rpc", "covers the killed role", "Server"});
-  clean.AddGrammarOp(kill);
-  EXPECT_EQ(LintModel(clean).CountOf("component-without-span"), 0);
 }
 
 TEST(ModelLint, VirtualEdgeWithNoDispatchTargetIsDangling) {

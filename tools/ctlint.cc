@@ -40,21 +40,14 @@ int LintOne(const ctmodel::ProgramModel& model, bool summary) {
     ctanalysis::StaticContextResult contexts = enumeration.EnumerateAll(5);
     ctanalysis::StaticContextResult feasible =
         enumeration.EnumerateAll(5, /*prune_infeasible=*/true);
-    int component_spans = 0;
-    for (const auto& span : model.spans()) {
-      if (!span.component.empty()) {
-        ++component_spans;
-      }
-    }
     std::printf("  methods=%d edges=%d(resolved %d) reachable=%zu "
                 "contexts@5=%d unreachable-points=%zu "
-                "feasible@5=%d cs-pruned=%d multi-crash-pairs=%d net-windows=%d "
-                "grammar-ops=%d component-spans=%d\n",
+                "feasible@5=%d cs-pruned=%d net-windows=%d grammar-ops=%d\n",
                 model.NumMethods(), model.NumCallEdges(), graph.num_resolved_edges(),
                 graph.reachable().size(), contexts.TotalContexts(),
                 contexts.unreachable_points.size(), feasible.TotalContexts(),
-                feasible.pruned_call_strings, model.NumMultiCrashPairs(),
-                model.NumNetworkFaultWindows(), model.NumGrammarOps(), component_spans);
+                feasible.pruned_call_strings, model.NumNetworkFaultWindows(),
+                model.NumGrammarOps());
   }
   return result.ok() ? 0 : 1;
 }
