@@ -21,7 +21,7 @@
 //      reader unchanged.
 //   5. Overhead: the observed campaign's wall time stays within 10% of the
 //      unobserved one. Like the other wall-clock bars this is enforced only
-//      on >= 4 hardware threads (CRASHTUNER_ENFORCE_SPEEDUP=1/0 overrides).
+//      on >= 4 hardware threads.
 //
 //   bench_obs_flows [--jobs N] [--json FILE] [--metrics-out FILE]
 //                   [--trace-out FILE] [--dossier-dir DIR] [SCALE]

@@ -300,7 +300,6 @@ int main(int argc, char** argv) {
   // The speedup bar only means something when 4 workers have 4 cores to run
   // on; on smaller machines (single-core CI containers) the number is
   // reported but not enforced, same as the stage-4 parallel smoke.
-  // CRASHTUNER_ENFORCE_SPEEDUP=1/0 overrides the auto-detection either way.
   const int hardware_threads = ctcore::ResolveJobs(0);
   const bool enforce_speedup = ctbench::EnforceSpeedupBar(hardware_threads);
   std::printf("jobs=4 speedup at scale %d: %.2fx  (bar: >= 2x, %s on %d hardware thread(s))\n",

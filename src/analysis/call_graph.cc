@@ -39,8 +39,6 @@ CallGraph::CallGraph(const ctmodel::ProgramModel& model) : model_(&model) {
       edges_.push_back({edge.caller, method.id, ctmodel::CallKind::kVirtual});
       if (method.clazz == receiver) {
         resolved_static_target = true;
-      } else {
-        ++dispatch_expansions_;
       }
     }
     if (!resolved_static_target) {

@@ -61,7 +61,6 @@ class CallGraph {
   // (fewer frames than the depth bound) are realizable iff their outermost
   // frame is a feasible root.
   bool IsFeasibleRoot(const std::string& method_id) const;
-  const std::set<std::string>& feasible_roots() const { return feasible_roots_; }
 
   // Forward closure of the feasible roots over sync edges only. A method in
   // this set can sit at the *bottom of a visible stack window*: either it is
@@ -71,11 +70,7 @@ class CallGraph {
   // is in this closure.
   bool IsSyncReachableFromFeasibleRoot(const std::string& method_id) const;
 
-  int num_methods() const { return model_->NumMethods(); }
-  int num_declared_edges() const { return model_->NumCallEdges(); }
   int num_resolved_edges() const { return static_cast<int>(edges_.size()); }
-  // Extra concrete targets minted by virtual-dispatch resolution.
-  int num_dispatch_expansions() const { return dispatch_expansions_; }
 
  private:
   const ctmodel::ProgramModel* model_;
@@ -85,7 +80,6 @@ class CallGraph {
   std::set<std::string> context_roots_;
   std::set<std::string> feasible_roots_;
   std::set<std::string> sync_closure_of_feasible_roots_;
-  int dispatch_expansions_ = 0;
 };
 
 }  // namespace ctanalysis

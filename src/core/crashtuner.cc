@@ -13,16 +13,6 @@
 
 namespace ctcore {
 
-int SystemReport::InjectionsWithFault() const {
-  int count = 0;
-  for (const auto& injection : injections) {
-    if (injection.injected) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 std::vector<DetectedBug> TriageBugs(const SystemUnderTest& system,
                                     const std::vector<InjectionResult>& injections) {
   const std::vector<KnownBug> known = system.known_bugs();

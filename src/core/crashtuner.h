@@ -111,8 +111,6 @@ struct SystemReport {
   std::vector<InjectionResult> injections;
   std::vector<DetectedBug> bugs;            // oracle-failing, deduplicated
   std::vector<InjectionResult> timeout_issues;  // §4.1.3
-
-  int InjectionsWithFault() const;
 };
 
 // Where the driver's dynamic crash points come from (Definition 1 pairs).

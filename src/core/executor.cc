@@ -45,27 +45,11 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
 
   ctobs::RunObserver* observer = &run.context().observer();
   if (observer->enabled()) {
-    // Causal-flow observation: the cluster stamps posted messages with the
-    // delivery being handled and reports every delivery edge into the run's
-    // flow recorder. Installed only for observed runs — with no hook the
-    // cluster does no flow work at all — and passive by construction (no
-    // RNG, no scheduling), so the trace hash and SystemReport never move.
-    cluster.SetFlowHook(
-        [observer, &loop](uint64_t flow_id, uint64_t parent_flow, const ctsim::Message& message) {
-          ctobs::FlowRecorder& flows = observer->flows();
-          if (flows.full()) {
-            // Past the per-run cap only the counters move: no record, no
-            // string copy.
-            flows.CountDropped(parent_flow, message.method.str());
-            return;
-          }
-          ctobs::FlowRecord record;
-          record.id = flow_id;
-          record.parent = parent_flow;
-          record.method = message.method.str();
-          record.sim_ms = loop.Now();
-          flows.Record(std::move(record));
-        });
+    // Causal-flow observation, on observed runs only: the cluster stamps
+    // posted messages and records every delivery into the run's flow
+    // recorder, passively (no RNG, no scheduling), so the trace hash and
+    // SystemReport never move.
+    cluster.set_flow_recorder(&observer->flows());
   }
   {
     ctobs::ScopedSpan boot(observer, &loop, "boot", "phase");
@@ -96,6 +80,8 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
       loop.RunFor(3000);
     }
   }
+
+  cluster.set_flow_recorder(nullptr);
 
   outcome.virtual_duration_ms = loop.Now() - start;
   outcome.finished = run.JobFinished();

@@ -70,9 +70,5 @@ void Logger::Fatal(const std::string& tmpl, std::vector<std::string> args,
                    const std::string& location) {
   AdHoc(Level::kFatal, tmpl, std::move(args), location);
 }
-void Logger::Debug(const std::string& tmpl, std::vector<std::string> args,
-                   const std::string& location) {
-  AdHoc(Level::kDebug, tmpl, std::move(args), location);
-}
 
 }  // namespace ctlog

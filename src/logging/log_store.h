@@ -74,8 +74,6 @@ class Logger {
              const std::string& location = "");
   void Fatal(const std::string& tmpl, std::vector<std::string> args = {},
              const std::string& location = "");
-  void Debug(const std::string& tmpl, std::vector<std::string> args = {},
-             const std::string& location = "");
 
   const std::string& node() const { return node_; }
 

@@ -7,24 +7,6 @@
 
 namespace ctlog {
 
-const char* LevelName(Level level) {
-  switch (level) {
-    case Level::kFatal:
-      return "FATAL";
-    case Level::kError:
-      return "ERROR";
-    case Level::kWarn:
-      return "WARN";
-    case Level::kInfo:
-      return "INFO";
-    case Level::kDebug:
-      return "DEBUG";
-    case Level::kTrace:
-      return "TRACE";
-  }
-  return "?";
-}
-
 StatementRegistry& StatementRegistry::Instance() {
   static StatementRegistry* registry = new StatementRegistry();
   return *registry;

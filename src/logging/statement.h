@@ -22,8 +22,6 @@ namespace ctlog {
 
 enum class Level { kFatal, kError, kWarn, kInfo, kDebug, kTrace };
 
-const char* LevelName(Level level);
-
 // One logging statement in the program under test.
 struct Statement {
   int id = -1;

@@ -134,7 +134,6 @@ struct NetworkFaultWindowDecl {
   int point = -1;            // anchor access point (armed like a crash point)
   uint64_t partition_ms = 0; // isolation window before the heal
   std::string bug_id;        // expected message-race bug (known-bug table id)
-  std::string note;          // the race the window targets
 };
 
 // How a fuzz-grammar op acts on the running cluster.
@@ -167,7 +166,6 @@ struct GrammarOpDecl {
   uint64_t min_time_ms = 500;  // firing window in virtual ms after Start()
   uint64_t max_time_ms = 15000;
   int max_magnitude = 1;  // %MAG% drawn uniformly from [1, max_magnitude]
-  std::string note;       // what the op exercises (docs only)
 };
 
 class ProgramModel {

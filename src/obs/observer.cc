@@ -119,16 +119,17 @@ void CampaignObserver::AppendChromeTrace(ChromeTraceWriter* writer, int pid,
   // a parent id within the retained range is always present.
   for (const auto& [slot, flows] : flows_by_slot_) {
     const int tid = slot + 1;
-    for (const FlowRecord& record : flows.records()) {
+    for (const ctsim::FlowRecord& record : flows.records()) {
       if (record.parent == 0 || record.parent > flows.records().size()) {
         continue;
       }
-      const FlowRecord& parent = flows.records()[record.parent - 1];
+      const ctsim::FlowRecord& parent = flows.records()[record.parent - 1];
+      const std::string& method = flows.method_name(record.method);
       const uint64_t flow_id =
           (static_cast<uint64_t>(slot + 1) << 32) | record.id;
-      writer->AddFlowStart(pid, tid, record.method, flow_id,
+      writer->AddFlowStart(pid, tid, method, flow_id,
                            static_cast<double>(parent.sim_ms) * 1e3);
-      writer->AddFlowFinish(pid, tid, record.method, flow_id,
+      writer->AddFlowFinish(pid, tid, method, flow_id,
                             static_cast<double>(record.sim_ms) * 1e3);
     }
   }

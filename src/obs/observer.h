@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "src/obs/dossier.h"
-#include "src/obs/flow.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/sim/flow.h"
 
 namespace ctobs {
 
@@ -37,8 +37,8 @@ class RunObserver {
   const MetricsShard& metrics() const { return metrics_; }
   std::vector<SpanEvent>& spans() { return spans_; }
   const std::vector<SpanEvent>& spans() const { return spans_; }
-  FlowRecorder& flows() { return flows_; }
-  const FlowRecorder& flows() const { return flows_; }
+  ctsim::FlowRecorder& flows() { return flows_; }
+  const ctsim::FlowRecorder& flows() const { return flows_; }
 
   // Span hierarchy, called by ScopedSpan. BeginSpan assigns the next span id
   // and the enclosing open span as parent and pushes the open-span stack;
@@ -59,7 +59,7 @@ class RunObserver {
   bool enabled_ = false;
   MetricsShard metrics_;
   std::vector<SpanEvent> spans_;
-  FlowRecorder flows_;
+  ctsim::FlowRecorder flows_;
   uint64_t next_span_id_ = 0;
   uint64_t last_mark_ms_ = 0;
   std::vector<uint64_t> open_spans_;  // ids, innermost last
@@ -113,7 +113,7 @@ class CampaignObserver {
   MetricsShard metrics_;
   int runs_ = 0;
   std::map<int, std::vector<SpanEvent>> spans_by_slot_;
-  std::map<int, FlowRecorder> flows_by_slot_;
+  std::map<int, ctsim::FlowRecorder> flows_by_slot_;
   std::map<int, Dossier> dossiers_by_slot_;
   RunObserver driver_observer_;
   std::string system_;

@@ -135,10 +135,9 @@ void Cluster::Post(Message message) {
   if (IsHeartbeatMethod(message.method)) {
     ++heartbeat_messages_;
   }
-  // The causal stamp is written at post time (see SetFlowHook).
-  if (flow_delivery_hook_) {
-    message.flow = current_flow_;
-  }
+  // The causal stamp is written at post time (see set_flow_recorder); with
+  // no recorder set it stays 0.
+  message.flow = current_flow_;
   if (!partitions_.empty() && LinkCut(message.from, message.to)) {
     ++plan_dropped_messages_;
     TraceMessage("drop.partition", message);
@@ -170,19 +169,14 @@ void Cluster::DeliverNow(const Message& message) {
   TraceMessage("deliver", message);
   const NodeId previous = current_node_;
   current_node_ = message.to;
-  if (flow_delivery_hook_) {
-    // Allocate the delivery's flow id on the deterministic delivery order,
-    // report the causal edge, and make this delivery the parent of anything
-    // its handler posts.
-    const uint64_t flow_id = ++next_flow_id_;
-    flow_delivery_hook_(flow_id, message.flow, message);
-    const uint64_t previous_flow = current_flow_;
-    current_flow_ = flow_id;
-    target->Dispatch(message);
-    current_flow_ = previous_flow;
-  } else {
-    target->Dispatch(message);
+  // Record the delivery, which allocates its flow id on the deterministic
+  // delivery order, and make it the parent of anything its handler posts.
+  const uint64_t previous_flow = current_flow_;
+  if (flows_ != nullptr) {
+    current_flow_ = flows_->Record(message.flow, message.method, loop_.Now());
   }
+  target->Dispatch(message);
+  current_flow_ = previous_flow;
   current_node_ = previous;
 }
 

@@ -16,7 +16,6 @@
 #ifndef SRC_SIM_CLUSTER_H_
 #define SRC_SIM_CLUSTER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,6 +24,7 @@
 
 #include "src/logging/log_store.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/flow.h"
 #include "src/sim/message.h"
 #include "src/sim/node.h"
 #include "src/sim/symbol.h"
@@ -108,21 +108,15 @@ class Cluster {
   // True while an active partition window cuts traffic from → to.
   bool LinkCut(const std::string& from, const std::string& to) const;
 
-  // Causal-flow observation. When a delivery hook is installed (the executor
-  // does this for observed runs only), every posted message is stamped with
-  // the flow id of the delivery being handled, and every delivery allocates
-  // the next flow id and reports ⟨id, parent flow, message⟩ to the hook. The
-  // hook must be passive: flow ids advance with deliveries on the
-  // deterministic event loop, nothing here draws RNG or schedules events,
-  // and the stamps stay out of every hash and trace record — so observed and
-  // unobserved runs are byte-identical everywhere it counts.
-  using FlowDeliveryHook =
-      std::function<void(uint64_t flow_id, uint64_t parent_flow, const Message& message)>;
-  void SetFlowHook(FlowDeliveryHook delivery) { flow_delivery_hook_ = std::move(delivery); }
-  bool flow_observed() const { return static_cast<bool>(flow_delivery_hook_); }
-  // Flow id of the delivery currently being handled (0 between deliveries
-  // or when a root context — timer, node start, shutdown — is executing).
-  uint64_t current_flow() const { return current_flow_; }
+  // Causal-flow observation. When set (the executor does this for observed
+  // runs only), every posted message is stamped with the flow id of the
+  // delivery being handled, and every delivery is recorded, which allocates
+  // its flow id. Recording is passive: flow ids advance with deliveries on
+  // the deterministic event loop, nothing here draws RNG or schedules
+  // events, and the stamps stay out of every hash and trace record — so
+  // observed and unobserved runs are byte-identical everywhere it counts.
+  // The recorder must outlive the run or be cleared before it ends.
+  void set_flow_recorder(FlowRecorder* recorder) { flows_ = recorder; }
 
   // Opens a root flow context for the duration of a scope: sends inside it
   // are causal roots, not children of whatever delivery happens to be on the
@@ -205,9 +199,10 @@ class Cluster {
   NodeId current_node_;
   std::vector<PartitionWindow> partitions_;
   TraceRecorder* trace_ = nullptr;
-  FlowDeliveryHook flow_delivery_hook_;
+  FlowRecorder* flows_ = nullptr;
+  // Flow id of the delivery being handled (0 between deliveries, inside a
+  // root context, or with no flow recorder set).
   uint64_t current_flow_ = 0;
-  uint64_t next_flow_id_ = 0;
   uint64_t delivered_messages_ = 0;
   uint64_t dropped_messages_ = 0;
   uint64_t plan_dropped_messages_ = 0;

@@ -10,7 +10,6 @@
 #ifndef SRC_SIM_EXCEPTION_H_
 #define SRC_SIM_EXCEPTION_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -28,17 +27,6 @@ struct SimException {
 // (the post-write trigger scenario): the rest of the handler must not run,
 // just as the rest of a Java method does not run past kill -9.
 struct NodeCrashedSignal {};
-
-// Dereference helper for "Java reference" reads: returns the contained value
-// or throws a NullPointerException, the single most common way the studied
-// pre-read bugs surface (e.g. YARN-9164, Fig. 10).
-template <typename T>
-const T& RequireNonNull(const std::optional<T>& ref, const std::string& what) {
-  if (!ref.has_value()) {
-    throw SimException("NullPointerException", what);
-  }
-  return *ref;
-}
 
 }  // namespace ctsim
 

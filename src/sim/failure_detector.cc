@@ -29,7 +29,6 @@ void FailureDetector::Forget(const std::string& node_id) { Forget(Lookup(node_id
 
 void FailureDetector::NotifyLeft(NodeId node_id) {
   if (last_heartbeat_.erase(node_id.id()) > 0) {
-    ++lost_count_;
     on_lost_(node_id);
   }
 }
@@ -67,7 +66,6 @@ void FailureDetector::Sweep() {
   std::sort(lost.begin(), lost.end());
   for (const NodeId id : lost) {
     last_heartbeat_.erase(id.id());
-    ++lost_count_;
     on_lost_(id);
   }
 }

@@ -55,7 +55,6 @@ class FailureDetector {
   bool IsTracked(NodeId node_id) const;
   bool IsTracked(const std::string& node_id) const;
   std::vector<std::string> tracked() const;
-  int lost_count() const { return lost_count_; }
 
  private:
   struct Entry {
@@ -71,7 +70,6 @@ class FailureDetector {
   Time check_period_ms_;
   std::function<void(const std::string&)> on_lost_;
   std::unordered_map<uint32_t, Entry> last_heartbeat_;
-  int lost_count_ = 0;
 };
 
 }  // namespace ctsim

@@ -87,8 +87,8 @@ struct Message {
   Symbol method;  // RPC name, e.g. "commitPending"
   ArgVec args;    // named payload fields
 
-  // Causal-flow stamp, written by the cluster only while flow observation
-  // is on (zero otherwise; never hashed or traced): the flow id of the
+  // Causal-flow stamp, written by the cluster at post time (zero unless a
+  // flow recorder is set; never hashed or traced): the flow id of the
   // delivery whose handler posted this message (0 = root send from a timer,
   // node start, or the workload driver).
   uint64_t flow = 0;

@@ -5,20 +5,6 @@
 
 namespace ctsim {
 
-const char* NodeStateName(NodeState state) {
-  switch (state) {
-    case NodeState::kStopped:
-      return "STOPPED";
-    case NodeState::kRunning:
-      return "RUNNING";
-    case NodeState::kCrashed:
-      return "CRASHED";
-    case NodeState::kShutdown:
-      return "SHUTDOWN";
-  }
-  return "?";
-}
-
 Node::Node(Cluster* cluster, std::string id) : cluster_(cluster), id_(std::move(id)) {
   sym_ = cluster_->Intern(id_);
   logger_ = std::make_unique<ctlog::Logger>(&cluster_->logs(), id_,

@@ -29,8 +29,6 @@ class Cluster;
 
 enum class NodeState { kStopped, kRunning, kCrashed, kShutdown };
 
-const char* NodeStateName(NodeState state);
-
 // Payload fields for Send; brace-init lists of {"key", "value"} pairs.
 using KvList = std::vector<std::pair<std::string, std::string>>;
 

@@ -2,18 +2,6 @@
 
 namespace ctstudy {
 
-const char* ScenarioName(Scenario scenario) {
-  switch (scenario) {
-    case Scenario::kPreRead:
-      return "pre-read";
-    case Scenario::kPostWrite:
-      return "post-write";
-    case Scenario::kNotTimingSensitive:
-      return "not-timing-sensitive";
-  }
-  return "?";
-}
-
 const std::vector<StudiedBug>& StudiedBugs() {
   static const std::vector<StudiedBug>* bugs = new std::vector<StudiedBug>{
       // --- Hadoop2 (Table 1) -------------------------------------------------

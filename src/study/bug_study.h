@@ -17,8 +17,6 @@ namespace ctstudy {
 
 enum class Scenario { kPreRead, kPostWrite, kNotTimingSensitive };
 
-const char* ScenarioName(Scenario scenario);
-
 // One studied bug (Table 1).
 struct StudiedBug {
   std::string id;        // e.g. "YARN-5918"

@@ -152,16 +152,16 @@ CassArtifacts* Build() {
   // Network-fault window: partition the gossiping peer across markDead
   // (gossip fd 1500 ms + sweep), then heal — its resumed gossip is applied
   // without the restart/generation check (the CASSANDRA-15158 class of
-  // gossip restart races).
+  // gossip restart races). The race: a peer partitioned across its own
+  // markDead has its re-announced state applied without a generation check.
   model.AddNetworkFaultWindow(
-      {artifacts->points.gossip_state_write, 1900, "CA-15158",
-       "peer partitioned across its own markDead, re-announced state applied "
-       "without a generation check"});
+      {artifacts->points.gossip_state_write, 1900, "CA-15158"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's
   // grammar-op-unknown-target keeps both honest).
   {
+    // Extra write through an arbitrary coordinator.
     ctmodel::GrammarOpDecl op;
     op.name = "cass.mutate";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -173,10 +173,10 @@ CassArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 3500;
     op.max_time_ms = 8000;
-    op.note = "extra write through an arbitrary coordinator";
     model.AddGrammarOp(op);
   }
   {
+    // Blocking write whose endpoint dispatch straddles a gossip death.
     ctmodel::GrammarOpDecl op;
     op.name = "cass.hinted-mutate";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -188,10 +188,10 @@ CassArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 1500;
     op.max_time_ms = 5000;
-    op.note = "blocking write whose endpoint dispatch straddles a gossip death";
     model.AddGrammarOp(op);
   }
   {
+    // Fail-stop a node; gossip marks it dead and hints accumulate.
     ctmodel::GrammarOpDecl op;
     op.name = "cass.kill-node";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -200,10 +200,10 @@ CassArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 1500;
     op.max_time_ms = 3500;
-    op.note = "fail-stop a node; gossip marks it dead and hints accumulate";
     model.AddGrammarOp(op);
   }
   {
+    // Graceful leave announcing itself through gossip.
     ctmodel::GrammarOpDecl op;
     op.name = "cass.decommission";
     op.kind = ctmodel::GrammarOpKind::kShutdown;
@@ -212,7 +212,6 @@ CassArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 2000;
     op.max_time_ms = 9000;
-    op.note = "graceful leave announcing itself through gossip";
     model.AddGrammarOp(op);
   }
   return artifacts;

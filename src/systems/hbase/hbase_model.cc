@@ -200,16 +200,17 @@ HBaseArtifacts* Build() {
   // the earliest read whose value resolves to a region server *after* that
   // server holds a ZK session (rs_zk_register_ms = 3600 ms): the partition
   // must cut an already-tracked session for the expiry sweep to tombstone
-  // it. 2500 ms covers the 2000 ms session timeout + 300 ms sweep.
+  // it. 2500 ms covers the 2000 ms session timeout + 300 ms sweep. The race:
+  // an RS partitioned under the balancer scan has its session expired, heals
+  // and heartbeats into the quorum without reconnecting.
   model.AddNetworkFaultWindow(
-      {artifacts->points.master_balancer_read, 2500, "HBASE-22862",
-       "RS partitioned under the balancer scan, session expired, heals and heartbeats "
-       "into the quorum without reconnecting"});
+      {artifacts->points.master_balancer_read, 2500, "HBASE-22862"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's
   // grammar-op-unknown-target keeps both honest).
   {
+    // Status scan racing online-set mutations.
     ctmodel::GrammarOpDecl op;
     op.name = "hbase.cluster-status";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -219,10 +220,10 @@ HBaseArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 2000;
     op.max_time_ms = 20000;
-    op.note = "status scan racing online-set mutations";
     model.AddGrammarOp(op);
   }
   {
+    // Forced session expiry: crash procedure against a live RS.
     ctmodel::GrammarOpDecl op;
     op.name = "hbase.expire-rs";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -234,10 +235,10 @@ HBaseArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 4000;
     op.max_time_ms = 18000;
-    op.note = "forced session expiry: crash procedure against a live RS";
     model.AddGrammarOp(op);
   }
   {
+    // Off-schedule balancer scan; races server-crash recovery.
     ctmodel::GrammarOpDecl op;
     op.name = "hbase.force-balance";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -247,10 +248,10 @@ HBaseArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 3000;
     op.max_time_ms = 18000;
-    op.note = "off-schedule balancer scan; races server-crash recovery";
     model.AddGrammarOp(op);
   }
   {
+    // Fail-stop an RS; regions reassign via the crash procedure.
     ctmodel::GrammarOpDecl op;
     op.name = "hbase.kill-rs";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -259,10 +260,10 @@ HBaseArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 4000;
     op.max_time_ms = 18000;
-    op.note = "fail-stop an RS; regions reassign via the crash procedure";
     model.AddGrammarOp(op);
   }
   {
+    // Graceful RS stop closing its ZK session first.
     ctmodel::GrammarOpDecl op;
     op.name = "hbase.stop-rs";
     op.kind = ctmodel::GrammarOpKind::kShutdown;
@@ -271,7 +272,6 @@ HBaseArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 4000;
     op.max_time_ms = 18000;
-    op.note = "graceful RS stop closing its ZK session first";
     model.AddGrammarOp(op);
   }
   return artifacts;

@@ -100,9 +100,6 @@ class RegionServer : public ctsim::Node {
   RegionServer(ctsim::Cluster* cluster, std::string id, std::string master, std::string zk,
                const HBaseArtifacts* artifacts, const HBaseConfig* config);
 
-  bool init_done() const { return init_done_; }
-  const std::map<std::string, std::string>& online_regions() const { return regions_; }
-
  protected:
   void OnStart() override;
   void OnShutdown() override;

@@ -197,16 +197,17 @@ HdfsArtifacts* Build() {
   // write resolves to, hold the cut past the 1500 ms liveness timeout
   // (expiry at ~1750 ms with the 250 ms sweep), and heal at 1900 ms so the
   // DN's next 800 ms-grid heartbeat hits removeDeadDatanode's tombstone
-  // while its recovery is still in flight.
+  // while its recovery is still in flight. The race: a DN partitioned at
+  // registration is expired as dead, heals and heartbeats into the
+  // DatanodeManager without re-registering.
   model.AddNetworkFaultWindow(
-      {artifacts->points.nn_register_dn_write, 1900, "HDFS-15113",
-       "DN partitioned at registration, expired as dead, heals and heartbeats into the "
-       "DatanodeManager without re-registering"});
+      {artifacts->points.nn_register_dn_write, 1900, "HDFS-15113"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's
   // grammar-op-unknown-target keeps both honest).
   {
+    // Extra write competing with TestDFSIO for block placement.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.create-file";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -218,10 +219,10 @@ HdfsArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 4000;
     op.max_time_ms = 12000;
-    op.note = "extra write competing with TestDFSIO for block placement";
     model.AddGrammarOp(op);
   }
   {
+    // Read-path location lookup against unrevalidated replicas.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.locate-blocks";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -233,10 +234,10 @@ HdfsArtifacts* Build() {
     op.weight = 1;
     op.min_time_ms = 5000;
     op.max_time_ms = 14000;
-    op.note = "read-path location lookup against unrevalidated replicas";
     model.AddGrammarOp(op);
   }
   {
+    // Status scan over the inode table.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.fs-status";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -246,10 +247,10 @@ HdfsArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 1000;
     op.max_time_ms = 14000;
-    op.note = "status scan over the inode table";
     model.AddGrammarOp(op);
   }
   {
+    // Administrative decommission through the failure detector.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.decommission-dn";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -261,10 +262,10 @@ HdfsArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 3000;
     op.max_time_ms = 10000;
-    op.note = "administrative decommission through the failure detector";
     model.AddGrammarOp(op);
   }
   {
+    // Fail-stop a DN mid-write; exercises dead-node removal.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.kill-dn";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -273,10 +274,10 @@ HdfsArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 3000;
     op.max_time_ms = 10000;
-    op.note = "fail-stop a DN mid-write; exercises dead-node removal";
     model.AddGrammarOp(op);
   }
   {
+    // Fail-stop a NameNode; the standby promotes and replays edits.
     ctmodel::GrammarOpDecl op;
     op.name = "hdfs.kill-namenode";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -285,7 +286,6 @@ HdfsArtifacts* Build() {
     op.weight = 1;
     op.min_time_ms = 5000;
     op.max_time_ms = 9000;
-    op.note = "fail-stop a NameNode; the standby promotes and replays edits";
     model.AddGrammarOp(op);
   }
   return artifacts;

@@ -49,7 +49,6 @@ class NodeManager : public ctsim::Node {
     bool release_sent = false;
   };
 
-  bool HostsAm() const { return am_ != nullptr; }
   const AmState* am() const { return am_.get(); }
 
  protected:

@@ -64,7 +64,6 @@ class ResourceManager : public ctsim::Node {
   const std::map<std::string, RMContainer>& containers() const { return containers_; }
   const std::map<std::string, RMApp>& apps() const { return apps_; }
   const std::map<std::string, RMAttempt>& attempts() const { return attempts_; }
-  const std::vector<std::string>& node_list() const { return node_list_; }
 
  protected:
   void OnStart() override;

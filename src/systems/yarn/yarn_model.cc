@@ -597,10 +597,9 @@ void BuildNetworkFaultWindows(YarnArtifacts* artifacts) {
   // the cut. 1900 ms heals just after it, so the NM's next 1000 ms-grid
   // heartbeat lands inside the removal's recovery window; a longer cut heals
   // after the sweep has settled and the heartbeat takes the benign resync.
-  artifacts->model.AddNetworkFaultWindow(
-      {p.rm_register_node_write, 1900, "YARN-9301",
-       "NM partitioned at registration, expired as LOST, heals and heartbeats into the "
-       "tracker without a resync"});
+  // The race: an NM partitioned at registration is expired as LOST, heals and
+  // heartbeats into the tracker without a resync.
+  artifacts->model.AddNetworkFaultWindow({p.rm_register_node_write, 1900, "YARN-9301"});
 }
 
 // Workload-fuzzing grammar: the ops the fuzz generator may splice
@@ -610,6 +609,7 @@ void BuildNetworkFaultWindows(YarnArtifacts* artifacts) {
 // grammar-op-unknown-target.
 void BuildGrammar(ProgramModel* model) {
   {
+    // A second application competing for the same node set.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.submit-app";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -621,10 +621,10 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 2;
     op.min_time_ms = 1000;
     op.max_time_ms = 9000;
-    op.note = "a second application competing for the same node set";
     model->AddGrammarOp(op);
   }
   {
+    // Status read racing node-map mutations.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.cluster-status";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -634,10 +634,10 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 2;
     op.min_time_ms = 500;
     op.max_time_ms = 15000;
-    op.note = "status read racing node-map mutations";
     model->AddGrammarOp(op);
   }
   {
+    // Node-list lookup against a possibly removed NM.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.node-report";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -649,10 +649,10 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 2;
     op.min_time_ms = 500;
     op.max_time_ms = 15000;
-    op.note = "node-list lookup against a possibly removed NM";
     model->AddGrammarOp(op);
   }
   {
+    // Administrative decommission through the failure detector.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.decommission-worker";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -664,10 +664,10 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 2;
     op.min_time_ms = 2000;
     op.max_time_ms = 12000;
-    op.note = "administrative decommission through the failure detector";
     model->AddGrammarOp(op);
   }
   {
+    // Fail-stop an NM mid-job; exercises node-lost recovery.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.kill-worker";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -676,10 +676,10 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 3;
     op.min_time_ms = 2000;
     op.max_time_ms = 12000;
-    op.note = "fail-stop an NM mid-job; exercises node-lost recovery";
     model->AddGrammarOp(op);
   }
   {
+    // Graceful NM stop; heartbeats cease without a crash record.
     ctmodel::GrammarOpDecl op;
     op.name = "yarn.stop-worker";
     op.kind = ctmodel::GrammarOpKind::kShutdown;
@@ -688,7 +688,6 @@ void BuildGrammar(ProgramModel* model) {
     op.weight = 2;
     op.min_time_ms = 2000;
     op.max_time_ms = 12000;
-    op.note = "graceful NM stop; heartbeats cease without a crash record";
     model->AddGrammarOp(op);
   }
 }

@@ -184,16 +184,16 @@ ZkArtifacts* Build() {
   // Network-fault window: partition the leader resolved from the session
   // read long enough for the quorum to expire it (fd 1500 ms + sweep), then
   // heal — its resumed heartbeats race the peers' election view
-  // (ZOOKEEPER-2212 class).
+  // (ZOOKEEPER-2212 class). The race: the leader is partitioned across its own
+  // expiry, and its heartbeats resume into peers that already voted it out.
   model.AddNetworkFaultWindow(
-      {artifacts->points.leader_session_read, 1900, "ZOOKEEPER-2212",
-       "leader partitioned across its own expiry, heartbeats resume into peers "
-       "that already voted it out"});
+      {artifacts->points.leader_session_read, 1900, "ZOOKEEPER-2212"});
 
   // Workload-fuzzing grammar: RPC ops name their declared handler, node ops
   // the class whose recovery logic the fault exercises (ctlint's
   // grammar-op-unknown-target keeps both honest).
   {
+    // Create sent to an arbitrary peer; followers forward to the leader.
     ctmodel::GrammarOpDecl op;
     op.name = "zk.create";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -205,10 +205,10 @@ ZkArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 1000;
     op.max_time_ms = 8000;
-    op.note = "create sent to an arbitrary peer; followers forward to the leader";
     model.AddGrammarOp(op);
   }
   {
+    // Read against a replica that may not have replicated yet.
     ctmodel::GrammarOpDecl op;
     op.name = "zk.get";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -220,10 +220,10 @@ ZkArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 1500;
     op.max_time_ms = 9000;
-    op.note = "read against a replica that may not have replicated yet";
     model.AddGrammarOp(op);
   }
   {
+    // Sync'd read through the full request-processor chain.
     ctmodel::GrammarOpDecl op;
     op.name = "zk.sync-read";
     op.kind = ctmodel::GrammarOpKind::kRpc;
@@ -235,10 +235,10 @@ ZkArtifacts* Build() {
     op.weight = 2;
     op.min_time_ms = 1500;
     op.max_time_ms = 9000;
-    op.note = "sync'd read through the full request-processor chain";
     model.AddGrammarOp(op);
   }
   {
+    // Fail-stop a peer; leader churn when the ordinal hits the leader.
     ctmodel::GrammarOpDecl op;
     op.name = "zk.kill-peer";
     op.kind = ctmodel::GrammarOpKind::kCrash;
@@ -247,10 +247,10 @@ ZkArtifacts* Build() {
     op.weight = 3;
     op.min_time_ms = 1500;
     op.max_time_ms = 7000;
-    op.note = "fail-stop a peer; leader churn when the ordinal hits the leader";
     model.AddGrammarOp(op);
   }
   {
+    // Graceful peer stop; heartbeats cease without a crash record.
     ctmodel::GrammarOpDecl op;
     op.name = "zk.stop-peer";
     op.kind = ctmodel::GrammarOpKind::kShutdown;
@@ -259,7 +259,6 @@ ZkArtifacts* Build() {
     op.weight = 1;
     op.min_time_ms = 1500;
     op.max_time_ms = 7000;
-    op.note = "graceful peer stop; heartbeats cease without a crash record";
     model.AddGrammarOp(op);
   }
   return artifacts;

@@ -295,30 +295,48 @@ TEST(ParallelDeterminism, ObservationIsPassiveAndSnapshotDeterministic) {
   }
 }
 
-TEST(FlowDag, DeliveriesChainToTheirCauses) {
-  // Golden-run flow check on a real campaign: run mini-YARN observed, then
-  // validate the flow DAG of each absorbed run via the finalized statistics —
-  // parents always precede children (FlowRecorder depth relies on it), the
-  // root count is sane, and every delivery is counted under its method.
-  ctyarn::YarnSystem yarn;
-  ctcore::CrashTunerDriver driver;
+std::vector<std::unique_ptr<ctcore::SystemUnderTest>> FiveSystems() {
+  std::vector<std::unique_ptr<ctcore::SystemUnderTest>> systems;
+  systems.push_back(std::make_unique<ctyarn::YarnSystem>());
+  systems.push_back(std::make_unique<cthdfs::HdfsSystem>());
+  systems.push_back(std::make_unique<cthbase::HBaseSystem>());
+  systems.push_back(std::make_unique<ctzk::ZkSystem>());
+  systems.push_back(std::make_unique<ctcass::CassSystem>());
+  return systems;
+}
+
+// The finalized observation of one observed jobs=1 crash campaign at scale 1.
+ctobs::SystemMetrics ObservedCampaign(const ctcore::SystemUnderTest& system) {
   ctobs::CampaignObserver observer;
   ctcore::DriverOptions options;
+  options.jobs = 1;
   options.observer = &observer;
-  (void)driver.Run(yarn, options);
+  (void)ctcore::CrashTunerDriver().Run(system, options);
+  return observer.Finalize();
+}
 
-  const ctobs::SystemMetrics metrics = observer.Finalize();
-  ASSERT_GT(metrics.flows.messages, 0u);
-  EXPECT_GT(metrics.flows.roots, 0u);
-  EXPECT_LE(metrics.flows.roots, metrics.flows.messages);
-  // Handlers send messages while handling deliveries, so chains must nest.
-  EXPECT_GE(metrics.flows.max_depth, 2u);
-  unsigned long long per_method_total = 0;
-  for (const auto& [method, count] : metrics.flows.per_method) {
-    EXPECT_FALSE(method.empty());
-    per_method_total += count;
+TEST(FlowDag, DeliveriesChainToTheirCauses) {
+  // Golden-run flow check on real campaigns: run each system observed, then
+  // validate the flow DAG of each absorbed run via the finalized statistics —
+  // every observed delivery is recorded exactly once, parents always precede
+  // children (FlowRecorder depth relies on it), the root count is sane, and
+  // every delivery is counted under its method.
+  for (const auto& system : FiveSystems()) {
+    SCOPED_TRACE(system->name());
+    const ctobs::SystemMetrics metrics = ObservedCampaign(*system);
+    ASSERT_GT(metrics.flows.messages, 0u);
+    EXPECT_EQ(metrics.flows.messages, metrics.metrics.counters().at("messages.delivered"));
+    EXPECT_GT(metrics.flows.roots, 0u);
+    EXPECT_LE(metrics.flows.roots, metrics.flows.messages);
+    // Handlers send messages while handling deliveries, so chains must nest.
+    EXPECT_GE(metrics.flows.max_depth, 2u);
+    unsigned long long per_method_total = 0;
+    for (const auto& [method, count] : metrics.flows.per_method) {
+      EXPECT_FALSE(method.empty());
+      per_method_total += count;
+    }
+    EXPECT_EQ(per_method_total, metrics.flows.messages);
   }
-  EXPECT_EQ(per_method_total, metrics.flows.messages);
 }
 
 TEST(ComponentMarks, RolesAreModelClassesAndCoverEveryKilledRole) {
@@ -326,21 +344,9 @@ TEST(ComponentMarks, RolesAreModelClassesAndCoverEveryKilledRole) {
   // marks themselves are checked against the model: every marked role is a
   // model class with methods, and every role a crash or shutdown grammar op
   // kills is marked, so its recovery sweeps show up in the dwell profile.
-  std::vector<std::unique_ptr<ctcore::SystemUnderTest>> systems;
-  systems.push_back(std::make_unique<ctyarn::YarnSystem>());
-  systems.push_back(std::make_unique<cthdfs::HdfsSystem>());
-  systems.push_back(std::make_unique<cthbase::HBaseSystem>());
-  systems.push_back(std::make_unique<ctzk::ZkSystem>());
-  systems.push_back(std::make_unique<ctcass::CassSystem>());
-  for (const auto& system : systems) {
+  for (const auto& system : FiveSystems()) {
     SCOPED_TRACE(system->name());
-    ctobs::CampaignObserver observer;
-    ctcore::DriverOptions options;
-    options.jobs = 1;
-    options.observer = &observer;
-    (void)ctcore::CrashTunerDriver().Run(*system, options);
-
-    const ctobs::SystemMetrics metrics = observer.Finalize();
+    const ctobs::SystemMetrics metrics = ObservedCampaign(*system);
     const ctmodel::ProgramModel& model = system->model();
     std::set<std::string> roles;
     for (const auto& [name, dwell] : metrics.metrics.components()) {

@@ -1,6 +1,7 @@
 // Unit tests for the cluster's one network fault, the partition window
 // (symmetric cuts, heal, declared start times, the trace it hashes), the
-// separation of the drop counters, and the flow stamps written at post time.
+// separation of the drop counters, and causal flows: the stamps written at
+// post time, a reply chained to the delivery it answers, and timers as roots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "src/common/fnv.h"
 #include "src/sim/cluster.h"
+#include "src/sim/flow.h"
 #include "src/sim/trace.h"
 
 namespace ctsim {
@@ -18,9 +20,25 @@ class ProbeNode : public Node {
  public:
   ProbeNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
     Handle("ping", [this](const Message&) { ++pings_; });
+    Handle("pong", [this](const Message&) { ++pongs_; });
   }
 
   int pings_ = 0;
+  int pongs_ = 0;
+};
+
+// Answers each ping with a pong after waiting inside its handler (a nested
+// RunFor, as the pre-read trigger's wait does), so other events run while
+// the ping's delivery is still being handled.
+class EchoNode : public ProbeNode {
+ public:
+  EchoNode(Cluster* cluster, std::string id) : ProbeNode(cluster, std::move(id)) {
+    Handle("ping", [this](const Message& message) {
+      ++pings_;
+      this->cluster().loop().RunFor(10);
+      Send(message.from, "pong");
+    });
+  }
 };
 
 TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
@@ -31,28 +49,62 @@ TEST(ClusterFaults, FlowStampsAreWrittenAtPostTime) {
   auto* b = cluster.AddNode<ProbeNode>("b:1");
   cluster.StartAll();
 
-  struct Delivered {
-    uint64_t flow;
-    uint64_t parent;
-  };
-  std::vector<Delivered> deliveries;
-  cluster.SetFlowHook([&](uint64_t flow_id, uint64_t parent_flow, const Message&) {
-    deliveries.push_back({flow_id, parent_flow});
-  });
+  FlowRecorder flows;
+  cluster.set_flow_recorder(&flows);
   const int kMessages = 20;
   for (int i = 0; i < kMessages; ++i) {
     a->Send("b:1", "ping");
   }
   cluster.loop().RunToCompletion();
   EXPECT_EQ(b->pings_, kMessages);
-  ASSERT_EQ(deliveries.size(), static_cast<size_t>(kMessages));
+  ASSERT_EQ(flows.records().size(), static_cast<size_t>(kMessages));
   std::vector<uint64_t> seen_ids;
-  for (const Delivered& delivery : deliveries) {
-    EXPECT_EQ(delivery.parent, 0u);  // posted outside any delivery: DAG roots
-    seen_ids.push_back(delivery.flow);
+  for (const FlowRecord& record : flows.records()) {
+    EXPECT_EQ(record.parent, 0u);  // posted outside any delivery: DAG roots
+    seen_ids.push_back(record.id);
   }
   std::sort(seen_ids.begin(), seen_ids.end());
   EXPECT_EQ(std::unique(seen_ids.begin(), seen_ids.end()), seen_ids.end());
+}
+
+TEST(ClusterFaults, RepliesChainToTheirCauseAndTimersInsideAHandlerAreRoots) {
+  // A delivery is the parent of what its handler sends, even after the
+  // handler's nested RunFor delivered other messages (the stamp is restored
+  // after each nested delivery). A timer that fires inside that RunFor sends
+  // a root, not a child of the delivery on the call stack (FlowRootScope).
+  Cluster cluster;
+  auto* a = cluster.AddNode<ProbeNode>("a:1");
+  cluster.AddNode<EchoNode>("b:1");
+  auto* c = cluster.AddNode<ProbeNode>("c:1");
+  cluster.StartAll();
+
+  FlowRecorder flows;
+  cluster.set_flow_recorder(&flows);
+  a->Send("b:1", "ping");                        // delivered at 1; b replies at 11
+  c->After(5, [c] { c->Send("a:1", "ping"); });  // fires at 5, inside b's wait
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(a->pings_, 1);
+  EXPECT_EQ(a->pongs_, 1);
+  EXPECT_EQ(flows.messages(), cluster.delivered_messages());
+  ASSERT_EQ(flows.records().size(), 3u);
+
+  const FlowRecord& ping = flows.records()[0];
+  EXPECT_EQ(flows.method_name(ping.method), "ping");
+  EXPECT_EQ(ping.sim_ms, 1u);
+  EXPECT_EQ(ping.parent, 0u);
+
+  const FlowRecord& timer_ping = flows.records()[1];
+  EXPECT_EQ(flows.method_name(timer_ping.method), "ping");
+  EXPECT_EQ(timer_ping.sim_ms, 6u);
+  EXPECT_EQ(timer_ping.parent, 0u);
+
+  const FlowRecord& pong = flows.records()[2];
+  EXPECT_EQ(flows.method_name(pong.method), "pong");
+  EXPECT_EQ(pong.sim_ms, 12u);
+  EXPECT_EQ(pong.parent, ping.id);
+
+  EXPECT_EQ(flows.roots(), 2u);
+  EXPECT_EQ(flows.max_depth(), 2u);
 }
 
 TEST(ClusterFaults, PartitionDropsCountSeparatelyFromDeadNodeDrops) {

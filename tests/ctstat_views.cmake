@@ -23,7 +23,7 @@ set(expected_top [=[
 
 Sys — where does the virtual time go?
   total virtual time 1000 ms across 2 runs
-  component span               role class                dwell(ms)     events    share
+  component                    role class                dwell(ms)     events    share
   gossip-round                 Gossiper                        600         12    60.0%
   tick                         Ticker                          300          3    30.0%
 ]=])

@@ -1,8 +1,9 @@
 // Unit tests for the observability subsystem (src/obs/): histogram bucket
 // edges and merge algebra, shard merges and campaign absorb order, span
-// recording against a real event loop, component dwell marks, snapshot
-// serialization (wall segregation), the Chrome-trace writer, dossiers, and
-// the JSON reader (checked integer fields included) that closes the loop.
+// recording against a real event loop, component dwell marks, the causal-
+// flow recorder the cluster feeds (src/sim/flow.h), snapshot serialization
+// (wall segregation), the Chrome-trace writer, dossiers, and the JSON reader
+// (checked integer fields included) that closes the loop.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,6 +16,8 @@
 #include "src/obs/snapshot.h"
 #include "src/obs/span.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/flow.h"
+#include "src/sim/symbol.h"
 
 namespace {
 
@@ -224,39 +227,37 @@ TEST(SpanTest, DwellMarksPartitionVirtualTime) {
 // ---------------------------------------------------------------------------
 // Flow recorder
 
-ctobs::FlowRecord MakeFlow(uint64_t id, uint64_t parent, const std::string& method) {
-  ctobs::FlowRecord record;
-  record.id = id;
-  record.parent = parent;
-  record.method = method;
-  return record;
-}
-
 TEST(FlowRecorderTest, TracksDepthAndRoots) {
-  ctobs::FlowRecorder flows;
-  flows.Record(MakeFlow(1, 0, "gossip"));    // root
-  flows.Record(MakeFlow(2, 1, "writeRow"));  // caused by delivery 1
-  flows.Record(MakeFlow(3, 2, "rowAck"));    // caused by delivery 2
-  flows.Record(MakeFlow(4, 0, "gossip"));    // independent root
+  ctsim::InternTable symbols;
+  const ctsim::Symbol gossip = symbols.Intern("gossip");
+  ctsim::FlowRecorder flows;
+  EXPECT_EQ(flows.Record(0, gossip, 0), 1u);  // root
+  EXPECT_EQ(flows.max_depth(), 1u);
+  EXPECT_EQ(flows.Record(1, symbols.Intern("writeRow"), 0), 2u);  // caused by delivery 1
+  EXPECT_EQ(flows.Record(2, symbols.Intern("rowAck"), 0), 3u);    // caused by delivery 2
+  EXPECT_EQ(flows.max_depth(), 3u);
+  EXPECT_EQ(flows.Record(0, gossip, 0), 4u);  // independent root
   EXPECT_EQ(flows.messages(), 4u);
   EXPECT_EQ(flows.roots(), 2u);
   EXPECT_EQ(flows.max_depth(), 3u);
-  EXPECT_EQ(flows.DepthOf(1), 1u);
-  EXPECT_EQ(flows.DepthOf(3), 3u);
-  EXPECT_EQ(flows.DepthOf(99), 0u);
   EXPECT_EQ(flows.per_method().at("gossip"), 2u);
-  EXPECT_EQ(flows.records().size(), 4u);
-  EXPECT_TRUE(flows.records()[0].is_root());
-  EXPECT_FALSE(flows.records()[1].is_root());
+  EXPECT_EQ(flows.per_method().at("rowAck"), 1u);
+  ASSERT_EQ(flows.records().size(), 4u);
+  EXPECT_EQ(flows.records()[0].parent, 0u);
+  EXPECT_EQ(flows.records()[1].parent, 1u);
+  EXPECT_EQ(flows.method_name(flows.records()[1].method), "writeRow");
+  EXPECT_EQ(flows.records()[3].method, flows.records()[0].method);  // one name per method
 }
 
 TEST(FlowRecorderTest, RecordCapDropsRawRecordsButCountsExactly) {
-  ctobs::FlowRecorder flows;
-  const uint64_t total = ctobs::FlowRecorder::kMaxRecords + 7;
+  ctsim::InternTable symbols;
+  const ctsim::Symbol tick = symbols.Intern("tick");
+  ctsim::FlowRecorder flows;
+  const uint64_t total = ctsim::FlowRecorder::kMaxRecords + 7;
   for (uint64_t i = 1; i <= total; ++i) {
-    flows.Record(MakeFlow(i, i - 1, "tick"));  // one long causal chain
+    ASSERT_EQ(flows.Record(i - 1, tick, i), i);  // one long causal chain
   }
-  EXPECT_EQ(flows.records().size(), ctobs::FlowRecorder::kMaxRecords);
+  EXPECT_EQ(flows.records().size(), ctsim::FlowRecorder::kMaxRecords);
   EXPECT_EQ(flows.dropped(), 7u);
   EXPECT_EQ(flows.messages(), total);
   EXPECT_EQ(flows.max_depth(), total);  // depth tracking continues past the cap
@@ -377,6 +378,7 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
   // Slots absorbed out of order (as a jobs=N pool would) must give the same
   // deterministic snapshot as in-order absorption: every shard fold commutes.
   auto absorb = [](std::initializer_list<int> slots) {
+    ctsim::InternTable symbols;
     ctobs::CampaignObserver campaign;
     campaign.set_system("TestSys");
     for (int slot : slots) {
@@ -393,7 +395,7 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
       run.metrics().Add("slot.hits", static_cast<uint64_t>(slot + 1));
       run.metrics().SetGauge("slot.max", slot);
       run.metrics().Observe("run.virtual_ms", loop.Now());
-      run.flows().Record(MakeFlow(1, 0, slot % 2 == 0 ? "gossip" : "tick"));
+      run.flows().Record(0, symbols.Intern(slot % 2 == 0 ? "gossip" : "tick"), 0);
       campaign.AbsorbRun(slot, std::move(run));
     }
     ctobs::MetricsSnapshot snapshot;
@@ -484,8 +486,9 @@ TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
     loop.RunToCompletion();
     run.MarkComponent(loop.Now(), "gossip-round", "Gossiper");
   }
-  run.flows().Record(MakeFlow(1, 0, "gossip"));
-  run.flows().Record(MakeFlow(2, 1, "gossip"));
+  ctsim::InternTable symbols;
+  run.flows().Record(0, symbols.Intern("gossip"), 0);
+  run.flows().Record(1, symbols.Intern("gossip"), 0);
   campaign.AbsorbRun(0, run);
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
@@ -519,12 +522,9 @@ TEST(ChromeTraceTest, FlowArrowsLinkParentAndChildDeliveries) {
   ctobs::CampaignObserver campaign;
   ctobs::RunObserver run;
   run.Enable();
-  ctobs::FlowRecord parent = MakeFlow(1, 0, "gossip");
-  parent.sim_ms = 10;
-  ctobs::FlowRecord child = MakeFlow(2, 1, "writeRow");
-  child.sim_ms = 25;
-  run.flows().Record(parent);
-  run.flows().Record(child);
+  ctsim::InternTable symbols;
+  run.flows().Record(0, symbols.Intern("gossip"), /*sim_ms=*/10);
+  run.flows().Record(1, symbols.Intern("writeRow"), /*sim_ms=*/25);
   campaign.AbsorbRun(3, run);
 
   ctobs::ChromeTraceWriter writer;
@@ -540,8 +540,10 @@ TEST(ChromeTraceTest, FlowArrowsLinkParentAndChildDeliveries) {
     if (ph->string_value == "s") {
       start_id = event.Find("id")->number_value;
       EXPECT_EQ(event.Find("ts")->number_value, 10000.0);  // parent delivery
+      EXPECT_EQ(event.Find("name")->string_value, "writeRow");  // the child's method
     } else if (ph->string_value == "f") {
       finish_id = event.Find("id")->number_value;
+      EXPECT_EQ(event.Find("name")->string_value, "writeRow");
       EXPECT_EQ(event.Find("ts")->number_value, 25000.0);  // child delivery
       EXPECT_EQ(event.Find("bp")->string_value, "e");
     }

@@ -119,9 +119,7 @@ echo "== stage 4f: scale-out scheduler smoke (ladder queue vs legacy, --scale sw
 # at the largest level in BENCH_scale.json (the >=2x speedup bar is enforced
 # only on >=4-hardware-thread machines; elsewhere it is a plain record).
 # Byte-identical reports at --scale 8 across jobs=1/jobs=4 are asserted by
-# campaign_test's ScaleDeterminism suite in stage 2. Multi-core CI lanes can
-# export CRASHTUNER_ENFORCE_SPEEDUP=1 to pin the bar on regardless of what
-# hardware detection reports (and =0 to silence it on a loaded box).
+# campaign_test's ScaleDeterminism suite in stage 2.
 ./build/bench/bench_scale --json build/BENCH_scale.json 1 2 8 | tail -n 14
 check_json build/BENCH_scale.json
 
@@ -141,9 +139,9 @@ echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
 # marks + causal flows + dossiers on — asserting report passivity, >= 50% of
 # virtual time attributed to the quorum-broadcast component, flow-DAG health,
 # dossier round trips, and <= 10% tracing wall overhead (enforced on >= 4
-# hardware threads, CRASHTUNER_ENFORCE_SPEEDUP overrides). The profiler views
-# then run against the snapshot it wrote: ctstat --top (per-component dwell)
-# and --flows --check (delivery table + v3 schema validation).
+# hardware threads). The profiler views then run against the snapshot it
+# wrote: ctstat --top (per-component dwell) and --flows --check (delivery
+# table + v3 schema validation).
 ./build/bench/bench_obs_flows --json build/BENCH_obs_flows.json \
   --metrics-out build/obs_flows_snapshot.json \
   --dossier-dir build/dossiers 8 | tail -n 7

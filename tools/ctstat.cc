@@ -443,7 +443,7 @@ void PrintTop(const ParsedSystem& system) {
     }
   }
   if (system.components.empty()) {
-    std::printf("  (no component spans recorded — run with observation on)\n");
+    std::printf("  (no components recorded — run with observation on)\n");
     return;
   }
   std::vector<ParsedComponent> sorted = system.components;
@@ -455,7 +455,7 @@ void PrintTop(const ParsedSystem& system) {
   });
   std::printf("  total virtual time %llu ms across %lld runs\n", total_virtual_ms,
               system.runs);
-  std::printf("  %-28s %-22s %12s %10s %8s\n", "component span", "role class", "dwell(ms)",
+  std::printf("  %-28s %-22s %12s %10s %8s\n", "component", "role class", "dwell(ms)",
               "events", "share");
   for (const ParsedComponent& row : sorted) {
     char share_cell[16];
