@@ -7,8 +7,8 @@
 // checks:
 //
 //   1. Passivity: the two SystemReports serialize byte-identically and carry
-//      the same campaign trace hash. Flow stamping, span recording, dwell
-//      marks and dossier capture must not perturb a single event.
+//      the same campaign trace hash. Flow stamping, phase stamps and dwell
+//      marks must not perturb a single event.
 //   2. Dwell attribution: the quorum-broadcast component absorbs >= 50% of
 //      the campaign's virtual time (ZooKeeper's only marked sweep is the
 //      peer-heartbeat fan-out, and scaled quorums spend their lives
@@ -16,9 +16,9 @@
 //   3. Flows: deliveries were recorded and causal chains actually nest
 //      (max depth >= 2).
 //   4. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5
-//      lists no new ZooKeeper bugs) must emit one dossier per bug-verdict
-//      injection, each round-tripping through the crashtuner-dossier-v1
-//      reader unchanged.
+//      lists no new ZooKeeper bugs) must hand its observer one dossier per
+//      bug-verdict injection, each round-tripping through the
+//      crashtuner-dossier-v1 reader unchanged.
 //   5. Overhead: the observed campaign's wall time stays within 10% of the
 //      unobserved one. Like the other wall-clock bars this is enforced only
 //      on >= 4 hardware threads.
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
       ctcore::CrashTunerDriver().Run(baseline_system, off_options);
   const double off_wall = Wall(off_start);
 
-  // Pass 2: observation on — spans, dwell marks, flows, and dossiers all
-  // recording.
+  // Pass 2: observation on — phase stamps, dwell marks and flows recording,
+  // and the report's dossiers handed to the observer.
   ctzk::ZkSystem observed_system;
   observed_system.set_scale(scale);
   ctbench::BenchObservation observation(flags);

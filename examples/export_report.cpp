@@ -12,8 +12,8 @@
 //   --fuzz N                   after the pipeline, run N independently
 //                              drawn workload-fuzzing runs per system
 //                              (reports gain a "fuzz" section);
-//   --dossier-dir DIR          observe the campaigns and write one
-//                              crashtuner-dossier-v1 JSON per failing run as
+//   --dossier-dir DIR          write one crashtuner-dossier-v1 JSON per
+//                              failing run, built from the report, as
 //                              DIR/<stem>-slot<N>.json (src/obs/dossier.h).
 //
 // File names use the system's FileStem ("Hadoop2/Yarn" -> "Hadoop2_Yarn").
@@ -32,7 +32,6 @@
 #include "src/fuzz/fuzz_phase.h"
 #include "src/obs/dossier.h"
 #include "src/obs/json.h"
-#include "src/obs/observer.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
 #include "src/systems/hdfs/hdfs_system.h"
@@ -48,23 +47,19 @@ bool ReportWriteFailure(const std::string& path) {
 
 // Runs the pipeline on one system and writes its files. Returns false if
 // any write failed.
-bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& base_options,
+bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& options,
             const std::filesystem::path& directory, int fuzz_runs,
             const std::filesystem::path& dossier_dir) {
-  ctcore::CrashTunerDriver driver;
-  ctcore::DriverOptions options = base_options;
-  ctobs::CampaignObserver observer;
-  if (!dossier_dir.empty()) {
-    options.observer = &observer;
-  }
-  ctcore::SystemReport report = driver.Run(system, options);
+  ctcore::SystemReport report = ctcore::CrashTunerDriver().Run(system, options);
 
   const std::string stem = ctobs::FileStem(report.system);
   bool ok = true;
   std::string failed_path;
   if (!dossier_dir.empty() &&
-      !ctobs::WriteDossiers(dossier_dir.string(), report.system, observer.dossiers(),
-                            &failed_path)) {
+      !ctobs::WriteDossiers(
+          dossier_dir.string(), report.system,
+          ctcore::ReportDossiers(system, report, options.seed + ctcore::kCampaignSeedOffset),
+          &failed_path)) {
     ok = ReportWriteFailure(failed_path);
   }
   if (fuzz_runs > 0) {
@@ -72,7 +67,6 @@ bool Export(const ctcore::SystemUnderTest& system, const ctcore::DriverOptions& 
     fuzz_options.runs = fuzz_runs;
     fuzz_options.seed = options.seed;
     fuzz_options.jobs = options.jobs;
-    fuzz_options.observer = options.observer;
     ctfuzz::RunFuzzPhase(system, &report, fuzz_options);
   }
   const std::pair<const char*, std::string> files[] = {

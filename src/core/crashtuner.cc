@@ -2,13 +2,12 @@
 
 #include <chrono>
 #include <map>
-#include <memory>
 
 #include "src/common/fnv.h"
 #include "src/common/strings.h"
 #include "src/core/campaign.h"
+#include "src/core/report_writer.h"
 #include "src/obs/observer.h"
-#include "src/obs/span.h"
 #include "src/runtime/tracer.h"
 
 namespace ctcore {
@@ -109,13 +108,10 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   report.system = system.name();
   const ctmodel::ProgramModel& model = system.model();
 
-  auto wall_start = std::chrono::steady_clock::now();
-
-  // Driver-level phase spans are wall-only (no event loop at this level);
-  // they land on the observer's Chrome-trace "driver" thread.
-  ctobs::RunObserver* driver_obs =
-      options.observer != nullptr ? &options.observer->driver_observer() : nullptr;
-  auto driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "analysis", "driver");
+  // The driver's wall-clock reads bound its phases: analysis, profile and
+  // campaign, in Table 11 and on the observer's Chrome-trace driver thread.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point wall_start = Clock::now();
 
   const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
 
@@ -150,12 +146,8 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   ctanalysis::CrashPointAnalysis crash_analysis(&model, &report.metainfo);
   report.crash_points = crash_analysis.Identify(crash_point_options);
 
-  report.analysis_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  driver_span.reset();  // close "analysis" before "profile" opens: spans on
-                        // the driver thread must not overlap
-  driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "profile", "driver");
+  const Clock::time_point analysis_end = Clock::now();
+  report.analysis_wall_seconds = std::chrono::duration<double>(analysis_end - wall_start).count();
 
   // --- Phase 1c: dynamic crash points (profiled or enumerated). -------------
   if (!static_mode) {
@@ -201,19 +193,12 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
                               options.pre_read_wait_ms);
   tester.set_injection_mode(options.injection_mode);
   tester.set_observer(options.observer);
-  driver_span.reset();
-  driver_span = std::make_unique<ctobs::ScopedSpan>(driver_obs, nullptr, "campaign", "driver");
-  auto test_wall_start = std::chrono::steady_clock::now();
-  report.injections = tester.TestAll(report.profile, options.seed + 1000, options.jobs);
-  report.test_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - test_wall_start).count();
+  const uint64_t campaign_seed = options.seed + kCampaignSeedOffset;
+  const Clock::time_point test_wall_start = Clock::now();
+  report.injections = tester.TestAll(report.profile, campaign_seed, options.jobs);
+  const Clock::time_point test_wall_end = Clock::now();
+  report.test_wall_seconds = std::chrono::duration<double>(test_wall_end - test_wall_start).count();
   report.test_virtual_hours = static_cast<double>(tester.total_virtual_ms()) / 3'600'000.0;
-  driver_span.reset();
-  if (options.observer != nullptr) {
-    options.observer->set_system(report.system);
-    options.observer->set_jobs(ResolveJobs(options.jobs));
-    options.observer->set_campaign_wall_seconds(report.test_wall_seconds);
-  }
 
   // --- Reporting. ------------------------------------------------------------
   report.total_types = model.NumTypes();
@@ -242,6 +227,15 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
     if (injection.injected && !injection.outcome.IsBug() && injection.outcome.timeout_issue) {
       report.timeout_issues.push_back(injection);
     }
+  }
+
+  if (options.observer != nullptr) {
+    options.observer->AddDriverPhase("analysis", wall_start, analysis_end);
+    options.observer->AddDriverPhase("profile", analysis_end, test_wall_start);
+    options.observer->AddDriverPhase("campaign", test_wall_start, test_wall_end);
+    options.observer->set_system(report.system);
+    options.observer->set_jobs(ResolveJobs(options.jobs));
+    options.observer->set_dossiers(ReportDossiers(system, report, campaign_seed));
   }
   return report;
 }

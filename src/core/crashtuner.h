@@ -147,13 +147,17 @@ struct DriverOptions {
   // window from the model's declared network-fault windows, falling back to
   // FaultInjectionTester::kDefaultPartitionMs.
   InjectionMode injection_mode = InjectionMode::kCrash;
-  // Campaign observability (may be null). When set, the driver opens
-  // wall-clock spans around its own phases (analysis, profile, campaign),
-  // every Phase-2 run records phase spans + metrics into it, and the driver
-  // stamps system/jobs/campaign-wall metadata at the end. Observation is
-  // passive: the report and its trace hash are byte-identical either way.
+  // Campaign observability (may be null). When set, every Phase-2 run
+  // records its phase table and metrics into it, and at the end the driver
+  // adds its own wall-clock phases (analysis, profile, campaign), the
+  // system/jobs metadata and the report's failure dossiers (ReportDossiers).
+  // Observation is passive: the report and its trace hash are byte-identical
+  // either way.
   ctobs::CampaignObserver* observer = nullptr;
 };
+
+// Phase 2 seeds injection i with DriverOptions::seed + kCampaignSeedOffset + i.
+inline constexpr uint64_t kCampaignSeedOffset = 1000;
 
 class CrashTunerDriver {
  public:

@@ -1,9 +1,6 @@
 #include "src/core/executor.h"
 
-#include <memory>
-
 #include "src/common/check.h"
-#include "src/obs/span.h"
 
 namespace ctcore {
 
@@ -52,13 +49,13 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
     cluster.set_flow_recorder(&observer->flows());
   }
   {
-    ctobs::ScopedSpan boot(observer, &loop, "boot", "phase");
+    ctobs::ScopedPhase boot(observer, loop, ctobs::Phase::kBoot);
     cluster.StartAll();
   }
 
   bool over_timeout = false;
   {
-    ctobs::ScopedSpan workload(observer, &loop, "workload", "phase");
+    ctobs::ScopedPhase workload(observer, loop, ctobs::Phase::kWorkload);
     run.Start();
     while (!run.JobFinished() && !run.JobFailed() && !cluster.cluster_down()) {
       if (loop.Now() > hang_deadline || loop.pending_events() == 0) {
@@ -72,7 +69,7 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
   }
 
   {
-    ctobs::ScopedSpan recovery(observer, &loop, "recovery-check", "phase");
+    ctobs::ScopedPhase recovery(observer, loop, ctobs::Phase::kRecoveryCheck);
     // Grace drain: the cluster keeps running briefly after the client sees the
     // job finish, so post-completion bookkeeping (application cleanup, final
     // releases) executes and its crash points are observable.
@@ -103,17 +100,14 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
     // are derived from virtual-time events, so the aggregated values are
     // independent of how runs were spread over worker threads.
     ctobs::MetricsShard& metrics = observer->metrics();
-    metrics.Add("run.count");
     metrics.Add("events.dispatched", loop.executed_events());
     metrics.Add("events.scheduled", loop.scheduled_events());
-    metrics.Add("events.cancelled", loop.cancelled_events());
     metrics.Add("events.skipped_dead_owner", loop.skipped_dead_owner_events());
     metrics.SetGauge("events.peak_pending", static_cast<int64_t>(loop.peak_pending_events()));
     metrics.SetGauge("sim.interned_symbols", static_cast<int64_t>(cluster.interner().size()));
     metrics.Add("messages.delivered", cluster.delivered_messages());
     metrics.Add("messages.dropped_dead", cluster.dropped_messages());
     metrics.Add("messages.dropped_plan", cluster.plan_dropped_messages());
-    metrics.Add("messages.heartbeats", cluster.heartbeat_messages());
     metrics.Add("partition.epochs", static_cast<uint64_t>(cluster.partition_epochs()));
     metrics.Add("faults.crashes", static_cast<uint64_t>(cluster.crash_count()));
     metrics.Add("faults.shutdowns", static_cast<uint64_t>(cluster.shutdown_count()));

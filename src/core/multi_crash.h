@@ -18,7 +18,9 @@
 // produced — profiled runs in ContextMode::kProfiled, *statically enumerated*
 // contexts in kStaticOnly — through one shared enumerator
 // (EnumerateCrashPairs), so the static mode builds its quadratic set with no
-// profiling runs and ComparePairSets can score it against the profiled set.
+// profiling runs. An unordered pair {a, b} is statically enumerable iff both
+// points are static points, so the pair sets of the two modes compare by
+// their point sets alone: n points make n(n-1)/2 pairs.
 #ifndef SRC_CORE_MULTI_CRASH_H_
 #define SRC_CORE_MULTI_CRASH_H_
 
@@ -57,22 +59,6 @@ struct CrashPairCandidate {
 // differ only in where the points came from.
 std::vector<CrashPairCandidate> EnumerateCrashPairs(
     const std::set<ctrt::DynamicPoint>& points, long long max_pairs);
-
-// Static-vs-profiled cross-check over the *uncapped* pair sets.
-struct PairSetCrossCheck {
-  long long profiled = 0;    // pairs enumerable from the profiled point set
-  long long matched = 0;     // of those, present in the static pair set
-  long long enumerated = 0;  // pairs enumerable from the static point set
-  std::vector<CrashPairCandidate> missed;  // profiled pairs the static set lacks
-
-  // Soundness direction: every profiled pair must be statically enumerated.
-  double Recall() const;
-  // Fraction of statically enumerated pairs the profiler realized.
-  double Precision() const;
-};
-
-PairSetCrossCheck ComparePairSets(const std::set<ctrt::DynamicPoint>& profiled_points,
-                                  const std::set<ctrt::DynamicPoint>& static_points);
 
 struct PairInjectionResult {
   ctrt::DynamicPoint first;

@@ -150,4 +150,42 @@ std::string ReportToJson(const SystemReport& report) {
   return json.str();
 }
 
+std::vector<ctobs::Dossier> ReportDossiers(const SystemUnderTest& system,
+                                           const SystemReport& report, uint64_t first_seed) {
+  const std::string workload =
+      system.workload_name() + " x" + std::to_string(system.default_workload_size());
+  std::vector<ctobs::Dossier> dossiers;
+  for (size_t slot = 0; slot < report.injections.size(); ++slot) {
+    const InjectionResult& injection = report.injections[slot];
+    if (!injection.outcome.IsBug()) {
+      continue;
+    }
+    const bool network = injection.mode == InjectionMode::kNetworkFault;
+    ctobs::Dossier& dossier = dossiers.emplace_back();
+    dossier.system = report.system;
+    dossier.slot = static_cast<int>(slot);
+    dossier.seed = first_seed + slot;
+    dossier.failed_invariant = injection.outcome.Signature();
+    if (injection.injected) {
+      dossier.injected_points.push_back(
+          {injection.point.point_id, injection.point.stack_key, injection.target_node,
+           network ? "partition"
+                   : (injection.kind == ctanalysis::CrashPointKind::kPreRead ? "shutdown"
+                                                                             : "crash")});
+      dossier.recovery_phase_span = InjectionName(system, injection.point.point_id);
+      if (network) {
+        dossier.fault_plan = "partition-epochs=1";
+      }
+    } else {
+      dossier.recovery_phase_span = injection.outcome.finished ? "recovery-check" : "workload";
+    }
+    char hash_prefix[16];
+    std::snprintf(hash_prefix, sizeof(hash_prefix), "%08llx",
+                  static_cast<unsigned long long>(injection.trace_hash >> 32));
+    dossier.trace_hash_prefix = hash_prefix;
+    dossier.workload = workload;
+  }
+  return dossiers;
+}
+
 }  // namespace ctcore

@@ -1,7 +1,6 @@
 #include "src/core/trigger.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -10,7 +9,6 @@
 
 #include "src/core/campaign.h"
 #include "src/obs/observer.h"
-#include "src/obs/span.h"
 #include "src/sim/exception.h"
 #include "src/sim/trace.h"
 
@@ -58,6 +56,10 @@ class StashFeed {
 };
 
 }  // namespace
+
+std::string InjectionName(const SystemUnderTest& system, int point_id) {
+  return "inject:" + ctmodel::ProgramModel::ContextMethodOf(system.model().access_point(point_id));
+}
 
 const ctanalysis::StaticCrashPoint* FaultInjectionTester::StaticPointOf(int point_id) const {
   for (const auto& static_point : crash_points_->points) {
@@ -123,23 +125,19 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   ctsim::Cluster& cluster = run->cluster();
   cluster.set_trace_recorder(&recorder);
 
-  // Campaign observability: enable the run's observer so the phase spans the
-  // executor opens, the injection span below, and the end-of-run counter copy
-  // all record. Purely passive — no RNG draws, no scheduled events — so the
-  // run's trace and hash are unchanged.
+  // Campaign observability: enable the run's observer so the phases the
+  // executor and this call stamp, and the end-of-run counters, record.
+  // Purely passive — no RNG draws, no scheduled events — so the run's trace
+  // and hash are unchanged.
+  const bool observed = observer_ != nullptr && trace_slot >= 0;
   ctobs::RunObserver* run_observer = &run->context().observer();
-  if (observer_ != nullptr && trace_slot >= 0) {
+  if (observed) {
     run_observer->Enable();
   }
-  // Injection spans are named after the anchor frame of the armed point, a
-  // declared method that ctlint keeps reachable.
-  const std::string injection_span_name =
-      "inject:" +
-      ctmodel::ProgramModel::ContextMethodOf(system_->model().access_point(point.point_id));
 
   std::optional<StashFeed> feed;
   {
-    ctobs::ScopedSpan arm(run_observer, &cluster.loop(), "window-arm", "phase");
+    ctobs::ScopedPhase arm(run_observer, cluster.loop(), ctobs::Phase::kWindowArm);
     feed.emplace(cluster, filter_);
   }
 
@@ -158,12 +156,15 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     }
     result.injected = true;
     result.target_node = *target;
-    // The span covers the fault action itself — for pre-read points that
-    // includes the recovery wait window; closure is exception-safe, so a
-    // NodeCrashedSignal unwinding through here still ends the span.
-    ctobs::ScopedSpan inject(run_observer, &cluster.loop(), injection_span_name, "injection");
-    inject.AddArg("point", std::to_string(point.point_id));
-    inject.AddArg("target", *target);
+    // The injection phase covers the fault action itself — for pre-read
+    // points that includes the recovery wait window.
+    if (observed) {
+      ctobs::PhaseTable& phases = run_observer->phases();
+      phases.injection_name = InjectionName(*system_, point.point_id);
+      phases.injection_point = point.point_id;
+      phases.injection_target = *target;
+    }
+    ctobs::ScopedPhase inject(run_observer, cluster.loop(), ctobs::Phase::kInjection);
     Strike(cluster, *target, point.point_id, kind);
   });
 
@@ -172,7 +173,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   total_virtual_ms_.fetch_add(result.outcome.virtual_duration_ms, std::memory_order_relaxed);
   result.trace_hash = recorder.hash();
 
-  if (observer_ != nullptr && trace_slot >= 0) {
+  if (observed) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
     if (result.point_hit) {
       metrics.Add("injection.point_hit");
@@ -182,40 +183,6 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     }
     metrics.Add("outcome." + MetricName(result.outcome.PrimarySymptom()));
     metrics.Add("trace.events", recorder.size());
-    if (result.outcome.IsBug()) {
-      // Failure dossier: the canonical signature of this failing run —
-      // everything downstream dedup clustering keys on and a replay tool
-      // needs to re-execute exactly this run.
-      ctobs::Dossier dossier;
-      dossier.system = system_->name();
-      dossier.slot = trace_slot;
-      dossier.seed = seed;
-      dossier.failed_invariant = result.outcome.Signature();
-      if (result.injected) {
-        ctobs::DossierPoint injected;
-        injected.point_id = point.point_id;
-        injected.call_string = point.stack_key;
-        injected.target_node = result.target_node;
-        injected.mode = mode_ == InjectionMode::kNetworkFault
-                            ? "partition"
-                            : (kind == ctanalysis::CrashPointKind::kPreRead ? "shutdown"
-                                                                            : "crash");
-        dossier.injected_points.push_back(std::move(injected));
-      }
-      dossier.recovery_phase_span =
-          result.injected ? injection_span_name
-                          : (result.outcome.finished ? "recovery-check" : "workload");
-      char hash_prefix[16];
-      std::snprintf(hash_prefix, sizeof(hash_prefix), "%08llx",
-                    static_cast<unsigned long long>(result.trace_hash >> 32));
-      dossier.trace_hash_prefix = hash_prefix;
-      if (cluster.partition_epochs() > 0) {
-        dossier.fault_plan = "partition-epochs=" + std::to_string(cluster.partition_epochs());
-      }
-      dossier.workload =
-          system_->workload_name() + " x" + std::to_string(system_->default_workload_size());
-      observer_->AbsorbDossier(trace_slot, std::move(dossier));
-    }
     observer_->AbsorbRun(trace_slot, std::move(*run_observer));
   }
   // No reset needed: the tracer — armed trigger and all — dies with the run.

@@ -58,6 +58,11 @@ struct InjectionResult {
   RunOutcome outcome;
 };
 
+// An injection's name in phase tables, snapshots and dossiers: "inject:"
+// plus the anchor frame of the armed access point, a declared method ctlint
+// keeps reachable.
+std::string InjectionName(const SystemUnderTest& system, int point_id);
+
 class FaultInjectionTester {
  public:
   // Wait window after a pre-read shutdown (the paper defaults to 10 s).
@@ -85,9 +90,9 @@ class FaultInjectionTester {
   void set_injection_mode(InjectionMode mode) { mode_ = mode; }
 
   // Campaign observability. When set, every campaign run (trace_slot >= 0)
-  // gets its RunObserver enabled — phase spans, a model-named injection span,
-  // and the simulator counters — and is absorbed into the observer under its
-  // injection slot after the run retires. Observation is passive: it draws no
+  // gets its RunObserver enabled — the phase table, with the injection named
+  // after its anchor frame, and the simulator counters — and is absorbed
+  // into the observer under its injection slot after the run retires. Observation is passive: it draws no
   // random numbers and schedules no events, so results, traces and hashes
   // are bit-identical with or without it.
   void set_observer(ctobs::CampaignObserver* observer) { observer_ = observer; }
@@ -95,7 +100,7 @@ class FaultInjectionTester {
   // Tests one dynamic crash point; `kind` comes from its static point. Safe
   // to call concurrently: each call owns its run (and the run its tracer).
   // `trace_slot` is the run's injection index, which keys its observer slot
-  // and dossier (-1 when the call is outside a campaign).
+  // (-1 when the call is outside a campaign).
   InjectionResult TestPoint(const ctrt::DynamicPoint& point, ctanalysis::CrashPointKind kind,
                             uint64_t seed, int trace_slot = -1);
 

@@ -1,6 +1,7 @@
 #include "src/fuzz/fuzz_phase.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -9,7 +10,6 @@
 #include "src/core/executor.h"
 #include "src/fuzz/generator.h"
 #include "src/obs/observer.h"
-#include "src/obs/span.h"
 #include "src/sim/trace.h"
 
 namespace ctfuzz {
@@ -164,9 +164,7 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   if (options.runs <= 0) {
     return result;
   }
-  ctobs::RunObserver* driver_obs =
-      options.observer != nullptr ? &options.observer->driver_observer() : nullptr;
-  ctobs::ScopedSpan fuzz_span(driver_obs, nullptr, "fuzz", "driver");
+  const auto fuzz_start = std::chrono::steady_clock::now();
 
   // The fixed workload script's dynamic points are the coverage floor: every
   // pair fuzzing "discovers" is by construction beyond the script.
@@ -243,6 +241,9 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   summary.bug_runs = result.bug_runs;
   summary.bug_ids = result.bug_ids;
   summary.trace_hash = result.trace_hash;
+  if (options.observer != nullptr) {
+    options.observer->AddDriverPhase("fuzz", fuzz_start, std::chrono::steady_clock::now());
+  }
   return result;
 }
 

@@ -24,24 +24,21 @@ void ChromeTraceWriter::AddThreadName(int pid, int tid, const std::string& name)
   json_.EndObject();
 }
 
-void ChromeTraceWriter::AddCompleteEvent(int pid, int tid, const SpanEvent& event, double ts_us,
-                                         double dur_us) {
+void ChromeTraceWriter::AddCompleteEvent(
+    int pid, int tid, std::string_view name, std::string_view category, double ts_us,
+    double dur_us, double wall_ms,
+    std::initializer_list<std::pair<std::string_view, std::string>> args) {
   json_.BeginObject();
-  json_.Key("name").String(event.name);
-  json_.Key("cat").String(event.category);
+  json_.Key("name").String(name);
+  json_.Key("cat").String(category);
   json_.Key("ph").String("X");
   json_.Key("pid").Int(pid);
   json_.Key("tid").Int(tid);
   json_.Key("ts").Fixed(ts_us, 3);
   json_.Key("dur").Fixed(dur_us, 3);
   json_.Key("args").BeginObject();
-  json_.Key("wall_ms").Fixed(static_cast<double>(event.wall_end_ns - event.wall_begin_ns) / 1e6,
-                             3);
-  if (event.id != 0) {
-    json_.Key("span_id").String(std::to_string(event.id));
-    json_.Key("parent_span").String(std::to_string(event.parent_id));
-  }
-  for (const auto& [key, value] : event.args) {
+  json_.Key("wall_ms").Fixed(wall_ms, 3);
+  for (const auto& [key, value] : args) {
     json_.Key(key).String(value);
   }
   json_.EndObject();

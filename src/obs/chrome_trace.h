@@ -1,6 +1,6 @@
 // Chrome-trace-event export (Perfetto-loadable).
 //
-// Serializes campaign spans into the Trace Event Format's JSON object form
+// Serializes campaign phases into the Trace Event Format's JSON object form
 // ({"traceEvents":[...]}): one process per observed campaign/system, one
 // thread per injection slot on the virtual-time axis, and a "driver" thread
 // on a normalized wall axis. chrome://tracing and ui.perfetto.dev both open
@@ -8,10 +8,12 @@
 #ifndef SRC_OBS_CHROME_TRACE_H_
 #define SRC_OBS_CHROME_TRACE_H_
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/obs/json.h"
-#include "src/obs/span.h"
 
 namespace ctobs {
 
@@ -23,10 +25,11 @@ class ChromeTraceWriter {
   void AddThreadName(int pid, int tid, const std::string& name);
 
   // "X" (complete) event. `ts_us`/`dur_us` are microseconds on whichever
-  // axis the caller placed the thread on; `wall_ms` is attached to the args
-  // for reference alongside the span's own args.
-  void AddCompleteEvent(int pid, int tid, const SpanEvent& event, double ts_us,
-                        double dur_us);
+  // axis the caller placed the thread on; the event's args hold `wall_ms`,
+  // its wall duration, then `args`.
+  void AddCompleteEvent(int pid, int tid, std::string_view name, std::string_view category,
+                        double ts_us, double dur_us, double wall_ms,
+                        std::initializer_list<std::pair<std::string_view, std::string>> args = {});
 
   // Perfetto flow arrow: a "s" (start) event at the causing slice and a
   // matching "f" (finish, bp:"e") event at the caused slice, linked by

@@ -3,10 +3,11 @@
 // A dossier is the canonical failure signature — the exact fields the
 // dedup/clustering roadmap item keys on and a future ctreplay consumes:
 // failed invariant, injected points with their canonical call strings, the
-// recovery-phase span the run died in, a trace-hash prefix, the seed, the
-// fault plan, and a workload reference. It round-trips through the JSON
-// reader; the seed and the hash prefix travel as strings because JSON
-// numbers cannot carry a full uint64.
+// phase the run failed in, a trace-hash prefix, the seed, the fault plan,
+// and a workload reference. ctcore::ReportDossiers builds them from a
+// finished report. A dossier round-trips through the JSON reader; the seed
+// and the hash prefix travel as strings because JSON numbers cannot carry a
+// full uint64.
 #ifndef SRC_OBS_DOSSIER_H_
 #define SRC_OBS_DOSSIER_H_
 
@@ -35,7 +36,7 @@ struct Dossier {
   uint64_t seed = 0;   // serialized as a decimal string
   std::string failed_invariant;  // RunOutcome::PrimarySymptom, or exception text
   std::vector<DossierPoint> injected_points;
-  std::string recovery_phase_span;  // span the failure surfaced in
+  std::string recovery_phase_span;  // phase the failure surfaced in
   std::string trace_hash_prefix;    // first 8 hex digits of the trace hash
   std::string fault_plan;           // human-readable plan summary ("" = none)
   std::string workload;             // "<workload name> x<size>"

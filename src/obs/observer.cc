@@ -4,45 +4,63 @@
 
 #include "src/obs/chrome_trace.h"
 #include "src/obs/snapshot.h"
+#include "src/sim/event_loop.h"
 
 namespace ctobs {
 
-void RunObserver::BeginSpan(SpanEvent* event) {
-  event->id = ++next_span_id_;
-  event->parent_id = open_spans_.empty() ? 0 : open_spans_.back();
-  open_spans_.push_back(event->id);
+namespace {
+
+uint64_t WallNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
-void RunObserver::EndSpan(SpanEvent event) {
-  if (!open_spans_.empty() && open_spans_.back() == event.id) {
-    open_spans_.pop_back();
+double Seconds(CampaignObserver::Clock::duration duration) {
+  return std::chrono::duration<double>(duration).count();
+}
+
+}  // namespace
+
+std::string_view PhaseName(Phase phase) {
+  static constexpr std::array<std::string_view, kNumPhases> kNames = {
+      "window-arm", "boot", "workload", "injection", "recovery-check"};
+  return kNames[static_cast<size_t>(phase)];
+}
+
+ScopedPhase::ScopedPhase(RunObserver* observer, const ctsim::EventLoop& loop, Phase phase)
+    : loop_(loop) {
+  if (observer == nullptr || !observer->enabled()) {
+    return;
   }
-  spans_.push_back(std::move(event));
+  stamp_ = &observer->phases()[phase];
+  stamp_->recorded = true;
+  stamp_->sim_begin_ms = loop_.Now();
+  stamp_->wall_begin_ns = WallNowNs();
+}
+
+ScopedPhase::~ScopedPhase() {
+  if (stamp_ == nullptr) {
+    return;
+  }
+  stamp_->sim_end_ms = loop_.Now();
+  stamp_->wall_end_ns = WallNowNs();
 }
 
 void CampaignObserver::AbsorbRun(int slot, RunObserver run) {
   std::lock_guard<std::mutex> lock(mu_);
   ++runs_;
   metrics_.Merge(run.metrics());
-  spans_by_slot_[slot] = std::move(run.spans());
+  phases_by_slot_[slot] = std::move(run.phases());
   if (!run.flows().empty()) {
     flows_by_slot_[slot] = std::move(run.flows());
   }
 }
 
-void CampaignObserver::AbsorbDossier(int slot, Dossier dossier) {
-  std::lock_guard<std::mutex> lock(mu_);
-  dossiers_by_slot_[slot] = std::move(dossier);
-}
-
-std::vector<Dossier> CampaignObserver::dossiers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Dossier> out;
-  out.reserve(dossiers_by_slot_.size());
-  for (const auto& [slot, dossier] : dossiers_by_slot_) {
-    out.push_back(dossier);
-  }
-  return out;
+void CampaignObserver::AddDriverPhase(std::string name, Clock::time_point begin,
+                                      Clock::time_point end) {
+  driver_phases_.push_back({std::move(name), begin, end});
 }
 
 SystemMetrics CampaignObserver::Finalize() const {
@@ -50,22 +68,24 @@ SystemMetrics CampaignObserver::Finalize() const {
   SystemMetrics out;
   out.system = system_;
   out.jobs = jobs_;
-  out.campaign_wall_seconds = campaign_wall_seconds_;
   out.runs = runs_;
   out.metrics = metrics_;
-  // Fold spans into per-phase sim-time histograms, walking slots in index
-  // order; wall durations go into the nondeterministic sidecar maps. Model-
-  // named injection spans share one "phase.injection" histogram and keep
-  // their identity as per-span counters.
-  for (const auto& [slot, spans] : spans_by_slot_) {
-    for (const SpanEvent& event : spans) {
-      if (event.category == "injection") {
-        out.metrics.Observe("phase.injection", event.sim_duration_ms());
-        out.metrics.Add("span." + event.name);
-        out.phase_wall_seconds["injection"] += event.wall_seconds();
-      } else {
-        out.metrics.Observe("phase." + event.name, event.sim_duration_ms());
-        out.phase_wall_seconds[event.name] += event.wall_seconds();
+  // Fold each recorded phase into its sim-time histogram, walking slots in
+  // index order; wall durations go into the nondeterministic sidecar map.
+  // Injections share one "phase.injection" histogram and keep their anchor
+  // frame as per-injection "span.inject:<frame>" counters.
+  for (size_t i = 0; i < kNumPhases; ++i) {
+    const Phase phase = static_cast<Phase>(i);
+    const std::string name(PhaseName(phase));
+    for (const auto& [slot, table] : phases_by_slot_) {
+      const PhaseStamp& stamp = table[phase];
+      if (!stamp.recorded) {
+        continue;
+      }
+      out.metrics.Observe("phase." + name, stamp.sim_ms());
+      out.phase_wall_seconds[name] += stamp.wall_seconds();
+      if (phase == Phase::kInjection) {
+        out.metrics.Add("span." + table.injection_name);
       }
     }
   }
@@ -79,8 +99,12 @@ SystemMetrics CampaignObserver::Finalize() const {
       out.flows.per_method[method] += count;
     }
   }
-  for (const SpanEvent& event : driver_observer_.spans()) {
-    out.driver_wall_seconds[event.name] += event.wall_seconds();
+  for (const DriverPhase& phase : driver_phases_) {
+    out.driver_wall_seconds[phase.name] += Seconds(phase.end - phase.begin);
+  }
+  if (auto campaign = out.driver_wall_seconds.find("campaign");
+      campaign != out.driver_wall_seconds.end()) {
+    out.campaign_wall_seconds = campaign->second;
   }
   return out;
 }
@@ -89,28 +113,40 @@ void CampaignObserver::AppendChromeTrace(ChromeTraceWriter* writer, int pid,
                                          const std::string& process_name) const {
   std::lock_guard<std::mutex> lock(mu_);
   writer->AddProcessName(pid, process_name);
-  // Driver phases on a wall axis normalized to the earliest driver span.
-  const std::vector<SpanEvent>& driver_events = driver_observer_.spans();
-  if (!driver_events.empty()) {
+  // Driver phases on a wall axis normalized to the earliest driver phase.
+  if (!driver_phases_.empty()) {
     writer->AddThreadName(pid, 0, "driver (wall)");
-    uint64_t origin_ns = driver_events.front().wall_begin_ns;
-    for (const SpanEvent& event : driver_events) {
-      origin_ns = std::min(origin_ns, event.wall_begin_ns);
+    Clock::time_point origin = driver_phases_.front().begin;
+    for (const DriverPhase& phase : driver_phases_) {
+      origin = std::min(origin, phase.begin);
     }
-    for (const SpanEvent& event : driver_events) {
-      writer->AddCompleteEvent(pid, 0, event,
-                               static_cast<double>(event.wall_begin_ns - origin_ns) / 1e3,
-                               static_cast<double>(event.wall_end_ns - event.wall_begin_ns) /
-                                   1e3);
+    for (const DriverPhase& phase : driver_phases_) {
+      const double seconds = Seconds(phase.end - phase.begin);
+      writer->AddCompleteEvent(pid, 0, phase.name, "driver", Seconds(phase.begin - origin) * 1e6,
+                               seconds * 1e6, seconds * 1e3);
     }
   }
   // One thread per injection slot on the virtual-time axis (deterministic).
-  for (const auto& [slot, spans] : spans_by_slot_) {
+  for (const auto& [slot, table] : phases_by_slot_) {
     const int tid = slot + 1;
     writer->AddThreadName(pid, tid, "run #" + std::to_string(slot) + " (virtual)");
-    for (const SpanEvent& event : spans) {
-      writer->AddCompleteEvent(pid, tid, event, static_cast<double>(event.sim_begin_ms) * 1e3,
-                               static_cast<double>(event.sim_duration_ms()) * 1e3);
+    for (size_t i = 0; i < kNumPhases; ++i) {
+      const Phase phase = static_cast<Phase>(i);
+      const PhaseStamp& stamp = table[phase];
+      if (!stamp.recorded) {
+        continue;
+      }
+      const double ts_us = static_cast<double>(stamp.sim_begin_ms) * 1e3;
+      const double dur_us = static_cast<double>(stamp.sim_ms()) * 1e3;
+      if (phase == Phase::kInjection) {
+        writer->AddCompleteEvent(pid, tid, table.injection_name, "injection", ts_us, dur_us,
+                                 stamp.wall_seconds() * 1e3,
+                                 {{"point", std::to_string(table.injection_point)},
+                                  {"target", table.injection_target}});
+      } else {
+        writer->AddCompleteEvent(pid, tid, PhaseName(phase), "phase", ts_us, dur_us,
+                                 stamp.wall_seconds() * 1e3);
+      }
     }
   }
   // Perfetto flow arrows: for every retained delivery caused by another

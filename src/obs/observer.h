@@ -1,9 +1,8 @@
 // Per-run and per-campaign observation state.
 //
 // A RunObserver is owned by the run's RunContext, exactly like the tracer:
-// one metrics shard (component dwell marks included), the run's phase and
-// injection spans with the open-span stack that gives them parent ids, and
-// one flow recorder, born disabled so profiling and baseline runs pay
+// one metrics shard (component dwell marks included), the run's phase table
+// and one flow recorder, born disabled so profiling and baseline runs pay
 // nothing. The campaign tester enables it for observed injection runs and,
 // after the run retires, absorbs it into the CampaignObserver, which folds
 // the shard into the campaign's on arrival. Every fold commutes, so the
@@ -12,21 +11,66 @@
 #ifndef SRC_OBS_OBSERVER_H_
 #define SRC_OBS_OBSERVER_H_
 
+#include <array>
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/obs/dossier.h"
 #include "src/obs/metrics.h"
-#include "src/obs/span.h"
 #include "src/sim/flow.h"
+
+namespace ctsim {
+class EventLoop;
+}  // namespace ctsim
 
 namespace ctobs {
 
 class ChromeTraceWriter;
 struct SystemMetrics;
+
+// The fixed phases of an observed run. A run stamps each at most once; a
+// fuzz run stamps no window-arm and no injection, and a run whose fault
+// never lands stamps no injection.
+enum class Phase { kWindowArm, kBoot, kWorkload, kInjection, kRecoveryCheck };
+inline constexpr size_t kNumPhases = 5;
+
+// "window-arm", "boot", "workload", "injection", "recovery-check".
+std::string_view PhaseName(Phase phase);
+
+// One phase's extent on both clocks: virtual ms read off the run's event
+// loop (deterministic) and steady_clock ns (meaningful only as differences
+// within one process; never hashed, never in deterministic output).
+struct PhaseStamp {
+  bool recorded = false;
+  uint64_t sim_begin_ms = 0;
+  uint64_t sim_end_ms = 0;
+  uint64_t wall_begin_ns = 0;
+  uint64_t wall_end_ns = 0;
+
+  uint64_t sim_ms() const { return sim_end_ms - sim_begin_ms; }
+  double wall_seconds() const {
+    return static_cast<double>(wall_end_ns - wall_begin_ns) / 1e9;
+  }
+};
+
+// One run's phase table. The injection stamp also names the fault: the
+// armed point's anchor frame as "inject:<frame>", the point id and the
+// target node.
+struct PhaseTable {
+  std::array<PhaseStamp, kNumPhases> stamps;
+  std::string injection_name;
+  int injection_point = -1;
+  std::string injection_target;
+
+  PhaseStamp& operator[](Phase phase) { return stamps[static_cast<size_t>(phase)]; }
+  const PhaseStamp& operator[](Phase phase) const { return stamps[static_cast<size_t>(phase)]; }
+};
 
 class RunObserver {
  public:
@@ -35,16 +79,10 @@ class RunObserver {
 
   MetricsShard& metrics() { return metrics_; }
   const MetricsShard& metrics() const { return metrics_; }
-  std::vector<SpanEvent>& spans() { return spans_; }
-  const std::vector<SpanEvent>& spans() const { return spans_; }
+  PhaseTable& phases() { return phases_; }
+  const PhaseTable& phases() const { return phases_; }
   ctsim::FlowRecorder& flows() { return flows_; }
   const ctsim::FlowRecorder& flows() const { return flows_; }
-
-  // Span hierarchy, called by ScopedSpan. BeginSpan assigns the next span id
-  // and the enclosing open span as parent and pushes the open-span stack;
-  // EndSpan pops it and appends the event. A run opens at most five spans.
-  void BeginSpan(SpanEvent* event);
-  void EndSpan(SpanEvent event);
 
   // A dwell mark (ctrt::MarkComponent): charges the virtual time since the
   // run's previous mark (or its start) to `component` and counts one event.
@@ -58,47 +96,56 @@ class RunObserver {
  private:
   bool enabled_ = false;
   MetricsShard metrics_;
-  std::vector<SpanEvent> spans_;
+  PhaseTable phases_;
   ctsim::FlowRecorder flows_;
-  uint64_t next_span_id_ = 0;
   uint64_t last_mark_ms_ = 0;
-  std::vector<uint64_t> open_spans_;  // ids, innermost last
+};
+
+// Stamps one phase of a run: construction reads both clocks into the
+// phase's begin, destruction into its end, so the phase stays correct when
+// the body unwinds through NodeCrashedSignal. A null or disabled observer
+// records nothing and reads no clock.
+class ScopedPhase {
+ public:
+  ScopedPhase(RunObserver* observer, const ctsim::EventLoop& loop, Phase phase);
+  ~ScopedPhase();
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
+
+ private:
+  const ctsim::EventLoop& loop_;
+  PhaseStamp* stamp_ = nullptr;  // null when recording is off
 };
 
 // Collects one campaign's observation: the merged metrics shard, per-slot
-// spans and flows, failure dossiers, plus the driver's own wall-clock phase
-// spans (analysis, profile, campaign). AbsorbRun/AbsorbDossier are
+// phase tables and flows, the driver's own wall-clock phases (analysis,
+// profile, campaign, fuzz) and the campaign's failure dossiers. AbsorbRun is
 // thread-safe; everything else is called from the driver thread before or
 // after the campaign fan-out.
 class CampaignObserver {
  public:
-  CampaignObserver() { driver_observer_.Enable(); }
+  using Clock = std::chrono::steady_clock;
 
   // Folds the run's shard into the campaign's, counts the run, and keeps its
-  // spans and flows under `slot` (the injection index) for the phase
+  // phase table and flows under `slot` (the injection index) for the phase
   // histograms and the Chrome trace. A run that retires passes its observer
-  // by move, so its recorded spans and flows are not copied.
+  // by move, so its recorded flows are not copied.
   void AbsorbRun(int slot, RunObserver run);
 
-  // Stores a failing run's dossier under its slot.
-  void AbsorbDossier(int slot, Dossier dossier);
+  // Records one driver phase between two clock reads the driver takes.
+  void AddDriverPhase(std::string name, Clock::time_point begin, Clock::time_point end);
 
-  // Dossiers in ascending slot order (deterministic at any --jobs).
-  std::vector<Dossier> dossiers() const;
-
-  // Driver-level observer for wall-only phase spans; always enabled.
-  RunObserver& driver_observer() { return driver_observer_; }
+  // The campaign's failure dossiers, in ascending slot order.
+  void set_dossiers(std::vector<Dossier> dossiers) { dossiers_ = std::move(dossiers); }
+  const std::vector<Dossier>& dossiers() const { return dossiers_; }
 
   void set_system(std::string system) { system_ = std::move(system); }
   void set_jobs(int jobs) { jobs_ = jobs; }
-  void set_campaign_wall_seconds(double seconds) { campaign_wall_seconds_ = seconds; }
-
-  const std::string& system() const { return system_; }
 
   // Everything absorbed: the merged counters, gauges, histograms and
-  // component dwell, per-phase sim-time histograms derived from the spans
+  // component dwell, per-phase sim-time histograms from the phase tables
   // (walked in slot order), the merged flow statistics, plus the wall-clock
-  // sidecar fields.
+  // sidecar fields; the campaign's wall time is its `campaign` phase.
   SystemMetrics Finalize() const;
 
   // Emits this campaign as one Chrome-trace process: one thread per run
@@ -109,16 +156,21 @@ class CampaignObserver {
                          const std::string& process_name) const;
 
  private:
+  struct DriverPhase {
+    std::string name;
+    Clock::time_point begin;
+    Clock::time_point end;
+  };
+
   mutable std::mutex mu_;
   MetricsShard metrics_;
   int runs_ = 0;
-  std::map<int, std::vector<SpanEvent>> spans_by_slot_;
+  std::map<int, PhaseTable> phases_by_slot_;
   std::map<int, ctsim::FlowRecorder> flows_by_slot_;
-  std::map<int, Dossier> dossiers_by_slot_;
-  RunObserver driver_observer_;
+  std::vector<DriverPhase> driver_phases_;
+  std::vector<Dossier> dossiers_;
   std::string system_;
   int jobs_ = 1;
-  double campaign_wall_seconds_ = 0;
 };
 
 }  // namespace ctobs

@@ -31,9 +31,9 @@ class RunContext {
   AccessTracer& tracer() { return tracer_; }
   const AccessTracer& tracer() const { return tracer_; }
 
-  // Per-run observation state (metrics shard + span recorder); disabled by
-  // default so unobserved runs pay nothing. Lives here for the same reason
-  // the tracer does: it must not outlive or leak across runs.
+  // Per-run observation state (metrics shard, phase table, flow recorder);
+  // disabled by default so unobserved runs pay nothing. Lives here for the
+  // same reason the tracer does: it must not outlive or leak across runs.
   ctobs::RunObserver& observer() { return observer_; }
   const ctobs::RunObserver& observer() const { return observer_; }
 

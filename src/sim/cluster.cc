@@ -117,24 +117,7 @@ void Cluster::Shutdown(const std::string& id) {
   node->MarkShutdown();
 }
 
-bool Cluster::IsHeartbeatMethod(Symbol method) {
-  if (method.id() >= heartbeat_class_.size()) {
-    heartbeat_class_.resize(interner_.size(), 0);
-  }
-  uint8_t& cls = heartbeat_class_[method.id()];
-  if (cls == 0) {
-    const std::string& name = method.str();
-    cls = (name.find("Heartbeat") != std::string::npos || name == "gossip") ? 1 : 2;
-  }
-  return cls == 1;
-}
-
 void Cluster::Post(Message message) {
-  // Heartbeat traffic is tallied at post time, before the partition check,
-  // so the count reflects what the system *tried* to send.
-  if (IsHeartbeatMethod(message.method)) {
-    ++heartbeat_messages_;
-  }
   // The causal stamp is written at post time (see set_flow_recorder); with
   // no recorder set it stays 0.
   message.flow = current_flow_;

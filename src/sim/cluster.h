@@ -159,9 +159,6 @@ class Cluster {
   uint64_t delivered_messages() const { return delivered_messages_; }
   uint64_t dropped_messages() const { return dropped_messages_; }
   uint64_t plan_dropped_messages() const { return plan_dropped_messages_; }
-  // Heartbeat-class messages posted (counted before any drop decision):
-  // *Heartbeat RPC methods plus Cassandra's gossip round.
-  uint64_t heartbeat_messages() const { return heartbeat_messages_; }
   // Partition windows installed.
   int partition_epochs() const { return partition_epochs_; }
   int crash_count() const { return crash_count_; }
@@ -183,7 +180,6 @@ class Cluster {
   void TraceRecord(const char* kind, std::string_view detail);
   // Records "<from>><to> <method>" for a message event.
   void TraceMessage(const char* kind, const Message& message);
-  bool IsHeartbeatMethod(Symbol method);
 
   ctcommon::InternTable interner_;
   EventLoop loop_;
@@ -191,9 +187,6 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> owned_nodes_;
   std::vector<Node*> route_;  // indexed by NodeId symbol id; nullptr gaps
   std::vector<NodeId> insertion_order_;
-  // Per-method heartbeat classification, memoized by symbol id
-  // (0 = unknown, 1 = heartbeat-class, 2 = not).
-  std::vector<uint8_t> heartbeat_class_;
   bool cluster_down_ = false;
   std::string cluster_down_reason_;
   NodeId current_node_;
@@ -206,7 +199,6 @@ class Cluster {
   uint64_t delivered_messages_ = 0;
   uint64_t dropped_messages_ = 0;
   uint64_t plan_dropped_messages_ = 0;
-  uint64_t heartbeat_messages_ = 0;
   int partition_epochs_ = 0;
   int crash_count_ = 0;
   int shutdown_count_ = 0;

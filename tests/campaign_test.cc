@@ -1,8 +1,8 @@
 // Parallel injection-campaign engine: Map ordering/exception semantics, and
 // the headline determinism guarantee — the full driver on mini-YARN produces
 // a field-for-field identical SystemReport at jobs=1 and jobs=4. Observed
-// campaigns: passivity, flow DAGs, and the five systems' component marks
-// checked against their models.
+// campaigns: passivity, the phase table, flow DAGs, and the five systems'
+// component marks checked against their models.
 #include <atomic>
 #include <memory>
 #include <set>
@@ -313,6 +313,44 @@ ctobs::SystemMetrics ObservedCampaign(const ctcore::SystemUnderTest& system) {
   options.observer = &observer;
   (void)ctcore::CrashTunerDriver().Run(system, options);
   return observer.Finalize();
+}
+
+TEST(PhaseTable, PhasesCoverEveryObservedRun) {
+  // Every observed campaign run stamps window-arm, boot, workload and
+  // recovery-check once, and the injection phase once per landed fault,
+  // named after its anchor frame. Window-arm and boot take no virtual time,
+  // so boot, workload and recovery-check partition each run's virtual time.
+  for (const auto& system : FiveSystems()) {
+    SCOPED_TRACE(system->name());
+    const ctobs::SystemMetrics metrics = ObservedCampaign(*system);
+    const auto& histograms = metrics.metrics.histograms();
+    auto count = [&](const std::string& name) {
+      auto it = histograms.find(name);
+      return it == histograms.end() ? uint64_t{0} : it->second.count();
+    };
+    auto sum = [&](const std::string& name) {
+      auto it = histograms.find(name);
+      return it == histograms.end() ? uint64_t{0} : it->second.sum();
+    };
+    ASSERT_GT(metrics.runs, 0);
+    const uint64_t runs = static_cast<uint64_t>(metrics.runs);
+    for (const char* phase :
+         {"phase.window-arm", "phase.boot", "phase.workload", "phase.recovery-check"}) {
+      EXPECT_EQ(count(phase), runs) << phase;
+    }
+    uint64_t named_injections = 0;
+    for (const auto& [name, value] : metrics.metrics.counters()) {
+      if (name.rfind("span.inject:", 0) == 0) {
+        named_injections += value;
+      }
+    }
+    EXPECT_GT(count("phase.injection"), 0u);
+    EXPECT_EQ(count("phase.injection"), metrics.metrics.counter("injection.injected"));
+    EXPECT_EQ(count("phase.injection"), named_injections);
+    EXPECT_EQ(sum("phase.window-arm") + sum("phase.boot"), 0u);
+    EXPECT_EQ(sum("phase.boot") + sum("phase.workload") + sum("phase.recovery-check"),
+              sum("run.virtual_ms"));
+  }
 }
 
 TEST(FlowDag, DeliveriesChainToTheirCauses) {

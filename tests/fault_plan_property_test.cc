@@ -8,7 +8,9 @@
 //
 // Driver-level: a network-fault campaign at jobs=1 and at jobs=4 yields a
 // byte-identical SystemReport, trace hash included, and the campaign reports
-// the bug id of each network-fault window the system's model declares.
+// the bug id of each network-fault window the system's model declares. The
+// one partition a campaign run installs is its landed injection's, which is
+// what the report's dossiers record as their fault plan.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +21,8 @@
 #include "src/core/crashtuner.h"
 #include "src/core/executor.h"
 #include "src/core/report_writer.h"
+#include "src/obs/observer.h"
+#include "src/obs/snapshot.h"
 #include "src/sim/cluster.h"
 #include "src/sim/trace.h"
 #include "src/systems/cassandra/cass_system.h"
@@ -118,9 +122,12 @@ TEST(FaultPlanProperty, NetworkCampaignIsByteIdenticalAtAnyJobs) {
     DriverOptions options;
     options.injection_mode = ctcore::InjectionMode::kNetworkFault;
     options.jobs = 1;
+    ctobs::CampaignObserver observer;
+    options.observer = &observer;
     const SystemReport serial = CrashTunerDriver().Run(*system, options);
     ASSERT_FALSE(serial.injections.empty()) << system->name();
     options.jobs = 4;
+    options.observer = nullptr;
     const SystemReport parallel = CrashTunerDriver().Run(*system, options);
 
     EXPECT_EQ(Serialize(serial), Serialize(parallel))
@@ -136,6 +143,25 @@ TEST(FaultPlanProperty, NetworkCampaignIsByteIdenticalAtAnyJobs) {
       }
       EXPECT_TRUE(found_race) << system->name() << ": network-fault campaign did not report "
                               << window.bug_id;
+    }
+
+    // Only a landed injection partitions, once per run: the campaign's
+    // partition epochs are its injected runs.
+    const ctobs::SystemMetrics observed = observer.Finalize();
+    EXPECT_EQ(observed.metrics.counter("partition.epochs"),
+              observed.metrics.counter("injection.injected"))
+        << system->name();
+    const std::vector<ctobs::Dossier> dossiers =
+        ctcore::ReportDossiers(*system, serial, options.seed + ctcore::kCampaignSeedOffset);
+    EXPECT_FALSE(dossiers.empty()) << system->name();
+    for (const ctobs::Dossier& dossier : dossiers) {
+      SCOPED_TRACE(system->name() + " slot " + std::to_string(dossier.slot));
+      if (dossier.injected_points.empty()) {
+        EXPECT_EQ(dossier.fault_plan, "");
+        continue;
+      }
+      EXPECT_EQ(dossier.injected_points[0].mode, "partition");
+      EXPECT_EQ(dossier.fault_plan, "partition-epochs=1");
     }
   }
 }

@@ -1,11 +1,12 @@
 // Unit tests for the observability subsystem (src/obs/): histogram bucket
-// edges and merge algebra, shard merges and campaign absorb order, span
-// recording against a real event loop, component dwell marks, the causal-
+// edges and merge algebra, shard merges and campaign absorb order, phase
+// stamps against a real event loop, component dwell marks, the causal-
 // flow recorder the cluster feeds (src/sim/flow.h), snapshot serialization
 // (wall segregation), the Chrome-trace writer, dossiers, and the JSON reader
 // (checked integer fields included) that closes the loop.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -14,8 +15,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/observer.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/span.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/exception.h"
 #include "src/sim/flow.h"
 #include "src/sim/symbol.h"
 
@@ -142,75 +143,70 @@ TEST(MetricsShardTest, MergeAddsCountersAndKeepsGaugeMaxima) {
 }
 
 // ---------------------------------------------------------------------------
-// Spans
+// Run observer: phase table and dwell marks
 
-TEST(SpanTest, ScopedSpanRecordsBothClocksFromTheEventLoop) {
+TEST(RunObserverTest, ScopedPhaseRecordsBothClocksFromTheEventLoop) {
   ctsim::EventLoop loop;
   loop.Schedule(250, [] {});
   ctobs::RunObserver observer;
   observer.Enable();
   {
-    ctobs::ScopedSpan span(&observer, &loop, "workload", "phase");
-    span.AddArg("point", "p1");
+    ctobs::ScopedPhase phase(&observer, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();  // advances virtual time to 250
   }
-  ASSERT_EQ(observer.spans().size(), 1u);
-  const ctobs::SpanEvent& event = observer.spans()[0];
-  EXPECT_EQ(event.name, "workload");
-  EXPECT_EQ(event.category, "phase");
-  EXPECT_EQ(event.sim_begin_ms, 0u);
-  EXPECT_EQ(event.sim_end_ms, 250u);
-  EXPECT_EQ(event.sim_duration_ms(), 250u);
-  EXPECT_GE(event.wall_end_ns, event.wall_begin_ns);
-  ASSERT_EQ(event.args.size(), 1u);
-  EXPECT_EQ(event.args[0].first, "point");
+  const ctobs::PhaseStamp& stamp = observer.phases()[ctobs::Phase::kWorkload];
+  EXPECT_TRUE(stamp.recorded);
+  EXPECT_EQ(stamp.sim_begin_ms, 0u);
+  EXPECT_EQ(stamp.sim_end_ms, 250u);
+  EXPECT_EQ(stamp.sim_ms(), 250u);
+  EXPECT_GE(stamp.wall_end_ns, stamp.wall_begin_ns);
+  // Only the stamped phase is recorded.
+  for (ctobs::Phase other : {ctobs::Phase::kWindowArm, ctobs::Phase::kBoot,
+                             ctobs::Phase::kInjection, ctobs::Phase::kRecoveryCheck}) {
+    EXPECT_FALSE(observer.phases()[other].recorded) << ctobs::PhaseName(other);
+  }
 }
 
-TEST(SpanTest, DisabledOrNullObserverRecordsNothing) {
+TEST(RunObserverTest, DisabledOrNullObserverRecordsNothing) {
   ctsim::EventLoop loop;
   ctobs::RunObserver disabled;
   {
-    ctobs::ScopedSpan span(&disabled, &loop, "boot", "phase");
-    ctobs::ScopedSpan null_span(nullptr, &loop, "boot", "phase");
-    null_span.AddArg("k", "v");  // must be a safe no-op
+    ctobs::ScopedPhase phase(&disabled, loop, ctobs::Phase::kBoot);
+    ctobs::ScopedPhase null_phase(nullptr, loop, ctobs::Phase::kBoot);  // a safe no-op
   }
-  EXPECT_TRUE(disabled.spans().empty());
+  for (const ctobs::PhaseStamp& stamp : disabled.phases().stamps) {
+    EXPECT_FALSE(stamp.recorded);
+  }
   EXPECT_TRUE(disabled.metrics().empty());
 }
 
-TEST(SpanTest, NestedSpansGetSequentialIdsAndParents) {
+TEST(RunObserverTest, ScopedPhaseEndsWhenItsBodyThrowsNodeCrashedSignal) {
+  // A post-write strike on the node running the handler unwinds the
+  // injection phase with NodeCrashedSignal; the phase must still end.
   ctsim::EventLoop loop;
   ctobs::RunObserver observer;
   observer.Enable();
-  {
-    ctobs::ScopedSpan outer(&observer, &loop, "workload", "phase");
-    EXPECT_EQ(outer.id(), 1u);
-    {
-      ctobs::ScopedSpan inner(&observer, &loop, "inject:rm.register-node", "injection");
-      EXPECT_EQ(inner.id(), 2u);
-    }
-  }
-  {
-    ctobs::ScopedSpan next(&observer, &loop, "recovery-check", "phase");
-    EXPECT_EQ(next.id(), 3u);
-  }
-  // Inner closes first, so it is recorded first.
-  ASSERT_EQ(observer.spans().size(), 3u);
-  const ctobs::SpanEvent& inner = observer.spans()[0];
-  const ctobs::SpanEvent& outer = observer.spans()[1];
-  const ctobs::SpanEvent& next = observer.spans()[2];
-  EXPECT_EQ(inner.name, "inject:rm.register-node");
-  EXPECT_EQ(inner.parent_id, outer.id);
-  EXPECT_EQ(outer.parent_id, 0u);
-  EXPECT_EQ(next.parent_id, 0u);  // the stack popped back to the root
+  loop.Schedule(40, [&] {
+    ctobs::ScopedPhase phase(&observer, loop, ctobs::Phase::kInjection);
+    loop.Schedule(15, [] {});
+    loop.RunOne();  // the strike's recovery advances virtual time to 55
+    throw ctsim::NodeCrashedSignal{};
+  });
+  EXPECT_THROW(loop.RunOne(), ctsim::NodeCrashedSignal);
+  const ctobs::PhaseStamp& stamp = observer.phases()[ctobs::Phase::kInjection];
+  EXPECT_TRUE(stamp.recorded);
+  EXPECT_EQ(stamp.sim_begin_ms, 40u);
+  EXPECT_EQ(stamp.sim_end_ms, 55u);
+  EXPECT_NE(stamp.wall_end_ns, 0u);
+  EXPECT_GE(stamp.wall_end_ns, stamp.wall_begin_ns);
 }
 
-TEST(SpanTest, DwellMarksPartitionVirtualTime) {
+TEST(RunObserverTest, DwellMarksPartitionVirtualTime) {
   ctobs::RunObserver observer;
   observer.Enable();
   // Each mark charges the time since the previous mark (or the run start)
   // to its own component: 100 ms, then 150 ms to gossip-round, then 50 ms
-  // to tick. No span is recorded.
+  // to tick. No phase is stamped.
   observer.MarkComponent(100, "gossip-round", "Gossiper");
   observer.MarkComponent(250, "gossip-round", "Gossiper");
   observer.MarkComponent(300, "tick", "Ticker");
@@ -221,7 +217,9 @@ TEST(SpanTest, DwellMarksPartitionVirtualTime) {
   EXPECT_EQ(components.at("gossip-round").events, 2u);
   EXPECT_EQ(components.at("tick").dwell_ms, 50u);
   EXPECT_EQ(components.at("tick").events, 1u);
-  EXPECT_TRUE(observer.spans().empty());
+  for (const ctobs::PhaseStamp& stamp : observer.phases().stamps) {
+    EXPECT_FALSE(stamp.recorded);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ TEST(DossierTest, RejectsMalformedIntegers) {
 // ---------------------------------------------------------------------------
 // Campaign observer + snapshot + trace
 
-TEST(CampaignObserverTest, FinalizeFoldsSpansIntoPhaseHistograms) {
+TEST(CampaignObserverTest, FinalizeFoldsPhasesIntoPhaseHistograms) {
   ctsim::EventLoop loop;
   loop.Schedule(40, [] {});
   ctobs::CampaignObserver campaign;
@@ -354,13 +352,11 @@ TEST(CampaignObserverTest, FinalizeFoldsSpansIntoPhaseHistograms) {
   ctobs::RunObserver run;
   run.Enable();
   {
-    ctobs::ScopedSpan span(&run, &loop, "boot", "phase");
+    ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kBoot);
     loop.RunToCompletion();
   }
-  {
-    ctobs::ScopedSpan span(&run, &loop, "inject:rm.register-node", "injection");
-  }
-  run.metrics().Add("run.count");
+  run.phases().injection_name = "inject:rm.register-node";
+  { ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kInjection); }
   campaign.AbsorbRun(0, run);
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
@@ -368,8 +364,10 @@ TEST(CampaignObserverTest, FinalizeFoldsSpansIntoPhaseHistograms) {
   EXPECT_EQ(metrics.runs, 1);
   EXPECT_EQ(metrics.metrics.histograms().at("phase.boot").count(), 1u);
   EXPECT_EQ(metrics.metrics.histograms().at("phase.boot").sum(), 40u);
-  // Injection spans fold into the shared injection phase histogram plus a
-  // per-span counter carrying the model's span name.
+  // Unstamped phases fold into no histogram.
+  EXPECT_EQ(metrics.metrics.histograms().count("phase.workload"), 0u);
+  // Injections fold into the shared injection phase histogram plus a
+  // per-injection counter carrying the anchor frame.
   EXPECT_EQ(metrics.metrics.histograms().at("phase.injection").count(), 1u);
   EXPECT_EQ(metrics.metrics.counters().at("span.inject:rm.register-node"), 1u);
 }
@@ -387,7 +385,7 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
       ctobs::RunObserver run;
       run.Enable();
       {
-        ctobs::ScopedSpan span(&run, &loop, "boot", "phase");
+        ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kBoot);
         loop.RunToCompletion();
       }
       run.MarkComponent(loop.Now(), slot % 2 == 0 ? "gossip-round" : "tick",
@@ -410,16 +408,20 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
   EXPECT_EQ(system.Find("gauges")->Find("slot.max")->number_value, 3.0);
   EXPECT_EQ(system.Find("components")->Find("tick")->Find("dwell_ms")->number_value,
             20.0 + 40.0);
+  EXPECT_EQ(system.Find("histograms")->Find("phase.boot")->Find("count")->number_value, 4.0);
+  EXPECT_EQ(system.Find("histograms")->Find("phase.boot")->Find("sum")->number_value,
+            10.0 + 20.0 + 30.0 + 40.0);
 }
 
 TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
   ctobs::CampaignObserver campaign;
   campaign.set_system("TestSys");
   campaign.set_jobs(4);
-  campaign.set_campaign_wall_seconds(1.5);
+  // The campaign's wall time is the length of its "campaign" driver phase.
+  const ctobs::CampaignObserver::Clock::time_point start = ctobs::CampaignObserver::Clock::now();
+  campaign.AddDriverPhase("campaign", start, start + std::chrono::milliseconds(1500));
   ctobs::RunObserver run;
   run.Enable();
-  run.metrics().Add("run.count");
   campaign.AbsorbRun(0, run);
 
   ctobs::MetricsSnapshot snapshot;
@@ -429,6 +431,8 @@ TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
   const std::string without_wall = snapshot.ToJson(/*include_wall=*/false);
   EXPECT_NE(with_wall.find("\"wall\""), std::string::npos);
   EXPECT_NE(with_wall.find("\"jobs\":4"), std::string::npos);
+  EXPECT_NE(with_wall.find("\"campaign_seconds\":1.500000"), std::string::npos);
+  EXPECT_NE(with_wall.find("\"driver\":{\"campaign\":1.500000}"), std::string::npos);
   EXPECT_EQ(without_wall.find("\"wall\""), std::string::npos);
   EXPECT_EQ(without_wall.find("jobs"), std::string::npos);
 
@@ -442,16 +446,20 @@ TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
   EXPECT_EQ(ctobs::ParseJson(without_wall).Find("systems")->array_items.size(), 1u);
 }
 
-TEST(ChromeTraceTest, TraceJsonParsesAndCarriesSpans) {
+TEST(ChromeTraceTest, TraceJsonParsesAndCarriesPhases) {
   ctsim::EventLoop loop;
   loop.Schedule(10, [] {});
   ctobs::CampaignObserver campaign;
   ctobs::RunObserver run;
   run.Enable();
   {
-    ctobs::ScopedSpan span(&run, &loop, "workload", "phase");
+    ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
   }
+  run.phases().injection_name = "inject:rm.register-node";
+  run.phases().injection_point = 7;
+  run.phases().injection_target = "nm1";
+  { ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kInjection); }
   campaign.AbsorbRun(0, run);
 
   ctobs::ChromeTraceWriter writer;
@@ -462,16 +470,30 @@ TEST(ChromeTraceTest, TraceJsonParsesAndCarriesSpans) {
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
-  bool found_span = false;
+  bool found_phase = false;
+  bool found_injection = false;
   for (const ctobs::JsonValue& event : events->array_items) {
     const ctobs::JsonValue* ph = event.Find("ph");
-    if (ph != nullptr && ph->string_value == "X" &&
-        event.Find("name")->string_value == "workload") {
-      found_span = true;
+    if (ph == nullptr || ph->string_value != "X") {
+      continue;
+    }
+    const ctobs::JsonValue* args = event.Find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_NE(args->Find("wall_ms"), nullptr);
+    if (event.Find("name")->string_value == "workload") {
+      found_phase = true;
+      EXPECT_EQ(event.Find("cat")->string_value, "phase");
       EXPECT_EQ(event.Find("dur")->number_value, 10000.0);  // 10 ms in µs
+    } else if (event.Find("name")->string_value == "inject:rm.register-node") {
+      found_injection = true;
+      EXPECT_EQ(event.Find("cat")->string_value, "injection");
+      EXPECT_EQ(event.Find("ts")->number_value, 10000.0);
+      EXPECT_EQ(args->Find("point")->string_value, "7");
+      EXPECT_EQ(args->Find("target")->string_value, "nm1");
     }
   }
-  EXPECT_TRUE(found_span);
+  EXPECT_TRUE(found_phase);
+  EXPECT_TRUE(found_injection);
 }
 
 TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
@@ -482,7 +504,7 @@ TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
   ctobs::RunObserver run;
   run.Enable();
   {
-    ctobs::ScopedSpan outer(&run, &loop, "workload", "phase");
+    ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
     run.MarkComponent(loop.Now(), "gossip-round", "Gossiper");
   }

@@ -94,9 +94,10 @@ check_json build/BENCH_network_faults.json
 ./build/examples/compare_approaches | grep -A3 '^CrashTuner '
 
 echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
-# Runs the five-system campaign at jobs=4 with observation on (metrics, phase
-# spans, component dwell marks, causal flows), then validates the
-# crashtuner-metrics-v3 snapshot with ctstat --check and leaves the
+# Runs the five-system campaign at jobs=4 with observation on (metrics, the
+# run phase table, component dwell marks, causal flows), then validates the
+# crashtuner-metrics-v3 snapshot with ctstat --check (shapes, integer fields,
+# phase counts, and a wall sidecar of finite non-negative numbers) and leaves the
 # throughput/phase-share summary in BENCH_observability.json. Passivity
 # (identical SystemReport with observation on or off) and snapshot
 # determinism across thread counts are asserted by campaign_test; this stage
@@ -135,10 +136,11 @@ echo "== stage 4g: fuzz smoke (grammar fuzzing, jobs=1 vs jobs=4) =="
 check_json build/BENCH_fuzz.json
 
 echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
-# Scale-8 ZooKeeper campaign twice — observation off, then spans + dwell
-# marks + causal flows + dossiers on — asserting report passivity, >= 50% of
+# Scale-8 ZooKeeper campaign twice — observation off, then phase stamps +
+# dwell marks + causal flows on — asserting report passivity, >= 50% of
 # virtual time attributed to the quorum-broadcast component, flow-DAG health,
-# dossier round trips, and <= 10% tracing wall overhead (enforced on >= 4
+# round trips of the report-built dossiers of a mini-YARN campaign, and
+# <= 10% tracing wall overhead (enforced on >= 4
 # hardware threads). The profiler views then run against the snapshot it
 # wrote: ctstat --top (per-component dwell) and --flows --check (delivery
 # table + v3 schema validation).

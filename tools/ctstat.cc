@@ -19,15 +19,17 @@
 // integer in range (no negative count, fraction or value past 2^53),
 // histogram shape (ascending bounds, counts == bounds+overflow, bucket
 // counts summing to `count`), components (a non-empty role, total dwell no
-// larger than the run.virtual_ms sum), flow-section shape, wall-section
-// consistency, and phase completeness (phase.workload and
-// phase.recovery-check hold as many samples as phase.boot). Exit code 0
+// larger than the run.virtual_ms sum), flow-section shape, a wall object
+// whose seconds and rates are finite non-negative numbers, and phase
+// completeness (phase.workload and phase.recovery-check hold as many
+// samples as phase.boot). Exit code 0
 // only when every check passes — CI runs this on the snapshot the
 // observability stage produces.
 //
 // --json FILE emits the BENCH_observability.json summary (runs/sec and
 // per-phase wall shares per campaign) the CI stage archives.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -106,6 +108,23 @@ struct Checker {
       return 0;
     }
   }
+
+  // Reads a wall-clock field. A value that is not a finite, non-negative
+  // number is a failure naming the field, and reads as 0.
+  double Seconds(const ctobs::JsonValue& value, const std::string& where,
+                 const std::string& field) {
+    if (!value.is_number()) {
+      Fail(where, field + " is not a number");
+      return 0;
+    }
+    if (!std::isfinite(value.number_value) || value.number_value < 0) {
+      char shown[32];
+      std::snprintf(shown, sizeof(shown), "%.17g", value.number_value);
+      Fail(where, field + " is " + shown + ", not a finite non-negative number");
+      return 0;
+    }
+    return value.number_value;
+  }
 };
 
 const ctobs::JsonValue* Require(const ctobs::JsonValue& object, const std::string& key,
@@ -178,9 +197,14 @@ bool LoadHistogram(const std::string& name, const ctobs::JsonValue& json,
   return true;
 }
 
-void LoadWallMap(const ctobs::JsonValue& json, std::map<std::string, double>* out) {
+void LoadWallMap(const ctobs::JsonValue& json, const std::string& where, const std::string& field,
+                 Checker* checker, std::map<std::string, double>* out) {
+  if (!json.is_object()) {
+    checker->Fail(where, "\"" + field + "\" is not an object");
+    return;
+  }
   for (const auto& [name, value] : json.object_items) {
-    (*out)[name] = value.number_value;
+    (*out)[name] = checker->Seconds(value, where, field + "." + name);
   }
 }
 
@@ -249,9 +273,9 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
         }
       }
     }
-    // Every observed run opens boot, workload and recovery-check once, so the
+    // Every observed run stamps boot, workload and recovery-check once, so the
     // three phases hold equal sample counts (a missing histogram holds none).
-    // A shortfall means phase spans were lost.
+    // A shortfall means phase stamps were lost.
     std::map<std::string, uint64_t> phase_samples;
     uint64_t total_virtual_ms = 0;
     for (const ParsedHistogram& parsed : system.histograms) {
@@ -339,26 +363,25 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
         }
       }
     }
-    if (const ctobs::JsonValue* wall = json.Find("wall")) {
+    if (const ctobs::JsonValue* wall = json.Find("wall"); wall != nullptr && !wall->is_object()) {
+      checker->Fail(where, "\"wall\" is not an object");
+    } else if (wall != nullptr) {
       system.has_wall = true;
       if (const ctobs::JsonValue* jobs = wall->Find("jobs")) {
         system.jobs = static_cast<int>(
             checker->Integer(*jobs, where, "wall.jobs", 1, std::numeric_limits<int>::max()));
       }
       if (const ctobs::JsonValue* seconds = wall->Find("campaign_seconds")) {
-        system.campaign_seconds = seconds->number_value;
-        if (system.campaign_seconds < 0) {
-          checker->Fail(where, "negative campaign_seconds");
-        }
+        system.campaign_seconds = checker->Seconds(*seconds, where, "wall.campaign_seconds");
       }
       if (const ctobs::JsonValue* rate = wall->Find("runs_per_second")) {
-        system.runs_per_second = rate->number_value;
+        system.runs_per_second = checker->Seconds(*rate, where, "wall.runs_per_second");
       }
       if (const ctobs::JsonValue* phases = wall->Find("phases")) {
-        LoadWallMap(*phases, &system.phase_wall_seconds);
+        LoadWallMap(*phases, where, "wall.phases", checker, &system.phase_wall_seconds);
       }
       if (const ctobs::JsonValue* driver = wall->Find("driver")) {
-        LoadWallMap(*driver, &system.driver_wall_seconds);
+        LoadWallMap(*driver, where, "wall.driver", checker, &system.driver_wall_seconds);
       }
     }
     snapshot.systems.push_back(std::move(system));
