@@ -1,10 +1,10 @@
 #include "src/core/trigger.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "src/core/campaign.h"
@@ -23,16 +23,18 @@ std::string MetricName(std::string text) {
 }
 
 // Online log analysis (§3.2.1): one Logstash agent per node streams the run's
-// meta-info values into the stash the trigger resolves targets from.
+// meta-info values into the stash the trigger resolves targets from. Each
+// line goes to its own node's agent only.
 class StashFeed {
  public:
   StashFeed(ctsim::Cluster& cluster, const ctlog::OnlineFilter& filter) : stash_(filter) {
     for (const auto& node_id : cluster.node_ids()) {
-      agents_.push_back(std::make_unique<ctlog::LogstashAgent>(node_id, &stash_));
+      agents_.emplace(node_id, ctlog::LogstashAgent(node_id, &stash_));
     }
     cluster.logs().Subscribe([this](const ctlog::Instance& instance) {
-      for (auto& agent : agents_) {
-        agent->OnInstance(instance);
+      auto agent = agents_.find(instance.node);
+      if (agent != agents_.end()) {
+        agent->second.OnInstance(instance);
       }
     });
   }
@@ -52,7 +54,7 @@ class StashFeed {
 
  private:
   ctlog::CustomStash stash_;
-  std::vector<std::unique_ptr<ctlog::LogstashAgent>> agents_;
+  std::unordered_map<std::string, ctlog::LogstashAgent> agents_;  // by node id
 };
 
 }  // namespace

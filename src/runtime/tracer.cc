@@ -90,18 +90,19 @@ void AccessTracer::OnAccess(int point_id, ctmodel::AccessKind kind, const std::s
     return;
   }
   ++hook_firings_;
-  std::string stack_key = CaptureStack().Key();
   if (mode_ == TraceMode::kProfile) {
     if (profiled_access_points_.count(point_id) > 0) {
-      ++dynamic_access_[DynamicPoint{point_id, stack_key}];
+      ++dynamic_access_[DynamicPoint{point_id, CaptureStack().Key()}];
     }
     return;
   }
-  // Trigger mode: fire once at the armed dynamic point.
-  if (trigger_fired_ || !armed_access_.has_value()) {
+  // Trigger mode: fire once at the armed dynamic point. The call-string key
+  // is built only at the armed static point.
+  if (trigger_fired_ || !armed_access_.has_value() || armed_access_->point_id != point_id) {
     return;
   }
-  if (armed_access_->point_id != point_id || armed_access_->stack_key != stack_key) {
+  std::string stack_key = CaptureStack().Key();
+  if (armed_access_->stack_key != stack_key) {
     return;
   }
   trigger_fired_ = true;
@@ -129,17 +130,18 @@ void AccessTracer::OnIo(int point_id, bool before) {
     return;
   }
   ++hook_firings_;
-  std::string stack_key = CaptureStack().Key();
   if (mode_ == TraceMode::kProfile) {
     if (before && profiled_io_points_.count(point_id) > 0) {
-      ++dynamic_io_[DynamicPoint{point_id, stack_key}];
+      ++dynamic_io_[DynamicPoint{point_id, CaptureStack().Key()}];
     }
     return;
   }
-  if (trigger_fired_ || !armed_io_.has_value() || armed_io_before_ != before) {
+  if (trigger_fired_ || !armed_io_.has_value() || armed_io_before_ != before ||
+      armed_io_->point_id != point_id) {
     return;
   }
-  if (armed_io_->point_id != point_id || armed_io_->stack_key != stack_key) {
+  std::string stack_key = CaptureStack().Key();
+  if (armed_io_->stack_key != stack_key) {
     return;
   }
   trigger_fired_ = true;

@@ -117,28 +117,43 @@ void Cluster::Shutdown(const std::string& id) {
   node->MarkShutdown();
 }
 
-void Cluster::Post(Message message) {
-  // The causal stamp is written at post time (see set_flow_recorder); with
-  // no recorder set it stays 0.
-  message.flow = current_flow_;
-  if (!partitions_.empty() && LinkCut(message.from, message.to)) {
-    ++plan_dropped_messages_;
-    TraceMessage("drop.partition", message);
-    return;
+void Cluster::Post(NodeId from, NodeId to, Symbol method, KvList args) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
   }
-  loop_.Schedule(kLatencyMs, [this, message = std::move(message)]() { DeliverNow(message); });
-}
-
-void Cluster::Post(const std::string& from, const std::string& to, const std::string& method,
-                   std::vector<std::pair<std::string, std::string>> args) {
-  Message message;
-  message.from = Intern(from);
-  message.to = Intern(to);
-  message.method = Intern(method);
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  Message& message = in_flight_[slot];
+  message.from = from;
+  message.to = to;
+  message.method = method;
+  message.args.Clear();
   for (auto& kv : args) {
     message.args.Set(Intern(kv.first), std::move(kv.second));
   }
-  Post(std::move(message));
+  // The causal stamp is written at post time (see set_flow_recorder); with
+  // no recorder set it stays 0.
+  message.flow = current_flow_;
+  if (!partitions_.empty() && LinkCut(from, to)) {
+    ++plan_dropped_messages_;
+    TraceMessage("drop.partition", message);
+    free_slots_.push_back(slot);
+    return;
+  }
+  // Two words: the closure fits std::function's inline buffer. The slot is
+  // freed only after the handler returns (see in_flight_).
+  loop_.Schedule(kLatencyMs, [this, slot] {
+    DeliverNow(in_flight_[slot]);
+    free_slots_.push_back(slot);
+  });
+}
+
+void Cluster::Post(const std::string& from, const std::string& to, const std::string& method,
+                   KvList args) {
+  const NodeId from_id = Intern(from);
+  const NodeId to_id = Intern(to);
+  Post(from_id, to_id, Intern(method), std::move(args));
 }
 
 void Cluster::DeliverNow(const Message& message) {

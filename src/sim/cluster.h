@@ -16,6 +16,7 @@
 #ifndef SRC_SIM_CLUSTER_H_
 #define SRC_SIM_CLUSTER_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -91,10 +92,16 @@ class Cluster {
   // Coalescing same-destination same-tick messages into one event was tried
   // and removed: only 1.7% (paper campaign) and 3.2% (scale 8) of deliveries
   // ever shared an event.
-  void Post(Message message);
-  // Convenience for senders outside any node (workload kick-off scripts).
+  //
+  // The message is built in place in an in-flight slot (see in_flight_), so
+  // a send allocates nothing once the slab has grown to the run's peak of
+  // messages in flight. Arg keys are interned even when a partition drops
+  // the message.
+  void Post(NodeId from, NodeId to, Symbol method, KvList args = {});
+  // Convenience for senders outside any node (workload kick-off scripts):
+  // interns the identities and forwards.
   void Post(const std::string& from, const std::string& to, const std::string& method,
-            std::vector<std::pair<std::string, std::string>> args = {});
+            KvList args = {});
   Time latency_ms() const { return kLatencyMs; }
 
   // The network fault: cuts `group` off from every node outside it, in both
@@ -191,6 +198,12 @@ class Cluster {
   std::string cluster_down_reason_;
   NodeId current_node_;
   std::vector<PartitionWindow> partitions_;
+  // Messages in flight, one slot each; a scheduled delivery holds only its
+  // slot index. Deque elements never move as the slab grows, and a slot is
+  // freed only after its handler returns, so the `const Message&` a handler
+  // holds stays valid while it posts and while it re-enters the loop.
+  std::deque<Message> in_flight_;
+  std::vector<uint32_t> free_slots_;
   TraceRecorder* trace_ = nullptr;
   FlowRecorder* flows_ = nullptr;
   // Flow id of the delivery being handled (0 between deliveries, inside a

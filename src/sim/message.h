@@ -63,6 +63,12 @@ class ArgVec {
     return Empty();
   }
 
+  // Empties the map for reuse; the next Set overwrites stale inline entries.
+  void Clear() {
+    count_ = 0;
+    spill_.clear();
+  }
+
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 

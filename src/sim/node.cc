@@ -65,19 +65,17 @@ void Node::Handle(const std::string& method, std::function<void(const Message&)>
   handlers_[cluster_->Intern(method).id()] = std::move(handler);
 }
 
+void Node::Send(NodeId to, Symbol method, KvList args) {
+  cluster_->Post(sym_, to, method, std::move(args));
+}
+
 void Node::Send(const std::string& to, const std::string& method, KvList args) {
-  Send(cluster_->Intern(to), method, std::move(args));
+  const NodeId to_id = cluster_->Intern(to);
+  Send(to_id, cluster_->Intern(method), std::move(args));
 }
 
 void Node::Send(NodeId to, const std::string& method, KvList args) {
-  Message message;
-  message.from = sym_;
-  message.to = to;
-  message.method = cluster_->Intern(method);
-  for (auto& kv : args) {
-    message.args.Set(cluster_->Intern(kv.first), std::move(kv.second));
-  }
-  cluster_->Post(std::move(message));
+  Send(to, cluster_->Intern(method), std::move(args));
 }
 
 void Node::After(Time delay, std::function<void()> fn) {

@@ -67,7 +67,9 @@ class Node {
   // RPC handler registration.
   void Handle(const std::string& method, std::function<void(const Message&)> handler);
 
-  // Sends an RPC to another node via the cluster network.
+  // Sends an RPC to another node via the cluster network. Periodic senders
+  // hold `to` and `method` interned; the string overloads intern and forward.
+  void Send(NodeId to, Symbol method, KvList args = {});
   void Send(const std::string& to, const std::string& method, KvList args = {});
   void Send(NodeId to, const std::string& method, KvList args = {});
 

@@ -20,8 +20,13 @@ constexpr ctsim::Time kRemovalRaceWindowMs = 1200;
 
 CassNode::CassNode(ctsim::Cluster* cluster, std::string id, std::vector<std::string> seeds,
                    const CassArtifacts* artifacts, const CassConfig* config)
-    : Node(cluster, std::move(id)), seeds_(std::move(seeds)), artifacts_(artifacts),
+    : Node(cluster, std::move(id)),
+      gossip_verb_(cluster->Intern("gossip")),
+      artifacts_(artifacts),
       config_(config) {
+  for (const auto& seed : seeds) {
+    seeds_.push_back(cluster->Intern(seed));
+  }
   gossip_fd_ = std::make_unique<ctsim::FailureDetector>(
       this, config_->fd_timeout_ms, config_->fd_sweep_ms,
       [this](const std::string& peer) { PeerDown(peer); });
@@ -75,9 +80,9 @@ void CassNode::OnStart() {
   log().Log(artifacts_->stmts.node_joined, {id()});
   Every(config_->gossip_ms, [this] {
     ctrt::MarkComponent(this->cluster().loop(), "gossip-round", "Gossiper");
-    for (const auto& peer : seeds_) {
-      if (peer != id()) {
-        Send(peer, "gossip", {});
+    for (const ctsim::NodeId peer : seeds_) {
+      if (peer != sym()) {
+        Send(peer, gossip_verb_);
       }
     }
   });
@@ -85,8 +90,8 @@ void CassNode::OnStart() {
 }
 
 void CassNode::OnShutdown() {
-  for (const auto& peer : seeds_) {
-    if (peer != id()) {
+  for (const ctsim::NodeId peer : seeds_) {
+    if (peer != sym()) {
       Send(peer, "leaving", {});
     }
   }

@@ -38,7 +38,8 @@ class CassNode : public ctsim::Node {
   void PeerDown(const std::string& peer);
   std::vector<std::string> ReplicasFor(const std::string& key);
 
-  std::vector<std::string> seeds_;  // all cluster members (static topology)
+  std::vector<ctsim::NodeId> seeds_;  // all cluster members (static topology)
+  ctsim::Symbol gossip_verb_;         // "gossip"
   const CassArtifacts* artifacts_;
   const CassConfig* config_;
 

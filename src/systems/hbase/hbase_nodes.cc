@@ -341,6 +341,8 @@ RegionServer::RegionServer(ctsim::Cluster* cluster, std::string id, std::string 
     : Node(cluster, std::move(id)),
       master_(std::move(master)),
       zk_(std::move(zk)),
+      zk_id_(cluster->Intern(zk_)),
+      session_heartbeat_verb_(cluster->Intern("sessionHeartbeat")),
       artifacts_(artifacts),
       config_(config) {
   Handle("getServerInfo", [this](const Message& m) {
@@ -377,7 +379,7 @@ void RegionServer::OnStart() {
   After(config_->rs_zk_register_ms, [this] {
     zk_registered_ = true;
     Send(zk_, "createEphemeral", {{"path", "/hbase/rs/" + this->id()}});
-    Every(config_->session_heartbeat_ms, [this] { Send(zk_, "sessionHeartbeat", {}); });
+    Every(config_->session_heartbeat_ms, [this] { Send(zk_id_, session_heartbeat_verb_); });
   });
 }
 

@@ -109,6 +109,9 @@ class RegionServer : public ctsim::Node {
 
   std::string master_;
   std::string zk_;
+  // The session heartbeat's fixed destination and verb, interned once.
+  ctsim::NodeId zk_id_;
+  ctsim::Symbol session_heartbeat_verb_;
   const HBaseArtifacts* artifacts_;
   const HBaseConfig* config_;
   bool init_done_ = false;

@@ -13,6 +13,8 @@ NodeManager::NodeManager(ctsim::Cluster* cluster, std::string id, std::string rm
                          const YarnArtifacts* artifacts, const YarnConfig* config, JobState* job)
     : Node(cluster, std::move(id)),
       rm_(std::move(rm)),
+      rm_id_(cluster->Intern(rm_)),
+      node_heartbeat_verb_(cluster->Intern("nodeHeartbeat")),
       artifacts_(artifacts),
       config_(config),
       job_(job) {
@@ -55,7 +57,8 @@ NodeManager::NodeManager(ctsim::Cluster* cluster, std::string id, std::string rm
 
 void NodeManager::OnStart() {
   Send(rm_, "registerNode", {{"node", id()}, {"host", host()}});
-  Every(config_->heartbeat_ms, [this] { Send(rm_, "nodeHeartbeat", {{"node", id()}}); });
+  Every(config_->heartbeat_ms,
+        [this] { Send(rm_id_, node_heartbeat_verb_, {{"node", id()}}); });
 }
 
 void NodeManager::OnShutdown() {

@@ -72,6 +72,9 @@ class NodeManager : public ctsim::Node {
   void MaybeSendRelease();
 
   std::string rm_;
+  // The node heartbeat's fixed destination and verb, interned once.
+  ctsim::NodeId rm_id_;
+  ctsim::Symbol node_heartbeat_verb_;
   const YarnArtifacts* artifacts_;
   const YarnConfig* config_;
   JobState* job_;

@@ -21,17 +21,20 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
                const ZkArtifacts* artifacts, const ZkConfig* config, QuorumShared* shared)
     : Node(cluster, std::move(id)),
       myid_(myid),
-      peers_(std::move(peers)),
+      heartbeat_verb_(cluster->Intern("peerHeartbeat")),
       artifacts_(artifacts),
       config_(config),
-      shared_(shared),
-      current_leader_(LeaderId()) {
+      shared_(shared) {
+  for (const auto& peer : peers) {
+    peers_.push_back(cluster->Intern(peer));
+  }
+  current_leader_ = LeaderId();
   peer_fd_ = std::make_unique<ctsim::FailureDetector>(
       this, config_->fd_timeout_ms, config_->fd_sweep_ms,
       [this](const std::string& peer) { PeerLost(peer); });
 
   Handle("peerHeartbeat", [this](const Message& m) {
-    auto lost = lost_peers_.find(m.from);
+    auto lost = lost_peers_.find(m.from.id());
     if (lost != lost_peers_.end()) {
       const bool recovering =
           this->cluster().loop().Now() - lost->second <= kRemovalRaceWindowMs;
@@ -50,7 +53,7 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
     }
     // The election view changes only when a peer is (re-)admitted, so the
     // leader is recomputed then and not on every heartbeat.
-    if (alive_peers_.insert(m.from).second) {
+    if (alive_peers_.insert(m.from.id()).second) {
       current_leader_ = LeaderId();
     }
     peer_fd_->Heartbeat(m.from);
@@ -82,16 +85,16 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
 }
 
 void ZkPeer::OnStart() {
-  alive_peers_.insert(id());
+  alive_peers_.insert(sym().id());
   current_leader_ = LeaderId();
   log().Log(artifacts_->stmts.peer_up, {id(), std::to_string(myid_)});
   Every(config_->gossip_ms, [this] {
     // One quorum-broadcast round: every peer heartbeats every other, so a
     // round is O(peers²) messages cluster-wide.
     ctrt::MarkComponent(this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
-    for (const auto& peer : peers_) {
-      if (peer != id()) {
-        Send(peer, "peerHeartbeat", {});
+    for (const ctsim::NodeId peer : peers_) {
+      if (peer != sym()) {
+        Send(peer, heartbeat_verb_);
       }
     }
   });
@@ -104,9 +107,9 @@ std::string ZkPeer::LeaderId() const {
   // paper credits for ZooKeeper's resilience to single crashes). O(peers):
   // called only when alive_peers_ changes, and current_leader_ caches it.
   std::string leader;
-  for (const auto& peer : peers_) {
-    if ((peer == id() || alive_peers_.count(peer) > 0) && peer > leader) {
-      leader = peer;
+  for (const ctsim::NodeId peer : peers_) {
+    if ((peer == sym() || alive_peers_.count(peer.id()) > 0) && peer.str() > leader) {
+      leader = peer.str();
     }
   }
   return leader;
@@ -123,8 +126,9 @@ void ZkPeer::OnHandlerException(const std::string& context, const ctsim::SimExce
 }
 
 void ZkPeer::PeerLost(const std::string& peer) {
-  alive_peers_.erase(peer);
-  lost_peers_[peer] = this->cluster().loop().Now();
+  const ctsim::NodeId lost = this->cluster().Intern(peer);
+  alive_peers_.erase(lost.id());
+  lost_peers_[lost.id()] = this->cluster().loop().Now();
   std::string previous = current_leader_;
   current_leader_ = LeaderId();
   CT_FRAME("QuorumPeer.updateElectionVote");
@@ -172,8 +176,8 @@ void ZkPeer::CreateRequest(const Message& m) {
   CT_IO_END(artifacts_->io.txnlog_append_io);
   ApplyCreate(m.Arg("path"), m.Arg("data"));
   pending_commits_.insert(m.Arg("path"));
-  for (const auto& peer : peers_) {
-    if (peer != id() && alive_peers_.count(peer) > 0) {
+  for (const ctsim::NodeId peer : peers_) {
+    if (peer != sym() && alive_peers_.count(peer.id()) > 0) {
       Send(peer, "propose",
            {{"path", m.Arg("path")}, {"data", m.Arg("data")}, {"client", client}});
     }

@@ -7,6 +7,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/sim/cluster.h"
@@ -32,6 +34,8 @@ class ZkPeer : public ctsim::Node {
          const ZkArtifacts* artifacts, const ZkConfig* config, QuorumShared* shared);
 
   bool IsLeader() const;
+  // The peer this replica believes leads.
+  const std::string& leader() const { return current_leader_; }
   const std::map<std::string, std::string>& znodes() const { return znodes_; }
 
  protected:
@@ -47,20 +51,22 @@ class ZkPeer : public ctsim::Node {
   std::string LeaderId() const;
 
   int myid_;
-  std::vector<std::string> peers_;  // all quorum members including self
+  std::vector<ctsim::NodeId> peers_;  // all quorum members including self
+  ctsim::Symbol heartbeat_verb_;      // "peerHeartbeat"
   const ZkArtifacts* artifacts_;
   const ZkConfig* config_;
   QuorumShared* shared_;
 
-  std::set<std::string> alive_peers_;
-  // Peers this replica already expired from its election view, by expiry
-  // time. A heartbeat from one can only arrive through a healed partition
-  // (a crashed peer never speaks again) — the seeded message race of
-  // network-fault mode. The race is live only while the re-election the
-  // expiry triggered is still converging; later stale heartbeats re-admit
-  // the peer benignly. Either way the tombstone is cleared on first
-  // contact.
-  std::map<std::string, ctsim::Time> lost_peers_;
+  // The election view, by NodeId symbol id.
+  std::unordered_set<uint32_t> alive_peers_;
+  // Peers this replica already expired from its election view (by NodeId
+  // symbol id), with their expiry time. A heartbeat from one can only
+  // arrive through a healed partition (a crashed peer never speaks again) —
+  // the seeded message race of network-fault mode. The race is live only
+  // while the re-election the expiry triggered is still converging; later
+  // stale heartbeats re-admit the peer benignly. Either way the tombstone
+  // is cleared on first contact.
+  std::unordered_map<uint32_t, ctsim::Time> lost_peers_;
   std::map<std::string, std::string> znodes_;    // DataTree.nodes (full replica)
   std::map<std::string, std::string> sessions_;  // SessionTracker.sessionsById
   // LeaderId(), recomputed whenever alive_peers_ changes (the peer itself

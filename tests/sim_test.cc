@@ -190,6 +190,90 @@ TEST(Cluster, SameTickBurstPrecedesLaterEventsWhenAHandlerReentersTheLoop) {
   EXPECT_EQ(order, (std::vector<std::string>{"m1", "m2", "m3", "a-event", "m1-resumed"}));
 }
 
+// B's handler for m1 posts enough messages to grow the in-flight slab many
+// times over, then re-enters the loop, where A echoes each one back: their
+// deliveries free slots and the echoes refill them. m1's own slot must stay
+// untouched until the handler returns.
+class SlabNode : public Node {
+ public:
+  SlabNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
+    Handle("m1", [this](const Message& m) {
+      for (int i = 0; i < 1000; ++i) {
+        Send("a:1", "filler", {{"k", "filler-" + std::to_string(i)}});
+      }
+      this->cluster().loop().RunFor(10);
+      seen_ = m.from + " " + m.method + " " + m.Arg("k");
+    });
+    Handle("filler", [this](const Message& m) { Send(m.from, "echo", {{"k", "echo"}}); });
+    Handle("echo", [this](const Message&) { ++echoes_; });
+  }
+
+  std::string seen_;
+  int echoes_ = 0;
+};
+
+TEST(Cluster, HandlerKeepsItsMessageWhilePostingAndReenteringTheLoop) {
+  Cluster cluster;
+  auto* a = cluster.AddNode<SlabNode>("a:1");
+  auto* b = cluster.AddNode<SlabNode>("b:1");
+  cluster.StartAll();
+  a->Send("b:1", "m1", {{"k", "v1"}});
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(b->echoes_, 1000);
+  EXPECT_EQ(b->seen_, "a:1 m1 v1");
+}
+
+struct Traffic {
+  uint64_t trace_hash = 0;
+  uint64_t delivered = 0;
+  uint64_t partition_dropped = 0;
+  size_t interned = 0;
+  bool cut_key_interned = false;
+};
+
+// A pings B, then C twice: once inside a partition window that cuts C off
+// and once after it heals. `by_symbol` picks Send(NodeId, Symbol, args) over
+// Send(string, string, args).
+Traffic SendTraffic(bool by_symbol) {
+  Cluster cluster;
+  TraceRecorder trace;
+  cluster.set_trace_recorder(&trace);
+  auto* a = cluster.AddNode<EchoNode>("a:1");
+  cluster.AddNode<EchoNode>("b:1");
+  cluster.AddNode<EchoNode>("c:1");
+  cluster.StartAll();
+  cluster.Partition({"c:1"}, 0, 5);
+  auto send = [&](const std::string& to, KvList args) {
+    if (by_symbol) {
+      const NodeId to_id = cluster.Intern(to);
+      a->Send(to_id, cluster.Intern("ping"), std::move(args));
+    } else {
+      a->Send(to, "ping", std::move(args));
+    }
+  };
+  send("b:1", {{"seq", "1"}});
+  send("c:1", {{"cut", "1"}});
+  cluster.loop().RunUntil(10);
+  send("c:1", {{"seq", "2"}});
+  cluster.loop().RunToCompletion();
+  return {trace.hash(), cluster.delivered_messages(), cluster.plan_dropped_messages(),
+          cluster.interner().size(), !cluster.interner().Find("cut").empty()};
+}
+
+TEST(Cluster, SymbolAndStringSendsAreTheSameTraffic) {
+  const Traffic by_string = SendTraffic(false);
+  const Traffic by_symbol = SendTraffic(true);
+  EXPECT_EQ(by_string.trace_hash, by_symbol.trace_hash);
+  EXPECT_EQ(by_string.delivered, by_symbol.delivered);
+  EXPECT_EQ(by_string.partition_dropped, by_symbol.partition_dropped);
+  EXPECT_EQ(by_string.interned, by_symbol.interned);
+  EXPECT_EQ(by_string.delivered, 4u);  // two pings, two pongs
+  EXPECT_EQ(by_string.partition_dropped, 1u);
+  // A dropped message's arg keys are interned all the same.
+  EXPECT_TRUE(by_string.cut_key_interned);
+  EXPECT_TRUE(by_symbol.cut_key_interned);
+}
+
 TEST(Cluster, DeferredNodesStartExplicitly) {
   Cluster cluster;
   auto* late = cluster.AddNode<EchoNode>("late:1");

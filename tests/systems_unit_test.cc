@@ -202,6 +202,43 @@ TEST(ZkProtocol, HighestAliveIdLeads) {
   EXPECT_TRUE(peer2->IsLeader());
 }
 
+// Cuts zkpeer3 off from 1500 ms until `heal_ms`. It is last heard at 1501
+// (the 1500 ms round was posted before the cut), so the 250 ms sweep with a
+// 1500 ms timeout expires it at 3250 on every side, and the race window
+// (kRemovalRaceWindowMs, 1200 ms) closes at 4450. Returns how many
+// StaleEpochExceptions the re-admission logged.
+int StaleEpochExceptionsAfterHeal(ctsim::Time heal_ms) {
+  ctzk::ZkSystem zk;
+  auto run = zk.NewRun(2, 105);
+  ctsim::Cluster& cluster = run->cluster();
+  cluster.StartAll();
+  cluster.loop().RunUntil(1500);
+  cluster.Partition({"zkpeer3:2888"}, 1500, heal_ms);
+  cluster.loop().RunUntil(3300);
+  std::vector<ctzk::ZkPeer*> peers;
+  for (const char* id : {"zkpeer1:2888", "zkpeer2:2888", "zkpeer3:2888"}) {
+    peers.push_back(dynamic_cast<ctzk::ZkPeer*>(cluster.Find(id)));
+  }
+  // The expiry happened: the majority side re-elected.
+  EXPECT_EQ(peers[0]->leader(), "zkpeer2:2888");
+  cluster.loop().RunUntil(heal_ms + 3000);
+  for (const ctzk::ZkPeer* peer : peers) {
+    EXPECT_EQ(peer->leader(), "zkpeer3:2888") << peer->id() << " after heal at " << heal_ms;
+  }
+  int stale = 0;
+  for (const auto& instance : cluster.logs().instances()) {
+    stale += instance.text.rfind("Uncommon exception StaleEpochException", 0) == 0 ? 1 : 0;
+  }
+  return stale;
+}
+
+TEST(ZkProtocol, StaleHeartbeatRacesOnlyInsideTheRemovalWindow) {
+  // Healed at 3600, zkpeer3's 4000 ms heartbeat lands 751 ms after expiry.
+  EXPECT_GT(StaleEpochExceptionsAfterHeal(3600), 0);
+  // Healed at 6000, its first heartbeat lands 2751 ms after expiry.
+  EXPECT_EQ(StaleEpochExceptionsAfterHeal(6000), 0);
+}
+
 TEST(ZkProtocol, WritesReplicateToAllPeers) {
   ctzk::ZkSystem zk;
   auto run = zk.NewRun(2, 102);
