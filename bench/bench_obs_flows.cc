@@ -1,25 +1,20 @@
-// Observability-at-scale bench (CI stage 4h): causal flow tracing, the
-// component dwell profile, and failure dossiers on a scaled-out ZooKeeper
-// campaign.
+// Observability-at-scale bench (CI stage 4h): causal flow tracing and
+// failure dossiers on a scaled-out ZooKeeper campaign.
 //
 // Runs the full CrashTuner driver over mini-ZooKeeper at --scale (default 8)
 // twice — observation off, then observation on (jobs=4 both times) — and
 // checks:
 //
 //   1. Passivity: the two SystemReports serialize byte-identically and carry
-//      the same campaign trace hash. Flow stamping, phase stamps and dwell
-//      marks must not perturb a single event.
-//   2. Dwell attribution: the quorum-broadcast component absorbs >= 50% of
-//      the campaign's virtual time (ZooKeeper's only marked sweep is the
-//      peer-heartbeat fan-out, and scaled quorums spend their lives
-//      gossiping — their superlinear chatter made visible).
-//   3. Flows: deliveries were recorded and causal chains actually nest
+//      the same campaign trace hash. Flow stamping and phase stamps must not
+//      perturb a single event.
+//   2. Flows: deliveries were recorded and causal chains actually nest
 //      (max depth >= 2).
-//   4. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5
+//   3. Dossiers: a mini-YARN campaign (ZooKeeper's recovers cleanly — Table 5
 //      lists no new ZooKeeper bugs) must hand its observer one dossier per
 //      bug-verdict injection, each round-tripping through the
 //      crashtuner-dossier-v1 reader unchanged.
-//   5. Overhead: the observed campaign's wall time stays within 10% of the
+//   4. Overhead: the observed campaign's wall time stays within 10% of the
 //      unobserved one. Like the other wall-clock bars this is enforced only
 //      on >= 4 hardware threads.
 //
@@ -57,7 +52,7 @@ int main(int argc, char** argv) {
   }
   const int jobs = flags.jobs > 1 ? flags.jobs : 4;
 
-  ctbench::PrintHeader("Observability at scale: flows, dwell profile, dossiers");
+  ctbench::PrintHeader("Observability at scale: flows, dossiers");
   std::printf("zookeeper @ scale %d, jobs=%d\n", scale, jobs);
 
   // Pass 1: observation off. This is the baseline both for passivity (the
@@ -72,8 +67,8 @@ int main(int argc, char** argv) {
       ctcore::CrashTunerDriver().Run(baseline_system, off_options);
   const double off_wall = Wall(off_start);
 
-  // Pass 2: observation on — phase stamps, dwell marks and flows recording,
-  // and the report's dossiers handed to the observer.
+  // Pass 2: observation on — phase stamps and flows recording, and the
+  // report's dossiers handed to the observer.
   ctzk::ZkSystem observed_system;
   observed_system.set_scale(scale);
   ctbench::BenchObservation observation(flags);
@@ -114,29 +109,7 @@ int main(int argc, char** argv) {
   // to call once more here either way.
   const ctobs::SystemMetrics metrics = observer->Finalize();
 
-  // 2. Dwell attribution.
-  unsigned long long total_virtual_ms = 0;
-  if (auto it = metrics.metrics.histograms().find("run.virtual_ms");
-      it != metrics.metrics.histograms().end()) {
-    total_virtual_ms = it->second.sum();
-  }
-  unsigned long long broadcast_dwell_ms = 0;
-  if (auto it = metrics.metrics.components().find("quorum-broadcast");
-      it != metrics.metrics.components().end()) {
-    broadcast_dwell_ms = it->second.dwell_ms;
-  }
-  const double dwell_share =
-      total_virtual_ms > 0
-          ? static_cast<double>(broadcast_dwell_ms) / static_cast<double>(total_virtual_ms)
-          : 0.0;
-  std::printf("dwell: quorum-broadcast %llu ms of %llu virtual ms (%.1f%%, bar >= 50%%)\n",
-              broadcast_dwell_ms, total_virtual_ms, 100.0 * dwell_share);
-  records.Add("dwell.total_virtual_ms", "ms", total_virtual_ms);
-  records.Add("dwell.quorum_broadcast_ms", "ms", broadcast_dwell_ms);
-  records.AddBar("dwell.quorum_broadcast_share", "frac", dwell_share, ">= 0.5",
-                 dwell_share >= 0.5);
-
-  // 3. Flows.
+  // 2. Flows.
   const ctobs::FlowStats& flows = metrics.flows;
   const bool flows_ok = flows.messages > 0 && flows.max_depth >= 2;
   std::printf("flows: %llu deliveries, %llu roots, max depth %llu — %s\n",
@@ -148,7 +121,7 @@ int main(int argc, char** argv) {
   records.Add("flows.max_depth", "count", flows.max_depth);
   records.AddBar("flows.ok", "bool", flows_ok, "== 1", flows_ok);
 
-  // 4. Dossiers. ZooKeeper's campaign recovers cleanly (Table 5 finds no new
+  // 3. Dossiers. ZooKeeper's campaign recovers cleanly (Table 5 finds no new
   // ZooKeeper bugs, so no injection earns a bug verdict), so the dossier
   // contract is proved on a mini-YARN campaign in the same process: every
   // bug-verdict injection must have produced one crashtuner-dossier-v1 and
@@ -190,7 +163,7 @@ int main(int argc, char** argv) {
   records.Add("dossiers.roundtrip_failures", "count", roundtrip_failures);
   records.AddBar("dossiers.ok", "bool", dossiers_ok, "== 1", dossiers_ok);
 
-  // 5. Overhead.
+  // 4. Overhead.
   const double overhead = off_wall > 0 ? (on_wall - off_wall) / off_wall : 0.0;
   const int hardware_threads = ctcore::ResolveJobs(0);
   const bool enforce_overhead = ctbench::EnforceSpeedupBar(hardware_threads);

@@ -48,14 +48,11 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
     // SystemReport never move.
     cluster.set_flow_recorder(&observer->flows());
   }
-  {
-    ctobs::ScopedPhase boot(observer, loop, ctobs::Phase::kBoot);
-    cluster.StartAll();
-  }
 
   bool over_timeout = false;
   {
     ctobs::ScopedPhase workload(observer, loop, ctobs::Phase::kWorkload);
+    cluster.StartAll();
     run.Start();
     while (!run.JobFinished() && !run.JobFailed() && !cluster.cluster_down()) {
       if (loop.Now() > hang_deadline || loop.pending_events() == 0) {

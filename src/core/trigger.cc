@@ -137,11 +137,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     run_observer->Enable();
   }
 
-  std::optional<StashFeed> feed;
-  {
-    ctobs::ScopedPhase arm(run_observer, cluster.loop(), ctobs::Phase::kWindowArm);
-    feed.emplace(cluster, filter_);
-  }
+  StashFeed feed(cluster, filter_);
 
   // Control-center callback (Fig. 7): resolve the accessed value to a node
   // and inject the fault. Armed on the run's own tracer, so concurrent
@@ -152,7 +148,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   tracer.ArmAccessTrigger(point, [&](const ctrt::AccessEvent& event) {
     result.point_hit = true;
     result.accessed_value = event.value;
-    std::optional<std::string> target = feed->LiveTarget(cluster, event.value);
+    std::optional<std::string> target = feed.LiveTarget(cluster, event.value);
     if (!target.has_value()) {
       return;
     }

@@ -72,16 +72,17 @@ class FaultInjectionTester {
   // detector for the heal to race recovered state.
   static constexpr ctsim::Time kDefaultPartitionMs = 2500;
 
+  // The unnamed parameter is the profile's fault-free duration, which
+  // nothing reads; callers still pass it positionally.
   FaultInjectionTester(const SystemUnderTest* system,
                        const ctanalysis::CrashPointResult* crash_points,
                        ctlog::OnlineFilter filter, OracleBaseline baseline,
-                       ctsim::Time normal_duration_ms,
+                       ctsim::Time /*normal_duration_ms*/,
                        ctsim::Time pre_read_wait_ms = kPreReadWaitMs)
       : system_(system),
         crash_points_(crash_points),
         filter_(std::move(filter)),
         baseline_(std::move(baseline)),
-        normal_duration_ms_(normal_duration_ms),
         pre_read_wait_ms_(pre_read_wait_ms) {}
 
   // Switches the trigger between crashing the resolved target (default) and
@@ -142,7 +143,6 @@ class FaultInjectionTester {
   const ctanalysis::CrashPointResult* crash_points_;
   ctlog::OnlineFilter filter_;
   OracleBaseline baseline_;
-  ctsim::Time normal_duration_ms_;
   ctsim::Time pre_read_wait_ms_;
   InjectionMode mode_ = InjectionMode::kCrash;
   ctobs::CampaignObserver* observer_ = nullptr;

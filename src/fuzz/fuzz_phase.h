@@ -34,9 +34,6 @@ struct FuzzPhaseOptions {
   // through the seed + 2000 stream above; the runs themselves draw nothing.
   uint64_t seed = 2019;
   int jobs = 1;
-  // Same observer the driver used (may be null): the phase adds a "fuzz"
-  // driver phase, and each run lands in a slot past Phase 2's.
-  ctobs::CampaignObserver* observer = nullptr;
 };
 
 // A run that first reached a dynamic point, kept in run order.

@@ -1,7 +1,6 @@
 #include "src/fuzz/fuzz_phase.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "src/core/campaign.h"
 #include "src/core/executor.h"
 #include "src/fuzz/generator.h"
-#include "src/obs/observer.h"
 #include "src/sim/trace.h"
 
 namespace ctfuzz {
@@ -121,11 +119,9 @@ struct RunRecord {
   ctcore::RunOutcome outcome;
 };
 
-// One profiled run of `workload`, judged against `baseline`. A null
-// `observer` leaves the run unobserved.
+// One profiled run of `workload`, judged against `baseline`.
 RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>& access_points,
-                     const FuzzWorkload& workload, const ctcore::OracleBaseline& baseline,
-                     ctobs::CampaignObserver* observer, int slot) {
+                     const FuzzWorkload& workload, const ctcore::OracleBaseline& baseline) {
   auto prepare = [&access_points](ctrt::RunContext& context) {
     context.tracer().Reset(ctrt::TraceMode::kProfile);
     context.tracer().SetProfiledPoints(access_points, /*io_points=*/{});
@@ -135,11 +131,6 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
   ctsim::TraceRecorder recorder;
   cluster.set_trace_recorder(&recorder);
 
-  ctobs::RunObserver* run_observer = &run->context().observer();
-  if (observer != nullptr) {
-    run_observer->Enable();
-  }
-
   ScheduleOps(*run, system.model(), workload);
   RunRecord record;
   record.outcome = ctcore::Executor::Execute(*run, &baseline);
@@ -147,12 +138,6 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
     record.points.insert(entry.first);
   }
   record.trace_hash = recorder.hash();
-  if (observer != nullptr) {
-    ctobs::MetricsShard& metrics = run_observer->metrics();
-    metrics.Add("fuzz.ops", workload.ops.size());
-    metrics.Add("trace.events", recorder.size());
-    observer->AbsorbRun(slot, std::move(*run_observer));
-  }
   return record;
 }
 
@@ -164,7 +149,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   if (options.runs <= 0) {
     return result;
   }
-  const auto fuzz_start = std::chrono::steady_clock::now();
 
   // The fixed workload script's dynamic points are the coverage floor: every
   // pair fuzzing "discovers" is by construction beyond the script.
@@ -174,7 +158,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   const OpSequenceGenerator generator(&system.model());
   const int budget = generator.HasGrammar() ? options.runs : 0;
   const uint64_t stream = (options.seed + 2000) ^ kFuzzSalt;
-  const int slot_base = static_cast<int>(report->injections.size());  // past Phase 2's slots
   const std::set<int> access_points = report->crash_points.PointIds();
   const int workload_size = system.default_workload_size();
 
@@ -187,8 +170,7 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
     ctcommon::Rng rng(SplitMix64(stream + static_cast<uint64_t>(g)));
     Drawn out;
     out.workload = generator.Generate(rng, workload_size);
-    out.record = ExecuteOne(system, access_points, out.workload, report->profile.baseline,
-                            options.observer, slot_base + g);
+    out.record = ExecuteOne(system, access_points, out.workload, report->profile.baseline);
     return out;
   });
 
@@ -241,9 +223,6 @@ FuzzResult RunFuzzPhase(const ctcore::SystemUnderTest& system, ctcore::SystemRep
   summary.bug_runs = result.bug_runs;
   summary.bug_ids = result.bug_ids;
   summary.trace_hash = result.trace_hash;
-  if (options.observer != nullptr) {
-    options.observer->AddDriverPhase("fuzz", fuzz_start, std::chrono::steady_clock::now());
-  }
   return result;
 }
 

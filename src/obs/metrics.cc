@@ -97,17 +97,6 @@ void MetricsShard::Observe(const std::string& name, uint64_t value) {
   histograms_.try_emplace(name).first->second.Observe(value);
 }
 
-void MetricsShard::AddDwell(std::string_view component, std::string_view role,
-                            uint64_t dwell_ms) {
-  auto it = components_.find(component);
-  if (it == components_.end()) {
-    it = components_.emplace(std::string(component), ComponentDwell{std::string(role), 0, 0})
-             .first;
-  }
-  it->second.dwell_ms += dwell_ms;
-  ++it->second.events;
-}
-
 uint64_t MetricsShard::counter(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
@@ -123,12 +112,6 @@ void MetricsShard::Merge(const MetricsShard& other) {
   for (const auto& [name, histogram] : other.histograms_) {
     auto [it, inserted] = histograms_.try_emplace(name, Histogram(histogram.bounds()));
     it->second.Merge(histogram);
-  }
-  for (const auto& [name, dwell] : other.components_) {
-    ComponentDwell& into = components_.try_emplace(name, ComponentDwell{dwell.role, 0, 0})
-                               .first->second;
-    into.dwell_ms += dwell.dwell_ms;
-    into.events += dwell.events;
   }
 }
 

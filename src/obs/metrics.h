@@ -1,22 +1,20 @@
 // Deterministic campaign metrics.
 //
 // The injection campaign is embarrassingly parallel, and so is its
-// measurement: every run writes counters, gauges, fixed-bucket histograms
-// and component dwell into its own shard, and the campaign folds each shard
-// into its own as the run retires. Every merge is a sum, a maximum or a
-// bucket-wise histogram merge, so the fold commutes; and because every
-// recorded value is derived from simulator events (virtual time, message
-// counts), the aggregate is byte-identical at any --jobs count. Wall-clock
+// measurement: every run writes counters, gauges and fixed-bucket histograms
+// into its own shard, and the campaign folds each shard into its own as the
+// run retires. Every merge is a sum, a maximum or a bucket-wise histogram
+// merge, so the fold commutes; and because every recorded value is derived
+// from simulator events (virtual time, message counts), the aggregate is
+// byte-identical at any --jobs count. Wall-clock
 // data is kept *outside* the shard (see snapshot.h) so the deterministic
 // half of a snapshot can be diffed across thread counts.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace ctobs {
@@ -67,48 +65,27 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-// Virtual time charged to one component by its dwell marks
-// (ctrt::MarkComponent). A mark charges the virtual time since the run's
-// previous mark to its component, so a run's dwell totals partition its
-// virtual time up to its last mark.
-struct ComponentDwell {
-  std::string role;  // model role class doing the work ("QuorumPeer")
-  uint64_t dwell_ms = 0;
-  uint64_t events = 0;  // marks
-};
-
 // One run's (or one campaign's) worth of metrics. Counters add, gauges keep
 // the maximum across merges (they record high-water marks like cluster
-// size), histograms merge bucket-wise, and component dwell and events add.
+// size), and histograms merge bucket-wise.
 class MetricsShard {
  public:
-  // Components are keyed by name; std::less<> lets a mark find its entry by
-  // string_view, so only a component's first mark in a shard allocates.
-  using ComponentTable = std::map<std::string, ComponentDwell, std::less<>>;
-
   void Add(const std::string& name, uint64_t delta = 1);
   void SetGauge(const std::string& name, int64_t value);
   void Observe(const std::string& name, uint64_t value);
-  // Charges `dwell_ms` and one event to `component`; the first mark of a
-  // component sets its role.
-  void AddDwell(std::string_view component, std::string_view role, uint64_t dwell_ms);
 
   uint64_t counter(const std::string& name) const;
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
   const std::map<std::string, int64_t>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
-  const ComponentTable& components() const { return components_; }
 
   void Merge(const MetricsShard& other);
-  bool empty() const {
-    return counters_.empty() && gauges_.empty() && histograms_.empty() && components_.empty();
-  }
+  bool empty() const { return counters_.empty() && gauges_.empty() && histograms_.empty(); }
 
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, int64_t> gauges_;
   std::map<std::string, Histogram> histograms_;
-  ComponentTable components_;
 };
 
 }  // namespace ctobs

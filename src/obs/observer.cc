@@ -25,7 +25,7 @@ double Seconds(CampaignObserver::Clock::duration duration) {
 
 std::string_view PhaseName(Phase phase) {
   static constexpr std::array<std::string_view, kNumPhases> kNames = {
-      "window-arm", "boot", "workload", "injection", "recovery-check"};
+      "workload", "injection", "recovery-check"};
   return kNames[static_cast<size_t>(phase)];
 }
 

@@ -1,11 +1,11 @@
 // Per-run and per-campaign observation state.
 //
 // A RunObserver is owned by the run's RunContext, exactly like the tracer:
-// one metrics shard (component dwell marks included), the run's phase table
-// and one flow recorder, born disabled so profiling and baseline runs pay
-// nothing. The campaign tester enables it for observed injection runs and,
-// after the run retires, absorbs it into the CampaignObserver, which folds
-// the shard into the campaign's on arrival. Every fold commutes, so the
+// one metrics shard, the run's phase table and one flow recorder, born
+// disabled so profiling and baseline runs pay nothing. The campaign tester
+// enables it for observed injection runs and, after the run retires, absorbs
+// it into the CampaignObserver, which folds the shard into the campaign's on
+// arrival. Every fold commutes, so the
 // deterministic half of the resulting snapshot is byte-identical at any
 // --jobs count.
 #ifndef SRC_OBS_OBSERVER_H_
@@ -34,13 +34,14 @@ namespace ctobs {
 class ChromeTraceWriter;
 struct SystemMetrics;
 
-// The fixed phases of an observed run. A run stamps each at most once; a
-// fuzz run stamps no window-arm and no injection, and a run whose fault
-// never lands stamps no injection.
-enum class Phase { kWindowArm, kBoot, kWorkload, kInjection, kRecoveryCheck };
-inline constexpr size_t kNumPhases = 5;
+// The fixed phases of an observed run. A run stamps each at most once, and
+// a run whose fault never lands stamps no injection. Workload (cluster
+// start-up included) and recovery-check split the run with no gap; the
+// injection nests inside one of them.
+enum class Phase { kWorkload, kInjection, kRecoveryCheck };
+inline constexpr size_t kNumPhases = 3;
 
-// "window-arm", "boot", "workload", "injection", "recovery-check".
+// "workload", "injection", "recovery-check".
 std::string_view PhaseName(Phase phase);
 
 // One phase's extent on both clocks: virtual ms read off the run's event
@@ -84,21 +85,11 @@ class RunObserver {
   ctsim::FlowRecorder& flows() { return flows_; }
   const ctsim::FlowRecorder& flows() const { return flows_; }
 
-  // A dwell mark (ctrt::MarkComponent): charges the virtual time since the
-  // run's previous mark (or its start) to `component` and counts one event.
-  // Every millisecond of clock advance is charged to the next mark, so the
-  // dwell totals partition the run's virtual time deterministically.
-  void MarkComponent(uint64_t now_ms, std::string_view component, std::string_view role) {
-    metrics_.AddDwell(component, role, now_ms - last_mark_ms_);
-    last_mark_ms_ = now_ms;
-  }
-
  private:
   bool enabled_ = false;
   MetricsShard metrics_;
   PhaseTable phases_;
   ctsim::FlowRecorder flows_;
-  uint64_t last_mark_ms_ = 0;
 };
 
 // Stamps one phase of a run: construction reads both clocks into the
@@ -119,7 +110,7 @@ class ScopedPhase {
 
 // Collects one campaign's observation: the merged metrics shard, per-slot
 // phase tables and flows, the driver's own wall-clock phases (analysis,
-// profile, campaign, fuzz) and the campaign's failure dossiers. AbsorbRun is
+// profile, campaign) and the campaign's failure dossiers. AbsorbRun is
 // thread-safe; everything else is called from the driver thread before or
 // after the campaign fan-out.
 class CampaignObserver {
@@ -142,8 +133,8 @@ class CampaignObserver {
   void set_system(std::string system) { system_ = std::move(system); }
   void set_jobs(int jobs) { jobs_ = jobs; }
 
-  // Everything absorbed: the merged counters, gauges, histograms and
-  // component dwell, per-phase sim-time histograms from the phase tables
+  // Everything absorbed: the merged counters, gauges and histograms,
+  // per-phase sim-time histograms from the phase tables
   // (walked in slot order), the merged flow statistics, plus the wall-clock
   // sidecar fields; the campaign's wall time is its `campaign` phase.
   SystemMetrics Finalize() const;

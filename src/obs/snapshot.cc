@@ -41,18 +41,6 @@ void WriteWallMap(JsonWriter& json, const std::map<std::string, double>& seconds
   json.EndObject();
 }
 
-void WriteComponents(JsonWriter& json, const MetricsShard::ComponentTable& components) {
-  json.BeginObject();
-  for (const auto& [name, dwell] : components) {
-    json.Key(name).BeginObject();
-    json.Key("role").String(dwell.role);
-    json.Key("dwell_ms").Int(dwell.dwell_ms);
-    json.Key("events").Int(dwell.events);
-    json.EndObject();
-  }
-  json.EndObject();
-}
-
 void WriteFlows(JsonWriter& json, const FlowStats& flows) {
   json.BeginObject();
   json.Key("messages").Int(flows.messages);
@@ -74,7 +62,6 @@ void WriteSystem(JsonWriter& json, const SystemMetrics& system, bool include_wal
     WriteHistogram(json.Key(name), histogram);
   }
   json.EndObject();
-  WriteComponents(json.Key("components"), system.metrics.components());
   WriteFlows(json.Key("flows"), system.flows);
   if (include_wall) {
     const double runs_per_second =

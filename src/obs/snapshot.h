@@ -1,10 +1,10 @@
 // Campaign metrics snapshot: the exportable form of a campaign's metrics.
 //
 // The snapshot is split along the determinism boundary. Everything derived
-// from simulator events — counters, gauges, sim-time histograms, component
-// dwell, flow statistics, run counts — is identical at any --jobs count and serializes into the deterministic
-// section; wall-clock data (per-phase wall seconds, campaign wall time,
-// worker count) lives in a per-system "wall" object that
+// from simulator events — counters, gauges, sim-time histograms, flow
+// statistics, run counts — is identical at any --jobs count and serializes
+// into the deterministic section; wall-clock data (per-phase wall seconds,
+// campaign wall time, worker count) lives in a per-system "wall" object that
 // ToJson(include_wall=false) omits entirely. campaign_test diffs the
 // deterministic serialization across thread counts byte-for-byte.
 #ifndef SRC_OBS_SNAPSHOT_H_
@@ -18,8 +18,8 @@
 
 namespace ctobs {
 
-// The tag ctstat checks; v3 carries component dwell as `components`.
-inline constexpr const char* kSnapshotSchema = "crashtuner-metrics-v3";
+// The tag ctstat checks.
+inline constexpr const char* kSnapshotSchema = "crashtuner-metrics-v4";
 
 // Campaign-merged causal-flow statistics (deterministic).
 struct FlowStats {
@@ -33,7 +33,7 @@ struct FlowStats {
 struct SystemMetrics {
   std::string system;
   int runs = 0;           // absorbed injection runs (deterministic)
-  MetricsShard metrics;   // deterministic counters/gauges/histograms/components
+  MetricsShard metrics;   // deterministic counters/gauges/histograms
   FlowStats flows;        // deterministic
 
   // Wall-clock sidecar (excluded from the deterministic section).

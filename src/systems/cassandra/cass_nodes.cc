@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -79,7 +78,6 @@ void CassNode::OnStart() {
   ring_.push_back(id());
   log().Log(artifacts_->stmts.node_joined, {id()});
   Every(config_->gossip_ms, [this] {
-    ctrt::MarkComponent(this->cluster().loop(), "gossip-round", "Gossiper");
     for (const ctsim::NodeId peer : seeds_) {
       if (peer != sym()) {
         Send(peer, gossip_verb_);

@@ -1,6 +1,5 @@
 #include "src/systems/hbase/hbase_nodes.h"
 
-#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -234,8 +233,6 @@ void HMaster::AssignRegion(const std::string& region, const std::string& rs, boo
 }
 
 void HMaster::ServerCrashProcedure(const std::string& rs) {
-  ctrt::MarkComponent(this->cluster().loop(), "master.server-crash-procedure",
-                      "ServerCrashProcedure");
   CT_FRAME("ServerCrashProcedure.execute");
   if (online_.erase(rs) == 0) {
     return;

@@ -1,6 +1,5 @@
 #include "src/systems/hdfs/hdfs_nodes.h"
 
-#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -57,7 +56,6 @@ void NameNode::OnStart() {
   dn_fd_->Start();
   if (active_) {
     Every(config_->nn_peer_heartbeat_ms, [this] {
-      ctrt::MarkComponent(this->cluster().loop(), "nn.ha-heartbeat", "FSNamesystem");
       if (active_) {
         Send(peer_, "nnHeartbeat", {});
       }
@@ -277,7 +275,6 @@ void DataNode::OnStart() {
 }
 
 void DataNode::BlockReport() {
-  ctrt::MarkComponent(this->cluster().loop(), "dn.block-report", "DatanodeManager");
   CT_FRAME("BPOfferService.blockReport");
   // The report is built from the block-pool registration — read without
   // checking that registration ever completed (the HDFS-14372 substrate).

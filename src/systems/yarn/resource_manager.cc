@@ -1,7 +1,6 @@
 #include "src/systems/yarn/resource_manager.h"
 
 #include "src/common/strings.h"
-#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -58,7 +57,6 @@ void ResourceManager::OnStart() {
   // map periodically; between a node loss and the next refresh the list is
   // stale — the YARN-9193 race window.
   Every(3000, [this] {
-    ctrt::MarkComponent(this->cluster().loop(), "rm.node-list-refresh", "NodesListManager");
     node_list_.clear();
     for (const auto& [node_id, scheduler_node] : nodes_) {
       node_list_.push_back(node_id);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/runtime/component_mark.h"
 #include "src/runtime/tracer.h"
 #include "src/sim/exception.h"
 
@@ -91,7 +90,6 @@ void ZkPeer::OnStart() {
   Every(config_->gossip_ms, [this] {
     // One quorum-broadcast round: every peer heartbeats every other, so a
     // round is O(peers²) messages cluster-wide.
-    ctrt::MarkComponent(this->cluster().loop(), "quorum-broadcast", "QuorumPeer");
     for (const ctsim::NodeId peer : peers_) {
       if (peer != sym()) {
         Send(peer, heartbeat_verb_);

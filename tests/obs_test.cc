@@ -1,7 +1,7 @@
 // Unit tests for the observability subsystem (src/obs/): histogram bucket
 // edges and merge algebra, shard merges and campaign absorb order, phase
-// stamps against a real event loop, component dwell marks, the causal-
-// flow recorder the cluster feeds (src/sim/flow.h), snapshot serialization
+// stamps against a real event loop, the causal-flow recorder the cluster
+// feeds (src/sim/flow.h), snapshot serialization
 // (wall segregation), the Chrome-trace writer, dossiers, and the JSON reader
 // (checked integer fields included) that closes the loop.
 #include <gtest/gtest.h>
@@ -121,29 +121,21 @@ TEST(MetricsShardTest, MergeAddsCountersAndKeepsGaugeMaxima) {
   a.Add("runs");
   a.SetGauge("nodes", 4);
   a.Observe("latency", 7);
-  a.AddDwell("gossip-round", "Gossiper", 30);
 
   MetricsShard b;
   b.Add("runs", 3);
   b.SetGauge("nodes", 3);
   b.Observe("latency", 12);
-  b.AddDwell("gossip-round", "Gossiper", 20);
-  b.AddDwell("tick", "Ticker", 5);
 
   a.Merge(b);
   EXPECT_EQ(a.counter("runs"), 5u);
   EXPECT_EQ(a.gauges().at("nodes"), 4);  // max, not last-writer
   EXPECT_EQ(a.histograms().at("latency").count(), 2u);
   EXPECT_EQ(a.histograms().at("latency").sum(), 19u);
-  ASSERT_EQ(a.components().size(), 2u);
-  EXPECT_EQ(a.components().at("gossip-round").role, "Gossiper");
-  EXPECT_EQ(a.components().at("gossip-round").dwell_ms, 50u);
-  EXPECT_EQ(a.components().at("gossip-round").events, 2u);
-  EXPECT_EQ(a.components().at("tick").dwell_ms, 5u);
 }
 
 // ---------------------------------------------------------------------------
-// Run observer: phase table and dwell marks
+// Run observer: phase table
 
 TEST(RunObserverTest, ScopedPhaseRecordsBothClocksFromTheEventLoop) {
   ctsim::EventLoop loop;
@@ -161,8 +153,7 @@ TEST(RunObserverTest, ScopedPhaseRecordsBothClocksFromTheEventLoop) {
   EXPECT_EQ(stamp.sim_ms(), 250u);
   EXPECT_GE(stamp.wall_end_ns, stamp.wall_begin_ns);
   // Only the stamped phase is recorded.
-  for (ctobs::Phase other : {ctobs::Phase::kWindowArm, ctobs::Phase::kBoot,
-                             ctobs::Phase::kInjection, ctobs::Phase::kRecoveryCheck}) {
+  for (ctobs::Phase other : {ctobs::Phase::kInjection, ctobs::Phase::kRecoveryCheck}) {
     EXPECT_FALSE(observer.phases()[other].recorded) << ctobs::PhaseName(other);
   }
 }
@@ -171,8 +162,8 @@ TEST(RunObserverTest, DisabledOrNullObserverRecordsNothing) {
   ctsim::EventLoop loop;
   ctobs::RunObserver disabled;
   {
-    ctobs::ScopedPhase phase(&disabled, loop, ctobs::Phase::kBoot);
-    ctobs::ScopedPhase null_phase(nullptr, loop, ctobs::Phase::kBoot);  // a safe no-op
+    ctobs::ScopedPhase phase(&disabled, loop, ctobs::Phase::kWorkload);
+    ctobs::ScopedPhase null_phase(nullptr, loop, ctobs::Phase::kWorkload);  // a safe no-op
   }
   for (const ctobs::PhaseStamp& stamp : disabled.phases().stamps) {
     EXPECT_FALSE(stamp.recorded);
@@ -199,27 +190,6 @@ TEST(RunObserverTest, ScopedPhaseEndsWhenItsBodyThrowsNodeCrashedSignal) {
   EXPECT_EQ(stamp.sim_end_ms, 55u);
   EXPECT_NE(stamp.wall_end_ns, 0u);
   EXPECT_GE(stamp.wall_end_ns, stamp.wall_begin_ns);
-}
-
-TEST(RunObserverTest, DwellMarksPartitionVirtualTime) {
-  ctobs::RunObserver observer;
-  observer.Enable();
-  // Each mark charges the time since the previous mark (or the run start)
-  // to its own component: 100 ms, then 150 ms to gossip-round, then 50 ms
-  // to tick. No phase is stamped.
-  observer.MarkComponent(100, "gossip-round", "Gossiper");
-  observer.MarkComponent(250, "gossip-round", "Gossiper");
-  observer.MarkComponent(300, "tick", "Ticker");
-  const MetricsShard::ComponentTable& components = observer.metrics().components();
-  ASSERT_EQ(components.size(), 2u);
-  EXPECT_EQ(components.at("gossip-round").role, "Gossiper");
-  EXPECT_EQ(components.at("gossip-round").dwell_ms, 250u);
-  EXPECT_EQ(components.at("gossip-round").events, 2u);
-  EXPECT_EQ(components.at("tick").dwell_ms, 50u);
-  EXPECT_EQ(components.at("tick").events, 1u);
-  for (const ctobs::PhaseStamp& stamp : observer.phases().stamps) {
-    EXPECT_FALSE(stamp.recorded);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +322,7 @@ TEST(CampaignObserverTest, FinalizeFoldsPhasesIntoPhaseHistograms) {
   ctobs::RunObserver run;
   run.Enable();
   {
-    ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kBoot);
+    ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
   }
   run.phases().injection_name = "inject:rm.register-node";
@@ -362,10 +332,10 @@ TEST(CampaignObserverTest, FinalizeFoldsPhasesIntoPhaseHistograms) {
   const ctobs::SystemMetrics metrics = campaign.Finalize();
   EXPECT_EQ(metrics.system, "TestSys");
   EXPECT_EQ(metrics.runs, 1);
-  EXPECT_EQ(metrics.metrics.histograms().at("phase.boot").count(), 1u);
-  EXPECT_EQ(metrics.metrics.histograms().at("phase.boot").sum(), 40u);
+  EXPECT_EQ(metrics.metrics.histograms().at("phase.workload").count(), 1u);
+  EXPECT_EQ(metrics.metrics.histograms().at("phase.workload").sum(), 40u);
   // Unstamped phases fold into no histogram.
-  EXPECT_EQ(metrics.metrics.histograms().count("phase.workload"), 0u);
+  EXPECT_EQ(metrics.metrics.histograms().count("phase.recovery-check"), 0u);
   // Injections fold into the shared injection phase histogram plus a
   // per-injection counter carrying the anchor frame.
   EXPECT_EQ(metrics.metrics.histograms().at("phase.injection").count(), 1u);
@@ -385,11 +355,9 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
       ctobs::RunObserver run;
       run.Enable();
       {
-        ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kBoot);
+        ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
         loop.RunToCompletion();
       }
-      run.MarkComponent(loop.Now(), slot % 2 == 0 ? "gossip-round" : "tick",
-                        slot % 2 == 0 ? "Gossiper" : "Ticker");
       run.metrics().Add("slot.hits", static_cast<uint64_t>(slot + 1));
       run.metrics().SetGauge("slot.max", slot);
       run.metrics().Observe("run.virtual_ms", loop.Now());
@@ -406,11 +374,11 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
   EXPECT_EQ(system.Find("runs")->number_value, 4.0);
   EXPECT_EQ(system.Find("counters")->Find("slot.hits")->number_value, 10.0);
   EXPECT_EQ(system.Find("gauges")->Find("slot.max")->number_value, 3.0);
-  EXPECT_EQ(system.Find("components")->Find("tick")->Find("dwell_ms")->number_value,
-            20.0 + 40.0);
-  EXPECT_EQ(system.Find("histograms")->Find("phase.boot")->Find("count")->number_value, 4.0);
-  EXPECT_EQ(system.Find("histograms")->Find("phase.boot")->Find("sum")->number_value,
+  EXPECT_EQ(system.Find("histograms")->Find("phase.workload")->Find("count")->number_value,
+            4.0);
+  EXPECT_EQ(system.Find("histograms")->Find("phase.workload")->Find("sum")->number_value,
             10.0 + 20.0 + 30.0 + 40.0);
+  EXPECT_EQ(system.Find("flows")->Find("per_method")->Find("tick")->number_value, 2.0);
 }
 
 TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
@@ -496,7 +464,7 @@ TEST(ChromeTraceTest, TraceJsonParsesAndCarriesPhases) {
   EXPECT_TRUE(found_injection);
 }
 
-TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
+TEST(SnapshotTest, V4CarriesFlowsInDeterministicSection) {
   ctsim::EventLoop loop;
   loop.Schedule(30, [] {});
   ctobs::CampaignObserver campaign;
@@ -506,7 +474,6 @@ TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
   {
     ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
-    run.MarkComponent(loop.Now(), "gossip-round", "Gossiper");
   }
   ctsim::InternTable symbols;
   run.flows().Record(0, symbols.Intern("gossip"), 0);
@@ -514,26 +481,19 @@ TEST(SnapshotTest, V3CarriesComponentsAndFlowsInDeterministicSection) {
   campaign.AbsorbRun(0, run);
 
   const ctobs::SystemMetrics metrics = campaign.Finalize();
-  ASSERT_EQ(metrics.metrics.components().size(), 1u);
-  EXPECT_EQ(metrics.metrics.components().at("gossip-round").dwell_ms, 30u);
   EXPECT_EQ(metrics.flows.messages, 2u);
   EXPECT_EQ(metrics.flows.roots, 1u);
   EXPECT_EQ(metrics.flows.max_depth, 2u);
 
   ctobs::MetricsSnapshot snapshot;
   snapshot.systems.push_back(metrics);
-  // Both sections live in the deterministic half: present without wall.
+  // Flows live in the deterministic half: present without wall. v4 dropped
+  // v3's component dwell table.
   const std::string without_wall = snapshot.ToJson(/*include_wall=*/false);
   const ctobs::JsonValue parsed = ctobs::ParseJson(without_wall);
-  EXPECT_EQ(parsed.Find("schema")->string_value, "crashtuner-metrics-v3");
+  EXPECT_EQ(parsed.Find("schema")->string_value, "crashtuner-metrics-v4");
   const ctobs::JsonValue& system = parsed.Find("systems")->array_items.at(0);
-  const ctobs::JsonValue* components = system.Find("components");
-  ASSERT_NE(components, nullptr);
-  const ctobs::JsonValue* gossip = components->Find("gossip-round");
-  ASSERT_NE(gossip, nullptr);
-  EXPECT_EQ(gossip->Find("role")->string_value, "Gossiper");
-  EXPECT_EQ(gossip->Find("dwell_ms")->number_value, 30.0);
-  EXPECT_EQ(gossip->Find("events")->number_value, 1.0);
+  EXPECT_EQ(system.Find("components"), nullptr);
   const ctobs::JsonValue* flows = system.Find("flows");
   ASSERT_NE(flows, nullptr);
   EXPECT_EQ(flows->Find("messages")->number_value, 2.0);

@@ -95,9 +95,10 @@ check_json build/BENCH_network_faults.json
 
 echo "== stage 4d: campaign observability (metrics snapshot + Chrome trace) =="
 # Runs the five-system campaign at jobs=4 with observation on (metrics, the
-# run phase table, component dwell marks, causal flows), then validates the
-# crashtuner-metrics-v3 snapshot with ctstat --check (shapes, integer fields,
-# phase counts, and a wall sidecar of finite non-negative numbers) and leaves the
+# run phase table of workload, injection and recovery-check, causal flows),
+# then validates the crashtuner-metrics-v4 snapshot with ctstat --check
+# (shapes, integer fields, equal workload and recovery-check phase counts,
+# and a wall sidecar of finite non-negative numbers) and leaves the
 # throughput/phase-share summary in BENCH_observability.json. Passivity
 # (identical SystemReport with observation on or off) and snapshot
 # determinism across thread counts are asserted by campaign_test; this stage
@@ -135,20 +136,17 @@ echo "== stage 4g: fuzz smoke (grammar fuzzing, jobs=1 vs jobs=4) =="
 ./build/bench/bench_fuzz --json build/BENCH_fuzz.json | tail -n 12
 check_json build/BENCH_fuzz.json
 
-echo "== stage 4h: flow tracing + dwell profile at scale (jobs=4, ZooKeeper) =="
+echo "== stage 4h: flow tracing at scale (jobs=4, ZooKeeper) =="
 # Scale-8 ZooKeeper campaign twice — observation off, then phase stamps +
-# dwell marks + causal flows on — asserting report passivity, >= 50% of
-# virtual time attributed to the quorum-broadcast component, flow-DAG health,
-# round trips of the report-built dossiers of a mini-YARN campaign, and
-# <= 10% tracing wall overhead (enforced on >= 4
-# hardware threads). The profiler views then run against the snapshot it
-# wrote: ctstat --top (per-component dwell) and --flows --check (delivery
-# table + v3 schema validation).
+# causal flows on — asserting report passivity, flow-DAG health, round trips
+# of the report-built dossiers of a mini-YARN campaign, and <= 10% tracing
+# wall overhead (enforced on >= 4 hardware threads). The flow view then runs
+# against the snapshot it wrote: ctstat --flows --check (delivery table + v4
+# schema validation).
 ./build/bench/bench_obs_flows --json build/BENCH_obs_flows.json \
   --metrics-out build/obs_flows_snapshot.json \
-  --dossier-dir build/dossiers 8 | tail -n 7
+  --dossier-dir build/dossiers 8 | tail -n 6
 check_json build/BENCH_obs_flows.json build/obs_flows_snapshot.json build/dossiers/*.json
-./build/tools/ctstat build/obs_flows_snapshot.json --top | tail -n 6
 ./build/tools/ctstat build/obs_flows_snapshot.json --flows --check | tail -n 10
 
 if [[ "$skip_sanitizers" == 1 ]]; then

@@ -1,33 +1,31 @@
 // ctstat — render and validate campaign metrics snapshots.
 //
-//   ctstat <snapshot.json> [--check] [--top] [--flows] [--json FILE]
+//   ctstat <snapshot.json> [--check] [--flows] [--json FILE]
 //
 // Reads a MetricsSnapshot written by --metrics-out (src/obs/snapshot.h) and
 // prints, per campaign: the phase latency table (count, sim-time p50/p95/p99
-// from the fixed-bucket histograms, wall-clock share of the campaign), the
-// injection/outcome counters, and the runs-per-second throughput line.
-//
-// --top answers "where does the virtual time go?": the per-component dwell
-// table from the snapshot's `components` object, each row's share of the
-// campaign's total virtual time (the run.virtual_ms histogram sum).
+// from the fixed-bucket histograms, and each phase's share of the runs' wall
+// time), the injection/outcome counters, and the runs-per-second throughput
+// line. The workload and recovery-check phases split every observed run with
+// no gap, so their summed wall seconds are the runs' wall time and the wall%
+// column is independent of --jobs.
 //
 // --flows prints the causal message-flow statistics: delivered messages,
 // root sends, maximum causal chain depth, and the per-method delivery table.
 //
 // --check validates the file instead of merely rendering it: schema tag
-// (crashtuner-metrics-v3), non-empty system list, every integer field an
+// (crashtuner-metrics-v4), non-empty system list, every integer field an
 // integer in range (no negative count, fraction or value past 2^53),
 // histogram shape (ascending bounds, counts == bounds+overflow, bucket
-// counts summing to `count`), components (a non-empty role, total dwell no
-// larger than the run.virtual_ms sum), flow-section shape, a wall object
-// whose seconds and rates are finite non-negative numbers, and phase
-// completeness (phase.workload and phase.recovery-check hold as many
-// samples as phase.boot). Exit code 0
-// only when every check passes — CI runs this on the snapshot the
+// counts summing to `count`), flow-section shape, a wall object whose
+// seconds and rates are finite non-negative numbers, and phase completeness
+// (phase.recovery-check holds as many samples as phase.workload). Exit code
+// 0 only when every check passes — CI runs this on the snapshot the
 // observability stage produces.
 //
 // --json FILE emits the BENCH_observability.json summary (runs/sec and
-// per-phase wall shares per campaign) the CI stage archives.
+// per-phase shares of the runs' wall time per campaign) the CI stage
+// archives.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -51,13 +49,6 @@ struct ParsedHistogram {
   ctobs::Histogram histogram = ctobs::Histogram();
 };
 
-struct ParsedComponent {
-  std::string name;
-  std::string role;
-  unsigned long long dwell_ms = 0;
-  unsigned long long events = 0;
-};
-
 struct ParsedFlows {
   unsigned long long messages = 0;
   unsigned long long roots = 0;
@@ -72,7 +63,6 @@ struct ParsedSystem {
   std::vector<std::pair<std::string, unsigned long long>> counters;
   std::vector<std::pair<std::string, long long>> gauges;
   std::vector<ParsedHistogram> histograms;
-  std::vector<ParsedComponent> components;
   ParsedFlows flows;
   bool has_wall = false;
   int jobs = 0;
@@ -273,63 +263,18 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
         }
       }
     }
-    // Every observed run stamps boot, workload and recovery-check once, so the
-    // three phases hold equal sample counts (a missing histogram holds none).
-    // A shortfall means phase stamps were lost.
+    // Every observed run stamps workload and recovery-check once, so the two
+    // phases hold equal sample counts (a missing histogram holds none). A
+    // shortfall means phase stamps were lost.
     std::map<std::string, uint64_t> phase_samples;
-    uint64_t total_virtual_ms = 0;
     for (const ParsedHistogram& parsed : system.histograms) {
       phase_samples[parsed.name] = parsed.histogram.count();
-      if (parsed.name == "run.virtual_ms") {
-        total_virtual_ms = parsed.histogram.sum();
-      }
     }
-    for (const std::string phase : {"phase.workload", "phase.recovery-check"}) {
-      if (phase_samples[phase] != phase_samples["phase.boot"]) {
-        checker->Fail(where, phase + " holds " + std::to_string(phase_samples[phase]) +
-                                 " samples, phase.boot " +
-                                 std::to_string(phase_samples["phase.boot"]));
-      }
-    }
-    // Each dwell mark charges virtual time up to its own instant, so the
-    // dwell totals never exceed the runs' virtual time.
-    const ctobs::JsonValue* components = Require(json, "components", where, checker);
-    if (components != nullptr) {
-      if (!components->is_object()) {
-        checker->Fail(where, "\"components\" is not an object");
-      } else {
-        uint64_t total_dwell_ms = 0;
-        for (const auto& [name, entry] : components->object_items) {
-          const std::string component_where = where + ".components." + name;
-          if (!entry.is_object()) {
-            checker->Fail(component_where, "not an object");
-            continue;
-          }
-          ParsedComponent component;
-          component.name = name;
-          if (const ctobs::JsonValue* role = Require(entry, "role", component_where, checker)) {
-            component.role = role->string_value;
-            if (component.role.empty()) {
-              checker->Fail(component_where, "empty role");
-            }
-          }
-          if (const ctobs::JsonValue* dwell =
-                  Require(entry, "dwell_ms", component_where, checker)) {
-            component.dwell_ms = checker->Integer(*dwell, component_where, "dwell_ms");
-          }
-          if (const ctobs::JsonValue* events =
-                  Require(entry, "events", component_where, checker)) {
-            component.events = checker->Integer(*events, component_where, "events");
-          }
-          total_dwell_ms += component.dwell_ms;
-          system.components.push_back(std::move(component));
-        }
-        if (total_dwell_ms > total_virtual_ms) {
-          checker->Fail(where, "component dwell totals " + std::to_string(total_dwell_ms) +
-                                   " ms, more than the run.virtual_ms sum " +
-                                   std::to_string(total_virtual_ms));
-        }
-      }
+    if (phase_samples["phase.recovery-check"] != phase_samples["phase.workload"]) {
+      checker->Fail(where, "phase.recovery-check holds " +
+                               std::to_string(phase_samples["phase.recovery-check"]) +
+                               " samples, phase.workload " +
+                               std::to_string(phase_samples["phase.workload"]));
     }
     const ctobs::JsonValue* flows = Require(json, "flows", where, checker);
     if (flows != nullptr) {
@@ -389,7 +334,19 @@ ParsedSnapshot LoadSnapshot(const ctobs::JsonValue& root, Checker* checker) {
   return snapshot;
 }
 
-// "phase.boot" -> "boot"; anything else renders under its metric name.
+// The runs' wall time: workload and recovery-check split every observed run
+// with no gap, so their wall seconds sum to it. 0 when neither was recorded.
+double RunWallSeconds(const ParsedSystem& system) {
+  double total = 0;
+  for (const char* phase : {"workload", "recovery-check"}) {
+    if (auto it = system.phase_wall_seconds.find(phase); it != system.phase_wall_seconds.end()) {
+      total += it->second;
+    }
+  }
+  return total;
+}
+
+// "phase.workload" -> "workload"; anything else renders under its metric name.
 std::string PhaseLabel(const std::string& metric) {
   const std::string prefix = "phase.";
   if (metric.compare(0, prefix.size(), prefix) == 0) {
@@ -411,7 +368,7 @@ void PrintSystem(const ParsedSystem& system) {
     std::printf("runs %lld (deterministic fields only, no wall section)\n", system.runs);
   }
 
-  const double wall_total = system.campaign_seconds;
+  const double wall_total = RunWallSeconds(system);
   std::printf("  %-28s %8s %10s %10s %10s %11s %7s\n", "phase", "count", "p50(ms)",
               "p95(ms)", "p99(ms)", "sim-sum(ms)", "wall%");
   for (const ParsedHistogram& parsed : system.histograms) {
@@ -449,48 +406,6 @@ void PrintSystem(const ParsedSystem& system) {
       std::printf("  %s=%.3fs", name.c_str(), seconds);
     }
     std::printf("\n");
-  }
-}
-
-// --top: the virtual-time profiler view. Every dwell mark charges the millis
-// since the run's previous mark to its component, so the dwell totals
-// partition each run's virtual time across the marked component sweeps; the
-// share column divides by the campaign's total virtual time (run.virtual_ms
-// histogram sum).
-void PrintTop(const ParsedSystem& system) {
-  std::printf("\n%s — where does the virtual time go?\n", system.system.c_str());
-  unsigned long long total_virtual_ms = 0;
-  for (const ParsedHistogram& parsed : system.histograms) {
-    if (parsed.name == "run.virtual_ms") {
-      total_virtual_ms = parsed.histogram.sum();
-    }
-  }
-  if (system.components.empty()) {
-    std::printf("  (no components recorded — run with observation on)\n");
-    return;
-  }
-  std::vector<ParsedComponent> sorted = system.components;
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.dwell_ms != b.dwell_ms) {
-      return a.dwell_ms > b.dwell_ms;
-    }
-    return a.name < b.name;
-  });
-  std::printf("  total virtual time %llu ms across %lld runs\n", total_virtual_ms,
-              system.runs);
-  std::printf("  %-28s %-22s %12s %10s %8s\n", "component", "role class", "dwell(ms)",
-              "events", "share");
-  for (const ParsedComponent& row : sorted) {
-    char share_cell[16];
-    if (total_virtual_ms > 0) {
-      std::snprintf(share_cell, sizeof(share_cell), "%6.1f%%",
-                    100.0 * static_cast<double>(row.dwell_ms) /
-                        static_cast<double>(total_virtual_ms));
-    } else {
-      std::snprintf(share_cell, sizeof(share_cell), "%7s", "-");
-    }
-    std::printf("  %-28s %-22s %12llu %10llu %8s\n", row.name.c_str(), row.role.c_str(),
-                row.dwell_ms, row.events, share_cell);
   }
 }
 
@@ -532,9 +447,9 @@ std::string SummaryJson(const ParsedSnapshot& snapshot) {
     json.Key("campaign_seconds").Double(system.campaign_seconds);
     json.Key("runs_per_second").Double(system.runs_per_second);
     json.Key("phase_wall_share").BeginObject();
+    const double wall_total = RunWallSeconds(system);
     for (const auto& [name, seconds] : system.phase_wall_seconds) {
-      json.Key(name).Double(system.campaign_seconds > 0 ? seconds / system.campaign_seconds
-                                                       : 0.0);
+      json.Key(name).Double(wall_total > 0 ? seconds / wall_total : 0.0);
     }
     json.EndObject();
     json.EndObject();
@@ -550,21 +465,18 @@ int main(int argc, char** argv) {
   std::string snapshot_path;
   std::string json_path;
   bool check = false;
-  bool top = false;
   bool show_flows = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check") {
       check = true;
-    } else if (arg == "--top") {
-      top = true;
     } else if (arg == "--flows") {
       show_flows = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr,
-                   "usage: ctstat <snapshot.json> [--check] [--top] [--flows] [--json FILE]\n");
+                   "usage: ctstat <snapshot.json> [--check] [--flows] [--json FILE]\n");
       return 2;
     } else {
       snapshot_path = arg;
@@ -572,7 +484,7 @@ int main(int argc, char** argv) {
   }
   if (snapshot_path.empty()) {
     std::fprintf(stderr,
-                 "usage: ctstat <snapshot.json> [--check] [--top] [--flows] [--json FILE]\n");
+                 "usage: ctstat <snapshot.json> [--check] [--flows] [--json FILE]\n");
     return 2;
   }
 
@@ -594,14 +506,9 @@ int main(int argc, char** argv) {
   }
 
   for (const ParsedSystem& system : snapshot.systems) {
-    if (top || show_flows) {
-      // Focused profiler views replace the full report.
-      if (top) {
-        PrintTop(system);
-      }
-      if (show_flows) {
-        PrintFlows(system);
-      }
+    // The focused flow view replaces the full report.
+    if (show_flows) {
+      PrintFlows(system);
     } else {
       PrintSystem(system);
     }
