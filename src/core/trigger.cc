@@ -4,10 +4,10 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/campaign.h"
+#include "src/core/stash_feed.h"
 #include "src/obs/observer.h"
 #include "src/sim/exception.h"
 #include "src/sim/trace.h"
@@ -21,41 +21,6 @@ std::string MetricName(std::string text) {
   std::replace(text.begin(), text.end(), ' ', '_');
   return text;
 }
-
-// Online log analysis (§3.2.1): one Logstash agent per node streams the run's
-// meta-info values into the stash the trigger resolves targets from. Each
-// line goes to its own node's agent only.
-class StashFeed {
- public:
-  StashFeed(ctsim::Cluster& cluster, const ctlog::OnlineFilter& filter) : stash_(filter) {
-    for (const auto& node_id : cluster.node_ids()) {
-      agents_.emplace(node_id, ctlog::LogstashAgent(node_id, &stash_));
-    }
-    cluster.logs().Subscribe([this](const ctlog::Instance& instance) {
-      auto agent = agents_.find(instance.node);
-      if (agent != agents_.end()) {
-        agent->second.OnInstance(instance);
-      }
-    });
-  }
-  StashFeed(const StashFeed&) = delete;
-  StashFeed& operator=(const StashFeed&) = delete;
-
-  // The live node an accessed value resolves to. None when the value names no
-  // node (the procedure simply returns, §3.2.2) or that node is already down.
-  std::optional<std::string> LiveTarget(const ctsim::Cluster& cluster,
-                                        const std::string& value) const {
-    std::optional<std::string> target = stash_.Lookup(value);
-    if (target.has_value() && !cluster.IsAlive(*target)) {
-      return std::nullopt;
-    }
-    return target;
-  }
-
- private:
-  ctlog::CustomStash stash_;
-  std::unordered_map<std::string, ctlog::LogstashAgent> agents_;  // by node id
-};
 
 }  // namespace
 
@@ -148,7 +113,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   tracer.ArmAccessTrigger(point, [&](const ctrt::AccessEvent& event) {
     result.point_hit = true;
     result.accessed_value = event.value;
-    std::optional<std::string> target = feed.LiveTarget(cluster, event.value);
+    std::optional<std::string> target = feed.LiveTarget(event.value);
     if (!target.has_value()) {
       return;
     }
@@ -230,7 +195,7 @@ PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& fir
 
   auto strike = [&](const ctrt::AccessEvent& event, int point_id,
                     ctanalysis::CrashPointKind kind, bool* injected, std::string* target_node) {
-    std::optional<std::string> target = feed.LiveTarget(cluster, event.value);
+    std::optional<std::string> target = feed.LiveTarget(event.value);
     if (target.has_value()) {
       *injected = true;
       *target_node = *target;

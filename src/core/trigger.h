@@ -1,10 +1,10 @@
 // Fault-injection testing phase (§3.2, Fig. 7).
 //
 // Each dynamic crash point gets its own run: the point is armed in the
-// tracer; Logstash agents stream meta-info values from every node's log into
-// the CustomStash; when the armed point fires, the control-center callback
-// queries the stash with the accessed runtime value to find the target node
-// and injects the fault —
+// tracer; when it fires, the control-center callback has Logstash agents
+// feed the meta-info values logged so far on every node into the
+// CustomStash (stash_feed.h), queries the stash with the accessed runtime
+// value to find the target node, and injects the fault —
 //   pre-read:   graceful shutdown of the target followed by a wait window so
 //               the recovery machinery runs before the read proceeds;
 //   post-write: abrupt crash of the target; if the target is the node

@@ -10,7 +10,7 @@ Cluster::Cluster() {
   loop_.SetOwnerAliveCheck([this](NodeId owner) { return IsAlive(owner); });
   loop_.SetTraceHook([this](Time at, NodeId owner) {
     if (trace_ != nullptr) {
-      trace_->Record(at, "timer", owner.str());
+      trace_->RecordTimer(at, owner);
     }
   });
 }
@@ -137,7 +137,7 @@ void Cluster::Post(NodeId from, NodeId to, Symbol method, KvList args) {
   message.flow = current_flow_;
   if (!partitions_.empty() && LinkCut(from, to)) {
     ++plan_dropped_messages_;
-    TraceMessage("drop.partition", message);
+    TraceMessage(MessageEvent::kDropPartition, message);
     free_slots_.push_back(slot);
     return;
   }
@@ -160,11 +160,11 @@ void Cluster::DeliverNow(const Message& message) {
   Node* target = Find(message.to);
   if (target == nullptr || !target->IsRunning()) {
     ++dropped_messages_;
-    TraceMessage("drop.dead", message);
+    TraceMessage(MessageEvent::kDropDead, message);
     return;
   }
   ++delivered_messages_;
-  TraceMessage("deliver", message);
+  TraceMessage(MessageEvent::kDeliver, message);
   const NodeId previous = current_node_;
   current_node_ = message.to;
   // Record the delivery, which allocates its flow id on the deterministic
@@ -208,11 +208,9 @@ void Cluster::TraceRecord(const char* kind, std::string_view detail) {
   }
 }
 
-void Cluster::TraceMessage(const char* kind, const Message& message) {
+void Cluster::TraceMessage(MessageEvent kind, const Message& message) {
   if (trace_ != nullptr) {
-    // In pieces: the recorder hashes the symbols' own text in place.
-    trace_->Record(loop_.Now(), kind,
-                   {message.from.str(), ">", message.to.str(), " ", message.method.str()});
+    trace_->RecordMessage(loop_.Now(), kind, message.from, message.to, message.method);
   }
 }
 

@@ -186,7 +186,7 @@ class Cluster {
   void DeliverNow(const Message& message);
   void TraceRecord(const char* kind, std::string_view detail);
   // Records "<from>><to> <method>" for a message event.
-  void TraceMessage(const char* kind, const Message& message);
+  void TraceMessage(MessageEvent kind, const Message& message);
 
   ctcommon::InternTable interner_;
   EventLoop loop_;

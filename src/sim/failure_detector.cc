@@ -16,19 +16,27 @@ NodeId FailureDetector::Lookup(const std::string& node_id) const {
 }
 
 void FailureDetector::Heartbeat(NodeId node_id) {
-  last_heartbeat_[node_id.id()] = Entry{node_id, owner_->cluster().loop().Now()};
+  if (node_id.id() >= last_heartbeat_.size()) {
+    last_heartbeat_.resize(node_id.id() + 1);
+  }
+  last_heartbeat_[node_id.id()] = Entry{node_id, owner_->cluster().loop().Now(), true};
 }
 
 void FailureDetector::Heartbeat(const std::string& node_id) {
   Heartbeat(owner_->cluster().Intern(node_id));
 }
 
-void FailureDetector::Forget(NodeId node_id) { last_heartbeat_.erase(node_id.id()); }
+void FailureDetector::Forget(NodeId node_id) {
+  if (IsTracked(node_id)) {
+    last_heartbeat_[node_id.id()].tracked = false;
+  }
+}
 
 void FailureDetector::Forget(const std::string& node_id) { Forget(Lookup(node_id)); }
 
 void FailureDetector::NotifyLeft(NodeId node_id) {
-  if (last_heartbeat_.erase(node_id.id()) > 0) {
+  if (IsTracked(node_id)) {
+    last_heartbeat_[node_id.id()].tracked = false;
     on_lost_(node_id);
   }
 }
@@ -36,7 +44,7 @@ void FailureDetector::NotifyLeft(NodeId node_id) {
 void FailureDetector::NotifyLeft(const std::string& node_id) { NotifyLeft(Lookup(node_id)); }
 
 bool FailureDetector::IsTracked(NodeId node_id) const {
-  return last_heartbeat_.count(node_id.id()) > 0;
+  return node_id.id() < last_heartbeat_.size() && last_heartbeat_[node_id.id()].tracked;
 }
 
 bool FailureDetector::IsTracked(const std::string& node_id) const {
@@ -45,9 +53,10 @@ bool FailureDetector::IsTracked(const std::string& node_id) const {
 
 std::vector<std::string> FailureDetector::tracked() const {
   std::vector<std::string> out;
-  out.reserve(last_heartbeat_.size());
-  for (const auto& [_, entry] : last_heartbeat_) {
-    out.push_back(entry.id.str());
+  for (const Entry& entry : last_heartbeat_) {
+    if (entry.tracked) {
+      out.push_back(entry.id.str());
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -56,8 +65,8 @@ std::vector<std::string> FailureDetector::tracked() const {
 void FailureDetector::Sweep() {
   Time now = owner_->cluster().loop().Now();
   std::vector<NodeId> lost;
-  for (const auto& [_, entry] : last_heartbeat_) {
-    if (now - entry.last > timeout_ms_) {
+  for (const Entry& entry : last_heartbeat_) {
+    if (entry.tracked && now - entry.last > timeout_ms_) {
       lost.push_back(entry.id);
     }
   }
@@ -65,7 +74,7 @@ void FailureDetector::Sweep() {
   // this detector used to keep, so recovery callbacks fire identically.
   std::sort(lost.begin(), lost.end());
   for (const NodeId id : lost) {
-    last_heartbeat_.erase(id.id());
+    last_heartbeat_[id.id()].tracked = false;
     on_lost_(id);
   }
 }

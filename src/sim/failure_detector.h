@@ -7,16 +7,15 @@
 // unregister RPC — the same effect as the paper's use of shutdown scripts to
 // "let the node leave the cluster pro-actively, without waiting".
 //
-// Peers are tracked by interned NodeId (integer map operations on the
-// heartbeat hot path); everywhere ordering is observable — the sweep's
-// on_lost firing order, tracked() — ids are sorted by their string form,
-// matching the std::map<std::string, ...> this replaced byte for byte.
+// Peers are tracked in a table indexed by interned NodeId id (one indexed
+// store on the heartbeat hot path); everywhere ordering is observable — the
+// sweep's on_lost firing order, tracked() — ids are sorted by their string
+// form, matching the std::map<std::string, ...> this replaced byte for byte.
 #ifndef SRC_SIM_FAILURE_DETECTOR_H_
 #define SRC_SIM_FAILURE_DETECTOR_H_
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/event_loop.h"
@@ -60,6 +59,7 @@ class FailureDetector {
   struct Entry {
     NodeId id;
     Time last = 0;
+    bool tracked = false;
   };
 
   void Sweep();
@@ -69,7 +69,8 @@ class FailureDetector {
   Time timeout_ms_;
   Time check_period_ms_;
   std::function<void(const std::string&)> on_lost_;
-  std::unordered_map<uint32_t, Entry> last_heartbeat_;
+  // Indexed by NodeId id; ids past the end were never tracked.
+  std::vector<Entry> last_heartbeat_;
 };
 
 }  // namespace ctsim

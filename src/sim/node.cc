@@ -32,12 +32,12 @@ void Node::Dispatch(const Message& message) {
   if (!IsRunning()) {
     return;
   }
-  auto it = handlers_.find(message.method.id());
-  if (it == handlers_.end()) {
+  const uint32_t method = message.method.id();
+  if (method >= handlers_.size() || !handlers_[method]) {
     log().Warn("No handler for RPC {}", {message.method}, "Node.dispatch");
     return;
   }
-  RunGuarded(message.method, [&] { it->second(message); });
+  RunGuarded(message.method, [&] { handlers_[method](message); });
 }
 
 void Node::RunGuarded(const std::string& context, const std::function<void()>& fn) {
@@ -62,7 +62,15 @@ void Node::RunGuarded(const std::string& context, const std::function<void()>& f
 }
 
 void Node::Handle(const std::string& method, std::function<void(const Message&)> handler) {
-  handlers_[cluster_->Intern(method).id()] = std::move(handler);
+  // Growing handlers_ moves the std::function that Dispatch is running when
+  // this node is the one executing. Nodes register their handlers in their
+  // constructors, where that cannot happen.
+  CT_CHECK(cluster_->current_node_ != sym_);
+  const uint32_t id = cluster_->Intern(method).id();
+  if (id >= handlers_.size()) {
+    handlers_.resize(id + 1);
+  }
+  handlers_[id] = std::move(handler);
 }
 
 void Node::Send(NodeId to, Symbol method, KvList args) {

@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,7 +63,8 @@ class Node {
   // and async-dispatcher events go through here).
   void RunGuarded(const std::string& context, const std::function<void()>& fn);
 
-  // RPC handler registration.
+  // RPC handler registration. Must not run inside this node's own handler or
+  // timer (see handlers_).
   void Handle(const std::string& method, std::function<void(const Message&)> handler);
 
   // Sends an RPC to another node via the cluster network. Periodic senders
@@ -127,8 +127,10 @@ class Node {
   bool workload_driver_ = false;
   bool critical_ = false;
   std::unique_ptr<ctlog::Logger> logger_;
-  // Keyed by interned method id: dispatch is one integer hash away.
-  std::unordered_map<uint32_t, std::function<void(const Message&)>> handlers_;
+  // Indexed by interned method id; an empty slot has no handler. Dispatch
+  // calls the handler in place, so registering one, which may grow the
+  // vector and move every handler, must not happen while one is running.
+  std::vector<std::function<void(const Message&)>> handlers_;
 };
 
 }  // namespace ctsim

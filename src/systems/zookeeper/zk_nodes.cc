@@ -33,11 +33,11 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
       [this](const std::string& peer) { PeerLost(peer); });
 
   Handle("peerHeartbeat", [this](const Message& m) {
-    auto lost = lost_peers_.find(m.from.id());
-    if (lost != lost_peers_.end()) {
+    const uint32_t from = m.from.id();
+    if (from < lost_peers_.size() && lost_peers_[from] != kNotLost) {
       const bool recovering =
-          this->cluster().loop().Now() - lost->second <= kRemovalRaceWindowMs;
-      lost_peers_.erase(lost);
+          this->cluster().loop().Now() - lost_peers_[from] <= kRemovalRaceWindowMs;
+      lost_peers_[from] = kNotLost;
       if (recovering) {
         // The election view re-admits a peer it already expired without any
         // epoch sync, while the vote triggered by the expiry is still
@@ -52,7 +52,7 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
     }
     // The election view changes only when a peer is (re-)admitted, so the
     // leader is recomputed then and not on every heartbeat.
-    if (alive_peers_.insert(m.from.id()).second) {
+    if (Admit(m.from)) {
       current_leader_ = LeaderId();
     }
     peer_fd_->Heartbeat(m.from);
@@ -83,8 +83,19 @@ ZkPeer::ZkPeer(ctsim::Cluster* cluster, std::string id, int myid, std::vector<st
   });
 }
 
+bool ZkPeer::Admit(ctsim::NodeId peer) {
+  if (peer.id() >= alive_peers_.size()) {
+    alive_peers_.resize(peer.id() + 1, false);
+  }
+  if (alive_peers_[peer.id()]) {
+    return false;
+  }
+  alive_peers_[peer.id()] = true;
+  return true;
+}
+
 void ZkPeer::OnStart() {
-  alive_peers_.insert(sym().id());
+  Admit(sym());
   current_leader_ = LeaderId();
   log().Log(artifacts_->stmts.peer_up, {id(), std::to_string(myid_)});
   Every(config_->gossip_ms, [this] {
@@ -106,7 +117,7 @@ std::string ZkPeer::LeaderId() const {
   // called only when alive_peers_ changes, and current_leader_ caches it.
   std::string leader;
   for (const ctsim::NodeId peer : peers_) {
-    if ((peer == sym() || alive_peers_.count(peer.id()) > 0) && peer.str() > leader) {
+    if ((peer == sym() || InView(peer)) && peer.str() > leader) {
       leader = peer.str();
     }
   }
@@ -125,7 +136,12 @@ void ZkPeer::OnHandlerException(const std::string& context, const ctsim::SimExce
 
 void ZkPeer::PeerLost(const std::string& peer) {
   const ctsim::NodeId lost = this->cluster().Intern(peer);
-  alive_peers_.erase(lost.id());
+  if (InView(lost)) {
+    alive_peers_[lost.id()] = false;
+  }
+  if (lost.id() >= lost_peers_.size()) {
+    lost_peers_.resize(lost.id() + 1, kNotLost);
+  }
   lost_peers_[lost.id()] = this->cluster().loop().Now();
   std::string previous = current_leader_;
   current_leader_ = LeaderId();
@@ -175,7 +191,7 @@ void ZkPeer::CreateRequest(const Message& m) {
   ApplyCreate(m.Arg("path"), m.Arg("data"));
   pending_commits_.insert(m.Arg("path"));
   for (const ctsim::NodeId peer : peers_) {
-    if (peer != sym() && alive_peers_.count(peer.id()) > 0) {
+    if (peer != sym() && InView(peer)) {
       Send(peer, "propose",
            {{"path", m.Arg("path")}, {"data", m.Arg("data")}, {"client", client}});
     }

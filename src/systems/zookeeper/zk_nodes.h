@@ -3,12 +3,11 @@
 #ifndef SRC_SYSTEMS_ZOOKEEPER_ZK_NODES_H_
 #define SRC_SYSTEMS_ZOOKEEPER_ZK_NODES_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/cluster.h"
@@ -49,6 +48,12 @@ class ZkPeer : public ctsim::Node {
   void ApplyCreate(const std::string& path, const std::string& data);
   void PeerLost(const std::string& peer);
   std::string LeaderId() const;
+  // Whether `peer` is in this replica's election view.
+  bool InView(ctsim::NodeId peer) const {
+    return peer.id() < alive_peers_.size() && alive_peers_[peer.id()];
+  }
+  // Admits `peer` to the election view; false if it was already in it.
+  bool Admit(ctsim::NodeId peer);
 
   int myid_;
   std::vector<ctsim::NodeId> peers_;  // all quorum members including self
@@ -57,16 +62,17 @@ class ZkPeer : public ctsim::Node {
   const ZkConfig* config_;
   QuorumShared* shared_;
 
-  // The election view, by NodeId symbol id.
-  std::unordered_set<uint32_t> alive_peers_;
-  // Peers this replica already expired from its election view (by NodeId
-  // symbol id), with their expiry time. A heartbeat from one can only
-  // arrive through a healed partition (a crashed peer never speaks again) —
-  // the seeded message race of network-fault mode. The race is live only
-  // while the re-election the expiry triggered is still converging; later
-  // stale heartbeats re-admit the peer benignly. Either way the tombstone
-  // is cleared on first contact.
-  std::unordered_map<uint32_t, ctsim::Time> lost_peers_;
+  // Whether a peer is in the election view and, for one this replica
+  // already expired from it, its expiry time (kNotLost otherwise); both
+  // indexed by NodeId symbol id, ids past the end being neither. A
+  // heartbeat from an expired peer can only arrive through a healed
+  // partition (a crashed peer never speaks again) — the seeded message race
+  // of network-fault mode. The race is live only while the re-election the
+  // expiry triggered is still converging; later stale heartbeats re-admit
+  // the peer benignly. Either way the tombstone is cleared on first contact.
+  static constexpr ctsim::Time kNotLost = UINT64_MAX;
+  std::vector<bool> alive_peers_;
+  std::vector<ctsim::Time> lost_peers_;
   std::map<std::string, std::string> znodes_;    // DataTree.nodes (full replica)
   std::map<std::string, std::string> sessions_;  // SessionTracker.sessionsById
   // LeaderId(), recomputed whenever alive_peers_ changes (the peer itself

@@ -176,5 +176,28 @@ TEST(ClusterFaults, PartitionWindowAppliesAtTheDeclaredTimes) {
   EXPECT_EQ(recorder.hash(), expected.value());
 }
 
+TEST(ClusterFaults, TimerAndDeadDropLinesHashAsTheirText) {
+  // The two hot kinds the partition window test does not spell out: a node
+  // timer firing and a message dropped at a dead destination. Their symbols
+  // and kinds are folded, not fed byte by byte, to the same hash.
+  Cluster cluster;
+  auto* a = cluster.AddNode<ProbeNode>("a:1");
+  cluster.AddNode<ProbeNode>("b:1");
+  cluster.StartAll();
+  TraceRecorder recorder;
+  cluster.set_trace_recorder(&recorder);
+  cluster.Crash("b:1");
+  a->After(5, [&] { a->Send("b:1", "ping"); });
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(cluster.dropped_messages(), 1u);
+  ctcommon::Fnv1a expected;
+  expected.Add(
+      "0 crash b:1\n"
+      "5 timer a:1\n"
+      "6 drop.dead a:1>b:1 ping\n");
+  EXPECT_EQ(recorder.size(), 3u);
+  EXPECT_EQ(recorder.hash(), expected.value());
+}
+
 }  // namespace
 }  // namespace ctsim

@@ -10,6 +10,9 @@
 #include "src/core/crashtuner.h"
 #include "src/core/executor.h"
 #include "src/core/profiler.h"
+#include "src/core/stash_feed.h"
+#include "src/logging/statement.h"
+#include "src/sim/cluster.h"
 #include "src/study/bug_study.h"
 #include "src/systems/cassandra/cass_system.h"
 #include "src/systems/hbase/hbase_system.h"
@@ -82,6 +85,58 @@ TEST(Profiler, SyntheticPointsNeverBecomeDynamic) {
   Profiler profiler;
   ProfileResult result = profiler.Profile(yarn, synthetic, {}, 62);
   EXPECT_TRUE(result.dynamic_access_points.empty());
+}
+
+// Two nodes whose "Assigned {} on {}" lines carry a meta-info value and the
+// node it lives on.
+struct FeedCluster {
+  FeedCluster() {
+    n1 = cluster.AddNode<ctsim::Node>("n1:1");
+    n2 = cluster.AddNode<ctsim::Node>("n2:1");
+    cluster.StartAll();
+    assigned = ctlog::StatementRegistry::Instance().Register(ctlog::Level::kInfo,
+                                                             "Assigned {} on {}", "Feed.assign");
+    filter.hosts = {"n1", "n2"};
+    filter.metainfo_args[assigned] = {0, 1};
+  }
+
+  ctsim::Cluster cluster;
+  ctsim::Node* n1 = nullptr;
+  ctsim::Node* n2 = nullptr;
+  int assigned = -1;
+  ctlog::OnlineFilter filter;
+};
+
+TEST(StashFeed, LinesLoggedBeforeTheFeedNeverReachTheStash) {
+  FeedCluster run;
+  run.n1->log().Log(run.assigned, {"app_1", "n1:1"});
+  StashFeed feed(run.cluster, run.filter);
+  EXPECT_FALSE(feed.LiveTarget("app_1").has_value());
+  run.n1->log().Log(run.assigned, {"app_2", "n1:1"});
+  EXPECT_EQ(feed.LiveTarget("app_2"), "n1:1");
+}
+
+TEST(StashFeed, ValueLoggedAfterALookupResolvesAtTheNext) {
+  // A pair run looks up twice: the second lookup sees what was logged since
+  // the first.
+  FeedCluster run;
+  StashFeed feed(run.cluster, run.filter);
+  EXPECT_FALSE(feed.LiveTarget("app_2").has_value());
+  run.n2->log().Log(run.assigned, {"app_2", "n2:1"});
+  EXPECT_EQ(feed.LiveTarget("app_2"), "n2:1");
+  // A target that is down no longer resolves.
+  run.cluster.Crash("n2:1");
+  EXPECT_FALSE(feed.LiveTarget("app_2").has_value());
+}
+
+TEST(StashFeed, LinesFromNodesOutsideTheFeedAreIgnored) {
+  FeedCluster run;
+  StashFeed feed(run.cluster, run.filter);
+  ctlog::Logger outsider(&run.cluster.logs(), "ghost:1", [] { return 0u; });
+  outsider.Log(run.assigned, {"app_3", "n1:1"});
+  EXPECT_FALSE(feed.LiveTarget("app_3").has_value());
+  run.n1->log().Log(run.assigned, {"app_3", "n1:1"});
+  EXPECT_EQ(feed.LiveTarget("app_3"), "n1:1");
 }
 
 TEST(Triage, UnknownFailuresGetNewPrefix) {

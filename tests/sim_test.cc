@@ -292,6 +292,60 @@ TEST(Cluster, ConfigHostsDeduplicates) {
   EXPECT_EQ(cluster.config_hosts(), (std::vector<std::string>{"host1", "host2"}));
 }
 
+// Registers one verb no other test node handles.
+class SoloNode : public Node {
+ public:
+  SoloNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
+    Handle("solo", [](const Message&) {});
+  }
+};
+
+TEST(Cluster, UnhandledVerbIsLoggedOnceAndDoesNotAbort) {
+  // Handlers are indexed by method id. "solo" is interned before a:1's
+  // verbs, so it is an empty slot inside a:1's table; "late" is interned
+  // after a:1 registered its handlers, so it lies past the table's end.
+  Cluster cluster;
+  auto* solo = cluster.AddNode<SoloNode>("s:1");
+  auto* a = cluster.AddNode<EchoNode>("a:1");
+  cluster.StartAll();
+  solo->Send("a:1", "solo");
+  solo->Send("a:1", "late");
+  solo->Send("a:1", "ping");
+  cluster.loop().RunToCompletion();
+  auto count = [&cluster](const std::string& text) {
+    int n = 0;
+    for (const auto& instance : cluster.logs().instances()) {
+      n += instance.node == "a:1" && instance.text == text ? 1 : 0;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("No handler for RPC solo"), 1);
+  EXPECT_EQ(count("No handler for RPC late"), 1);
+  EXPECT_FALSE(a->aborted());
+  EXPECT_TRUE(a->IsRunning());
+  EXPECT_EQ(a->pings_, 1);
+}
+
+// Registers a handler from inside its own handler, which Handle forbids.
+class SelfRegisteringNode : public Node {
+ public:
+  SelfRegisteringNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
+    Handle("ping", [this](const Message&) { Handle("pong", [](const Message&) {}); });
+  }
+};
+
+TEST(ClusterDeathTest, HandleInsideTheNodesOwnHandlerAborts) {
+  EXPECT_DEATH(
+      {
+        Cluster cluster;
+        cluster.AddNode<SelfRegisteringNode>("a:1");
+        cluster.StartAll();
+        cluster.Post("x:1", "a:1", "ping");
+        cluster.loop().RunToCompletion();
+      },
+      "CT_CHECK failed");
+}
+
 class MonitorNode : public Node {
  public:
   MonitorNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
@@ -339,6 +393,45 @@ TEST(FailureDetector, NotifyLeftIsImmediate) {
   monitor->fd_->Heartbeat("w:1");
   monitor->fd_->NotifyLeft("w:1");
   EXPECT_EQ(monitor->lost_, (std::vector<std::string>{"w:1"}));
+}
+
+TEST(FailureDetector, LossesFireInStringOrderWhateverTheIdOrder) {
+  // Interned as w:9, w:10, w:2, so the id-indexed table holds them in that
+  // order; string order is w:10, w:2, w:9.
+  Cluster cluster;
+  auto* monitor = cluster.AddNode<MonitorNode>("m:1");
+  cluster.StartAll();
+  monitor->StartFd();
+  for (const char* worker : {"w:9", "w:10", "w:2"}) {
+    monitor->fd_->Heartbeat(worker);
+  }
+  EXPECT_EQ(monitor->fd_->tracked(), (std::vector<std::string>{"w:10", "w:2", "w:9"}));
+  // Sweeps run every 20 ms with a 100 ms timeout: the sweep at 120 is the
+  // first to find them silent, and it expires all three.
+  cluster.loop().RunUntil(119);
+  EXPECT_TRUE(monitor->lost_.empty());
+  cluster.loop().RunUntil(120);
+  EXPECT_EQ(monitor->lost_, (std::vector<std::string>{"w:10", "w:2", "w:9"}));
+  EXPECT_TRUE(monitor->fd_->tracked().empty());
+}
+
+TEST(FailureDetector, NodesThatNeverHeartbeatAreNotTracked) {
+  Cluster cluster;
+  auto* monitor = cluster.AddNode<MonitorNode>("m:1");
+  cluster.StartAll();
+  monitor->StartFd();
+  monitor->fd_->Heartbeat("w:1");
+  // Interned after the only tracked node, so past the end of the table.
+  const NodeId silent = cluster.Intern("w:2");
+  EXPECT_FALSE(monitor->fd_->IsTracked(silent));
+  monitor->fd_->Forget(silent);
+  monitor->fd_->NotifyLeft(silent);
+  // Never interned at all.
+  EXPECT_FALSE(monitor->fd_->IsTracked("w:3"));
+  monitor->fd_->Forget("w:3");
+  monitor->fd_->NotifyLeft("w:3");
+  EXPECT_TRUE(monitor->lost_.empty());
+  EXPECT_EQ(monitor->fd_->tracked(), (std::vector<std::string>{"w:1"}));
 }
 
 TEST(FailureDetector, ForgetSuppressesCallback) {
