@@ -115,17 +115,20 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
 
   const bool static_mode = options.context_mode == ContextMode::kStaticOnly;
 
-  // --- Phase 1a: collect logs with an uninstrumented run. -------------------
-  // The run's own tracer starts in kOff; no global reset needed. Static-only
-  // mode instruments no run at all, so this run is also its profile: the
-  // oracle baseline and the fault-free duration come from it.
-  auto log_run = system.NewRun(system.default_workload_size(), options.seed);
+  // --- Phase 1a: collect logs; the log run is profiling iteration 0. -------
+  // Both run the default workload size fault-free, and no run draws a random
+  // number. The crash points come from analysing this run's logs, so it
+  // profiles every executable access point, a superset of the crash points
+  // that can fire, and the profiler keeps the crash points' records.
+  // Static-only mode instruments no run at all: its log run stays tracer-off
+  // and is also its profile (the oracle baseline and the fault-free
+  // duration).
+  const std::set<int> no_points;
+  auto log_run = Profiler::NewRun(system, system.default_workload_size(), options.seed,
+                                  static_mode ? no_points : model.executable_access_points(),
+                                  no_points);
   const RunOutcome log_outcome = Executor::Execute(*log_run, /*baseline=*/nullptr);
-  if (static_mode) {
-    Executor::AccumulateBaseline(log_run->cluster().logs(), &report.profile.baseline);
-    report.profile.normal_duration_ms = log_outcome.virtual_duration_ms;
-    report.profile.iterations = 1;
-  }
+  ProfileSample first_profile = Profiler::Sample(*log_run, log_outcome);
   std::vector<ctlog::Instance> run_logs = log_run->cluster().logs().instances();
   std::vector<std::string> hosts = log_run->cluster().config_hosts();
   log_run.reset();
@@ -152,8 +155,11 @@ SystemReport CrashTunerDriver::Run(const SystemUnderTest& system,
   // --- Phase 1c: dynamic crash points (profiled or enumerated). -------------
   if (!static_mode) {
     report.profile = Profiler().Profile(system, report.crash_points.PointIds(),
-                                        /*io_points=*/{}, options.seed);
+                                        /*io_points=*/{}, options.seed, std::move(first_profile));
   } else {
+    report.profile.baseline = std::move(first_profile.baseline);
+    report.profile.normal_duration_ms = first_profile.duration_ms;
+    report.profile.iterations = 1;
     ctanalysis::CallGraph graph(model);
     ctanalysis::ContextEnumeration enumeration(&graph);
     // Enumerate at the bound the run's tracers record, so static call strings

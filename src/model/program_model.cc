@@ -32,6 +32,9 @@ void ProgramModel::AddCallEdge(CallEdgeDecl edge) { call_edges_.push_back(std::m
 
 int ProgramModel::AddAccessPoint(AccessPointDecl point) {
   point.id = static_cast<int>(access_points_.size());
+  if (point.executable) {
+    executable_access_points_.insert(point.id);
+  }
   access_points_.push_back(std::move(point));
   return access_points_.back().id;
 }

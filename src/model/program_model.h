@@ -192,6 +192,9 @@ class ProgramModel {
   const FieldDecl* FindField(const std::string& id) const;
   const MethodDecl* FindMethod(const std::string& id) const;
   const AccessPointDecl& access_point(int id) const;
+  // Ids of the access points wired to a runtime hook: every point a run can
+  // fire.
+  const std::set<int>& executable_access_points() const { return executable_access_points_; }
 
   // Innermost runtime frame for an access point: context_method if set,
   // otherwise "clazz.method".
@@ -241,6 +244,7 @@ class ProgramModel {
   std::map<std::string, int> method_index_;
   std::vector<CallEdgeDecl> call_edges_;
   std::vector<AccessPointDecl> access_points_;
+  std::set<int> executable_access_points_;
   std::vector<LogBinding> log_bindings_;
   std::vector<IoMethodDecl> io_methods_;
   std::vector<IoPointDecl> io_points_;

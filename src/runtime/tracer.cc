@@ -157,7 +157,7 @@ void AccessTracer::OnIo(int point_id, bool before) {
   }
 }
 
-void AccessTracer::PushFrame(const char* frame) { stack_.emplace_back(frame); }
+void AccessTracer::PushFrame(const char* frame) { stack_.push_back(frame); }
 
 void AccessTracer::PopFrame() {
   CT_CHECK(!stack_.empty());

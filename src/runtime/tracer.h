@@ -109,6 +109,8 @@ class AccessTracer {
   void IoEnd(int point_id);
 
   // --- Call-stack maintenance ----------------------------------------------
+  // `frame` is kept as a pointer, so it must outlive the frame: every
+  // CT_FRAME passes a string literal.
   void PushFrame(const char* frame);
   void PopFrame();
   CallStack CaptureStack() const;
@@ -127,7 +129,7 @@ class AccessTracer {
   void OnIo(int point_id, bool before);
 
   TraceMode mode_ = TraceMode::kOff;
-  std::vector<std::string> stack_;
+  std::vector<const char*> stack_;
   std::set<int> profiled_access_points_;
   std::set<int> profiled_io_points_;
   std::map<DynamicPoint, int> dynamic_access_;

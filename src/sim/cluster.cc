@@ -141,12 +141,14 @@ void Cluster::Post(NodeId from, NodeId to, Symbol method, KvList args) {
     free_slots_.push_back(slot);
     return;
   }
-  // Two words: the closure fits std::function's inline buffer. The slot is
-  // freed only after the handler returns (see in_flight_).
-  loop_.Schedule(kLatencyMs, [this, slot] {
-    DeliverNow(in_flight_[slot]);
-    free_slots_.push_back(slot);
-  });
+  // A plain loop call on the slot: no closure. The slot is freed only after
+  // the handler returns (see in_flight_).
+  loop_.ScheduleCall(kLatencyMs, this, slot);
+}
+
+void Cluster::OnCall(uint32_t slot) {
+  DeliverNow(in_flight_[slot]);
+  free_slots_.push_back(slot);
 }
 
 void Cluster::Post(const std::string& from, const std::string& to, const std::string& method,

@@ -17,6 +17,9 @@
 //
 // Storage and ordering are built for scaled campaigns (10⁶+ pending events):
 //
+//  - An event is a std::function closure, or a plain call on a CallTarget
+//    with one argument word, which message deliveries use, so the delivery
+//    path builds no closure.
 //  - Events live in a slab of fixed-size chunks; nodes never move, slots are
 //    recycled through a free list, and an EventId encodes (generation, slot)
 //    so Cancel is an O(1) tag set — stale ids (already executed or already
@@ -63,6 +66,21 @@ class EventLoop {
   EventId Schedule(Time delay, std::function<void()> fn, NodeId owner = NodeId());
   EventId ScheduleAt(Time when, std::function<void()> fn, NodeId owner = NodeId());
 
+  // The receiver of plain calls (ScheduleCall).
+  class CallTarget {
+   public:
+    virtual void OnCall(uint32_t data) = 0;
+
+   protected:
+    ~CallTarget() = default;
+  };
+
+  // Schedules the plain call `target->OnCall(data)` `delay` ms from now: no
+  // closure is built, moved or destroyed. Such an event is ownerless, so the
+  // target decides what a dead node means (the cluster's message deliveries,
+  // which check their node at delivery time).
+  EventId ScheduleCall(Time delay, CallTarget* target, uint32_t data);
+
   // O(1). Ids of events that already ran (or were already cancelled) are
   // no-ops: the slot's generation was bumped when it was recycled.
   void Cancel(EventId id);
@@ -108,12 +126,16 @@ class EventLoop {
   static constexpr uint32_t kChunkNodes = 1u << kChunkShift;
   static constexpr uint32_t kChunkMask = kChunkNodes - 1;
 
+  // No larger than before plain calls were added (80 bytes with libstdc++):
+  // a larger node slowed the loop. So an event's seq is not kept here; only
+  // the far heap needs it after the insert.
   struct EventNode {
     Time when = 0;
-    uint64_t seq = 0;
     uint32_t gen = 0;    // bumped when the slot is recycled; validates ids
     uint32_t next = kNil;  // bucket chain when queued, free list when free
     bool cancelled = false;
+    uint32_t data = 0;  // a plain call's argument
+    CallTarget* target = nullptr;  // set for a plain call, which leaves fn empty
     NodeId owner;
     std::function<void()> fn;
   };
@@ -137,10 +159,14 @@ class EventLoop {
 
   EventNode& NodeAt(uint32_t slot) { return chunks_[slot >> kChunkShift][slot & kChunkMask]; }
   uint32_t AllocSlot();
+  // Takes a slot for an event at `when` and queues it under the next seq;
+  // the caller fills in what runs.
+  uint32_t Enqueue(Time when);
+  EventId IdOf(uint32_t slot) { return (uint64_t{NodeAt(slot).gen} << 32) | (slot + 1); }
   void FreeSlot(uint32_t slot);
   void PushBucket(uint32_t bucket, uint32_t slot);
   uint32_t PopBucketHead(uint32_t bucket);
-  void InsertNode(uint32_t slot);
+  void InsertNode(uint32_t slot, uint64_t seq);
   void RebaseAndDrain(Time new_base);
   void PurgeDeadStorage();
   bool PopAndRun(Time limit, bool has_limit);

@@ -5,7 +5,18 @@
 
 namespace ctsim {
 
-Node::Node(Cluster* cluster, std::string id) : cluster_(cluster), id_(std::move(id)) {
+namespace {
+
+// The exception-policy context of every timer firing.
+const std::string& TimerContext() {
+  static const std::string context("timer");
+  return context;
+}
+
+}  // namespace
+
+Node::Node(Cluster* cluster, std::string id)
+    : cluster_(cluster), current_node_(&cluster->current_node_), id_(std::move(id)) {
   sym_ = cluster_->Intern(id_);
   logger_ = std::make_unique<ctlog::Logger>(&cluster_->logs(), id_,
                                             [this] { return cluster_->loop().Now(); });
@@ -37,28 +48,13 @@ void Node::Dispatch(const Message& message) {
     log().Warn("No handler for RPC {}", {message.method}, "Node.dispatch");
     return;
   }
-  RunGuarded(message.method, [&] { handlers_[method](message); });
+  const auto& handler = handlers_[method];
+  RunGuarded(message.method, [&handler, &message] { handler(message); });
 }
 
-void Node::RunGuarded(const std::string& context, const std::function<void()>& fn) {
-  // Timer and async events execute in this node's context; the trigger reads
-  // cluster().current_node() to know which process a hook fired on.
-  const NodeId previous = cluster_->current_node_;
-  cluster_->current_node_ = sym_;
-  struct Restore {
-    Cluster* cluster;
-    NodeId previous;
-    ~Restore() { cluster->current_node_ = previous; }
-  } restore{cluster_, previous};
-  try {
-    fn();
-  } catch (const SimException& e) {
-    log().Error("Uncommon exception {} : {}", {e.type, e.message}, "Node.dispatch");
-    OnHandlerException(context, e);
-  } catch (const NodeCrashedSignal&) {
-    // The node died mid-handler (post-write crash injection); the remainder
-    // of the handler is simply gone, like the rest of a killed JVM.
-  }
+void Node::OnUncaught(const std::string& context, const SimException& e) {
+  log().Error("Uncommon exception {} : {}", {e.type, e.message}, "Node.dispatch");
+  OnHandlerException(context, e);
 }
 
 void Node::Handle(const std::string& method, std::function<void(const Message&)> handler) {
@@ -87,32 +83,47 @@ void Node::Send(NodeId to, const std::string& method, KvList args) {
 }
 
 void Node::After(Time delay, std::function<void()> fn) {
+  uint32_t slot;
+  if (free_timers_.empty()) {
+    slot = static_cast<uint32_t>(timers_.size());
+    timers_.push_back(std::move(fn));
+  } else {
+    slot = free_timers_.back();
+    free_timers_.pop_back();
+    timers_[slot] = std::move(fn);
+  }
+  // Two words: the closure fits std::function's inline buffer.
+  cluster_->loop().Schedule(delay, [this, slot] { FireTimer(slot); }, sym_);
+}
+
+void Node::FireTimer(uint32_t slot) {
+  // Free the slot before the callback runs, so an After inside it may take
+  // the slot again.
+  const std::function<void()> fn = std::move(timers_[slot]);
+  timers_[slot] = nullptr;
+  free_timers_.push_back(slot);
   // A timer firing is a causal root: even when the loop drains it inside
   // another handler's nested RunFor, its sends must not inherit that
   // delivery's flow.
-  cluster_->loop().Schedule(
-      delay,
-      [this, fn = std::move(fn)] {
-        Cluster::FlowRootScope flow_root(cluster_);
-        RunGuarded("timer", fn);
-      },
-      sym_);
+  Cluster::FlowRootScope flow_root(cluster_);
+  RunGuarded(TimerContext(), fn);
 }
 
 void Node::Every(Time period, std::function<void()> fn) {
-  ScheduleTick(period, std::make_shared<const std::function<void()>>(std::move(fn)));
+  periodic_.push_back({period, std::move(fn)});
+  ScheduleTick(static_cast<uint32_t>(periodic_.size() - 1));
 }
 
-void Node::ScheduleTick(Time period, std::shared_ptr<const std::function<void()>> fn) {
+void Node::ScheduleTick(uint32_t tick) {
   // The repeating event re-arms itself with the same callback; owner tagging
   // stops it at death.
   cluster_->loop().Schedule(
-      period,
-      [this, period, fn] {
+      periodic_[tick].period,
+      [this, tick] {
         Cluster::FlowRootScope flow_root(cluster_);
-        RunGuarded("timer", *fn);
+        RunGuarded(TimerContext(), periodic_[tick].fn);
         if (IsRunning()) {
-          ScheduleTick(period, fn);
+          ScheduleTick(tick);
         }
       },
       sym_);

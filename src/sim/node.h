@@ -4,12 +4,17 @@
 // (stopped → running → crashed/shutdown), a logger, registered RPC handlers,
 // and timer helpers whose events die with the node. Message dispatch is the
 // exception boundary: SimExceptions raised while handling a message are
-// logged and passed to OnException, whose default policy aborts the node —
-// and, for critical nodes, the whole cluster (the YARN-9164 "master aborts,
-// cluster down" failure mode).
+// logged and passed to OnHandlerException, whose default policy aborts the
+// node — and, for critical nodes, the whole cluster (the YARN-9164 "master
+// aborts, cluster down" failure mode).
+//
+// Dispatch, timer firings and Every's re-arming allocate nothing: the
+// boundary is a template over the callable, and the node keeps its timer
+// callbacks in storage it owns, so a timer event's closure is two words.
 #ifndef SRC_SIM_NODE_H_
 #define SRC_SIM_NODE_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -59,9 +64,13 @@ class Node {
   void Dispatch(const Message& message);
 
   // Runs `fn` inside the same exception boundary Dispatch uses; `context`
-  // names the executing component for the exception policy (timer callbacks
-  // and async-dispatcher events go through here).
-  void RunGuarded(const std::string& context, const std::function<void()>& fn);
+  // names the executing component for the exception policy (the RPC verb,
+  // "timer" or "shutdown"). While `fn` and the policy run, this node is the
+  // cluster's current node; the previous one is restored on every exit. A
+  // SimException is logged and passed to OnHandlerException; a
+  // NodeCrashedSignal is swallowed.
+  template <typename Fn>
+  void RunGuarded(const std::string& context, Fn&& fn);
 
   // RPC handler registration. Must not run inside this node's own handler or
   // timer (see handlers_).
@@ -74,9 +83,14 @@ class Node {
   void Send(NodeId to, const std::string& method, KvList args = {});
 
   // Timers owned by this node; they do not fire once the node is dead.
+  // The callback waits in a node-owned slot, which is freed before it runs,
+  // so a callback that calls After may reuse its own slot.
   void After(Time delay, std::function<void()> fn);
   // Fires every `period` ms until the node dies.
   void Every(Time period, std::function<void()> fn);
+  // Slots After has allocated so far (diagnostics: a re-armed timer reuses
+  // its slot instead of adding one).
+  size_t timer_slots() const { return timers_.size(); }
 
   // True once an unhandled exception aborted this node.
   bool aborted() const { return aborted_; }
@@ -115,10 +129,16 @@ class Node {
  private:
   friend class Cluster;
 
-  // Schedules one Every tick, which re-arms with the same callback.
-  void ScheduleTick(Time period, std::shared_ptr<const std::function<void()>> fn);
+  // Schedules one tick of periodic_[tick], which re-arms itself.
+  void ScheduleTick(uint32_t tick);
+  // Runs the After callback waiting in `slot`.
+  void FireTimer(uint32_t slot);
+  // RunGuarded's cold path: logs the exception and applies the policy.
+  void OnUncaught(const std::string& context, const SimException& e);
 
   Cluster* cluster_;
+  // The cluster's current node, which RunGuarded sets and restores.
+  NodeId* current_node_;
   std::string id_;
   NodeId sym_;
   NodeState state_ = NodeState::kStopped;
@@ -131,7 +151,39 @@ class Node {
   // calls the handler in place, so registering one, which may grow the
   // vector and move every handler, must not happen while one is running.
   std::vector<std::function<void(const Message&)>> handlers_;
+  // Every's callbacks, kept for the node's lifetime; a tick event holds only
+  // its index. A deque, so a callback that calls Every while it runs is not
+  // moved.
+  struct Periodic {
+    Time period = 0;
+    std::function<void()> fn;
+  };
+  std::deque<Periodic> periodic_;
+  // After's pending callbacks; a timer event holds only its slot. The slot
+  // of a timer that dies with the node is freed with the node.
+  std::vector<std::function<void()>> timers_;
+  std::vector<uint32_t> free_timers_;
 };
+
+template <typename Fn>
+void Node::RunGuarded(const std::string& context, Fn&& fn) {
+  // Timer and async events execute in this node's context; the trigger reads
+  // cluster().current_node() to know which process a hook fired on.
+  struct Restore {
+    NodeId* current;
+    NodeId previous;
+    ~Restore() { *current = previous; }
+  } restore{current_node_, *current_node_};
+  *current_node_ = sym_;
+  try {
+    fn();
+  } catch (const SimException& e) {
+    OnUncaught(context, e);
+  } catch (const NodeCrashedSignal&) {
+    // The node died mid-handler (post-write crash injection); the remainder
+    // of the handler is simply gone, like the rest of a killed JVM.
+  }
+}
 
 }  // namespace ctsim
 

@@ -712,9 +712,14 @@ YarnArtifacts* BuildArtifacts(YarnMode mode) {
 }  // namespace
 
 const YarnArtifacts& GetYarnArtifacts(YarnMode mode) {
+  // One static per branch: a process that only runs trunk YARN never builds
+  // the legacy model.
+  if (mode == YarnMode::kLegacy) {
+    static const YarnArtifacts* legacy = BuildArtifacts(YarnMode::kLegacy);
+    return *legacy;
+  }
   static const YarnArtifacts* trunk = BuildArtifacts(YarnMode::kTrunk);
-  static const YarnArtifacts* legacy = BuildArtifacts(YarnMode::kLegacy);
-  return mode == YarnMode::kLegacy ? *legacy : *trunk;
+  return *trunk;
 }
 
 std::string AppId(int job) { return "application_1550060164_" + std::to_string(1000 + job); }

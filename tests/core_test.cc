@@ -87,6 +87,53 @@ TEST(Profiler, SyntheticPointsNeverBecomeDynamic) {
   EXPECT_TRUE(result.dynamic_access_points.empty());
 }
 
+std::vector<std::unique_ptr<SystemUnderTest>> FiveSystems(int scale) {
+  std::vector<std::unique_ptr<SystemUnderTest>> systems;
+  systems.push_back(std::make_unique<ctyarn::YarnSystem>());
+  systems.push_back(std::make_unique<cthdfs::HdfsSystem>());
+  systems.push_back(std::make_unique<cthbase::HBaseSystem>());
+  systems.push_back(std::make_unique<ctzk::ZkSystem>());
+  systems.push_back(std::make_unique<ctcass::CassSystem>());
+  for (auto& system : systems) {
+    system->set_scale(scale);
+  }
+  return systems;
+}
+
+TEST(Profiler, DriverLogRunProfilesWhatADirectProfileDoes) {
+  // The driver's log run is profiling iteration 0, recorded on every
+  // executable access point and restricted to the crash points afterwards.
+  for (int scale : {1, 2}) {
+    for (const auto& system : FiveSystems(scale)) {
+      SCOPED_TRACE(system->name() + " at scale " + std::to_string(scale));
+      DriverOptions options;
+      const SystemReport report = CrashTunerDriver().Run(*system, options);
+      const ProfileResult direct =
+          Profiler().Profile(*system, report.crash_points.PointIds(), {}, options.seed);
+      const ProfileResult& merged = report.profile;
+      EXPECT_FALSE(merged.dynamic_access_points.empty());
+      EXPECT_EQ(merged.dynamic_access_points, direct.dynamic_access_points);
+      EXPECT_EQ(merged.dynamic_io_points, direct.dynamic_io_points);
+      EXPECT_EQ(merged.baseline.common_exception_types, direct.baseline.common_exception_types);
+      EXPECT_EQ(merged.normal_duration_ms, direct.normal_duration_ms);
+      EXPECT_EQ(merged.iterations, direct.iterations);
+      EXPECT_EQ(merged.instrumented_runs, direct.instrumented_runs);
+    }
+  }
+}
+
+TEST(Profiler, StaticOnlyDriverInstrumentsNoRun) {
+  for (const auto& system : FiveSystems(1)) {
+    SCOPED_TRACE(system->name());
+    DriverOptions options;
+    options.context_mode = ContextMode::kStaticOnly;
+    const SystemReport report = CrashTunerDriver().Run(*system, options);
+    EXPECT_EQ(report.profile.instrumented_runs, 0);
+    EXPECT_EQ(report.profile.iterations, 1);
+    EXPECT_GT(report.profile.normal_duration_ms, 0u);
+  }
+}
+
 // Two nodes whose "Assigned {} on {}" lines carry a meta-info value and the
 // node it lives on.
 struct FeedCluster {

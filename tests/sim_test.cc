@@ -346,6 +346,116 @@ TEST(ClusterDeathTest, HandleInsideTheNodesOwnHandlerAborts) {
       "CT_CHECK failed");
 }
 
+// Throws from the component a test picks: a delivery, an After, an Every or
+// the shutdown hook. Its exception policy records the cluster's current node
+// before applying the default (abort).
+class FaultyNode : public Node {
+ public:
+  FaultyNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
+    Handle("boom", [](const Message&) { throw SimException("NullPointerException", "boom"); });
+    Handle("reenter", [this](const Message&) {
+      this->cluster().loop().RunFor(20);
+      resumed_as_ = this->cluster().current_node();
+      throw SimException("IllegalStateException", "after the wait");
+    });
+  }
+
+  void ThrowInAfter() {
+    After(5, [] { throw SimException("NullPointerException", "after"); });
+  }
+  void ThrowInEvery() {
+    Every(5, [] { throw SimException("NullPointerException", "every"); });
+  }
+
+  bool throw_on_shutdown_ = false;
+  std::string resumed_as_;
+  std::vector<std::string> policy_ran_as_;
+
+ protected:
+  void OnShutdown() override {
+    if (throw_on_shutdown_) {
+      throw SimException("NullPointerException", "stop");
+    }
+  }
+  void OnHandlerException(const std::string& context, const SimException& e) override {
+    policy_ran_as_.push_back(cluster().current_node());
+    Node::OnHandlerException(context, e);
+  }
+};
+
+std::vector<std::string> FatalLines(Cluster& cluster) {
+  std::vector<std::string> lines;
+  for (const auto& instance : cluster.logs().instances()) {
+    if (instance.level == ctlog::Level::kFatal) {
+      lines.push_back(instance.text);
+    }
+  }
+  return lines;
+}
+
+TEST(Cluster, AbortLineNamesTheContextThatThrew) {
+  Cluster cluster;
+  auto* verb = cluster.AddNode<FaultyNode>("verb:1");
+  auto* after = cluster.AddNode<FaultyNode>("after:1");
+  auto* every = cluster.AddNode<FaultyNode>("every:1");
+  auto* stop = cluster.AddNode<FaultyNode>("stop:1");
+  cluster.StartAll();
+  stop->throw_on_shutdown_ = true;
+  cluster.Shutdown("stop:1");
+  cluster.Post("client", "verb:1", "boom");
+  after->ThrowInAfter();
+  every->ThrowInEvery();
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(FatalLines(cluster),
+            (std::vector<std::string>{
+                "Aborting node stop:1 : NullPointerException in shutdown: stop",
+                "Aborting node verb:1 : NullPointerException in boom: boom",
+                "Aborting node after:1 : NullPointerException in timer: after",
+                "Aborting node every:1 : NullPointerException in timer: every",
+            }));
+  for (const auto* node : {verb, after, every, stop}) {
+    EXPECT_EQ(node->policy_ran_as_, std::vector<std::string>{node->id()});
+  }
+}
+
+TEST(Cluster, ExceptionPolicyRunsAsTheNodeAndTheCallerIsRestored) {
+  // a's handler waits in a nested RunFor, inside which b's timer throws; then
+  // a's handler resumes and throws too.
+  Cluster cluster;
+  auto* a = cluster.AddNode<FaultyNode>("a:1");
+  auto* b = cluster.AddNode<FaultyNode>("b:1");
+  cluster.StartAll();
+  cluster.Post("client", "a:1", "reenter");
+  b->ThrowInAfter();
+  std::string between_events = "unset";
+  cluster.loop().Schedule(30, [&] { between_events = cluster.current_node(); });
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(b->policy_ran_as_, std::vector<std::string>{"b:1"});
+  EXPECT_EQ(a->resumed_as_, "a:1");
+  EXPECT_EQ(a->policy_ran_as_, std::vector<std::string>{"a:1"});
+  EXPECT_TRUE(a->aborted());
+  EXPECT_TRUE(b->aborted());
+  EXPECT_EQ(between_events, "");
+  EXPECT_EQ(cluster.current_node(), "");
+}
+
+TEST(Cluster, AfterInsideAnAfterCallbackReusesItsSlot) {
+  // The first callback arms the second and then reads its own capture: its
+  // slot is free for the second only because the callback was moved out of
+  // it before running.
+  Cluster cluster;
+  auto* a = cluster.AddNode<EchoNode>("a:1");
+  cluster.StartAll();
+  std::vector<std::string> order;
+  a->After(10, [&order, a, tag = std::string(40, 'x')] {
+    a->After(5, [&order] { order.push_back("second"); });
+    order.push_back("first " + tag.substr(0, 3));
+  });
+  cluster.loop().RunToCompletion();
+  EXPECT_EQ(order, (std::vector<std::string>{"first xxx", "second"}));
+  EXPECT_EQ(a->timer_slots(), 1u);
+}
+
 class MonitorNode : public Node {
  public:
   MonitorNode(Cluster* cluster, std::string id) : Node(cluster, std::move(id)) {
