@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
     ctcore::SystemReport report = driver.Run(yarn, options);
     std::printf("%5d %16d %10zu %14.2f%s\n", depth, report.dynamic_crash_points,
                 report.bugs.size(), report.test_virtual_hours,
-                depth == ctrt::CallStack::kMaxDepth ? "   <- paper's bound" : "");
+                depth == ctrt::AccessTracer::kMaxDepth ? "   <- paper's bound" : "");
   }
-  ctrt::AccessTracer::SetDefaultStackDepth(ctrt::CallStack::kMaxDepth);
+  ctrt::AccessTracer::SetDefaultStackDepth(ctrt::AccessTracer::kMaxDepth);
 
   return observation.Write() ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 // meta-info graph (Fig. 5d / Fig. 1), and the online stash's HashSet +
 // HashMap (Fig. 6) built by replaying the same logs through per-node
 // Logstash agents.
+#include <optional>
+
 #include "bench/bench_util.h"
 #include "src/analysis/log_analysis.h"
 #include "src/common/strings.h"
@@ -17,15 +19,16 @@ int main(int argc, char** argv) {
   ctyarn::YarnSystem yarn;
   ctrt::AccessTracer::Instance().Reset(ctrt::TraceMode::kOff);
   auto run = yarn.NewRun(3, 2019);
-  // This bench drives the Executor directly (no campaign driver), so the
-  // run observer is enabled and absorbed by hand.
+  // This bench drives the Executor directly (no campaign driver), so an
+  // observed run's observer is made, passed and absorbed by hand.
   ctobs::CampaignObserver* observer = observation.ObserverFor("yarn/fig5-workload");
+  std::optional<ctobs::RunObserver> run_observer;
   if (observer != nullptr) {
-    run->context().observer().Enable();
+    run_observer.emplace();
   }
-  ctcore::Executor::Execute(*run, nullptr);
-  if (observer != nullptr) {
-    observer->AbsorbRun(0, run->context().observer());
+  ctcore::Executor::Execute(*run, nullptr, run_observer ? &*run_observer : nullptr);
+  if (run_observer) {
+    observer->AbsorbRun(0, std::move(*run_observer));
   }
   const auto& instances = run->cluster().logs().instances();
 

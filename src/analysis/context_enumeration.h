@@ -6,7 +6,7 @@
 // show: strings of fewer than `depth` frames must begin at a context root
 // (the stack was born there), while strings of exactly `depth` frames are
 // also admitted as truncations of deeper stacks — mirroring how the tracer
-// caps CallStack at its stack depth. Keys use the tracer's canonical
+// caps its call strings at its stack depth. Keys use the tracer's canonical
 // "inner<outer<..." encoding, so a statically enumerated context and a
 // profiler-observed DynamicPoint compare by string equality.
 //

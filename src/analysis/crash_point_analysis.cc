@@ -49,20 +49,6 @@ std::set<int> CrashPointResult::PointIds() const {
   return ids;
 }
 
-int CrashPointResult::NumPreRead() const {
-  int count = 0;
-  for (const auto& point : points) {
-    if (point.kind == CrashPointKind::kPreRead) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-int CrashPointResult::NumPostWrite() const {
-  return static_cast<int>(points.size()) - NumPreRead();
-}
-
 void CrashPointAnalysis::EmitPoint(const ctmodel::AccessPointDecl& point,
                                    const CrashPointOptions& options, bool via_promotion,
                                    CrashPointResult* result) const {
@@ -75,8 +61,7 @@ void CrashPointAnalysis::EmitPoint(const ctmodel::AccessPointDecl& point,
     } else if (IsCollectionWriteOp(point.collection_op)) {
       kind = ctmodel::AccessKind::kWrite;
     } else {
-      ++result->discarded_non_access_collection_ops;
-      return;
+      return;  // neither a read nor a write op: not an access
     }
   }
 

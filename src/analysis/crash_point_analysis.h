@@ -52,12 +52,9 @@ struct CrashPointResult {
   int pruned_sanity_checked = 0;
   int promoted_points = 0;    // returned-directly reads expanded away
   int promotion_sites = 0;    // call sites considered during promotion
-  int discarded_non_access_collection_ops = 0;
   int pruned_unreachable = 0;  // prune_statically_unreachable only
 
   std::set<int> PointIds() const;
-  int NumPreRead() const;
-  int NumPostWrite() const;
 };
 
 class CrashPointAnalysis {

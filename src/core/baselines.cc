@@ -215,7 +215,8 @@ BaselineReport IoFaultInjector::Run(const SystemUnderTest& system, uint64_t seed
         trial.io_before = task.before;
         ctrt::AccessTracer& tracer = run->context().tracer();
         tracer.Reset(ctrt::TraceMode::kTrigger);
-        tracer.ArmIoTrigger(task.point, task.before, [&](const ctrt::AccessEvent&) {
+        const ctrt::Hook hook = task.before ? ctrt::Hook::kIoBegin : ctrt::Hook::kIoEnd;
+        tracer.Arm(hook, task.point, [&](const std::string&) {
           // The OpenStack-style baseline kills the node performing the IO.
           std::string target = cluster.current_node();
           if (target.empty() || !cluster.IsAlive(target)) {

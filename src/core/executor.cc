@@ -1,6 +1,7 @@
 #include "src/core/executor.h"
 
 #include "src/common/check.h"
+#include "src/obs/observer.h"
 
 namespace ctcore {
 
@@ -28,7 +29,8 @@ std::string RunOutcome::Signature() const {
                                      : PrimarySymptom() + ": " + uncommon_exceptions.front();
 }
 
-RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
+RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline,
+                             ctobs::RunObserver* observer) {
   // Route every hook the run fires to the run's own tracer: this is what lets
   // worker threads execute injection runs concurrently without sharing state.
   ctrt::ScopedRunContext bind_context(run.context());
@@ -40,8 +42,7 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
   const ctsim::Time timeout_deadline = start + expected * kTimeoutFactor;
   const ctsim::Time hang_deadline = start + expected * kHangFactor;
 
-  ctobs::RunObserver* observer = &run.context().observer();
-  if (observer->enabled()) {
+  if (observer != nullptr) {
     // Causal-flow observation, on observed runs only: the cluster stamps
     // posted messages and records every delivery into the run's flow
     // recorder, passively (no RNG, no scheduling), so the trace hash and
@@ -92,7 +93,7 @@ RunOutcome Executor::Execute(WorkloadRun& run, const OracleBaseline* baseline) {
     }
   }
 
-  if (observer->enabled()) {
+  if (observer != nullptr) {
     // Copy the simulator's native counters into the run's shard. All of these
     // are derived from virtual-time events, so the aggregated values are
     // independent of how runs were spread over worker threads.

@@ -15,6 +15,10 @@
 #include "src/core/system_under_test.h"
 #include "src/logging/log_store.h"
 
+namespace ctobs {
+class RunObserver;
+}  // namespace ctobs
+
 namespace ctcore {
 
 // Exception types observed in fault-free runs; anything outside this set is
@@ -53,8 +57,11 @@ class Executor {
   static constexpr int kHangFactor = 12;
 
   // Runs to completion and classifies. `baseline` may be null during the
-  // profiling phase (no uncommon-exception classification yet).
-  static RunOutcome Execute(WorkloadRun& run, const OracleBaseline* baseline);
+  // profiling phase (no uncommon-exception classification yet). An observed
+  // run passes its `observer`: the run's flows, workload and recovery-check
+  // phases and end-of-run simulator counters land in it.
+  static RunOutcome Execute(WorkloadRun& run, const OracleBaseline* baseline,
+                            ctobs::RunObserver* observer = nullptr);
 
   // Extracts the exception types+messages logged at the dispatch boundary.
   static std::vector<std::pair<std::string, std::string>> ExceptionsIn(

@@ -34,12 +34,8 @@ std::unique_ptr<WorkloadRun> Profiler::NewRun(const SystemUnderTest& system, int
 ProfileSample Profiler::Sample(WorkloadRun& run, const RunOutcome& outcome) {
   ProfileSample sample;
   const ctrt::AccessTracer& tracer = run.context().tracer();
-  for (const auto& [point, hits] : tracer.dynamic_access_points()) {
-    sample.access_points.insert(point);
-  }
-  for (const auto& [point, hits] : tracer.dynamic_io_points()) {
-    sample.io_points.insert(point);
-  }
+  sample.access_points = tracer.dynamic_access_points();
+  sample.io_points = tracer.dynamic_io_points();
   Executor::AccumulateBaseline(run.cluster().logs(), &sample.baseline);
   sample.duration_ms = outcome.virtual_duration_ms;
   return sample;

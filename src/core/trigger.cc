@@ -87,20 +87,18 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   // Recorder before the run: the cluster holds a raw pointer to it, so it
   // must outlive the run. Every run is traced; the hash lands in the result.
   ctsim::TraceRecorder recorder;
+  // Campaign observability: an observed run gets a RunObserver, which records
+  // the phases the executor and this call stamp and the end-of-run counters.
+  // Purely passive — no RNG draws, no scheduled events — so the run's trace
+  // and hash are unchanged. It too outlives the run (the cluster holds its
+  // flow recorder while the run executes).
+  std::optional<ctobs::RunObserver> observation;
+  ctobs::RunObserver* run_observer =
+      observer_ != nullptr && trace_slot >= 0 ? &observation.emplace() : nullptr;
 
   auto run = system_->NewRun(system_->default_workload_size(), seed);
   ctsim::Cluster& cluster = run->cluster();
   cluster.set_trace_recorder(&recorder);
-
-  // Campaign observability: enable the run's observer so the phases the
-  // executor and this call stamp, and the end-of-run counters, record.
-  // Purely passive — no RNG draws, no scheduled events — so the run's trace
-  // and hash are unchanged.
-  const bool observed = observer_ != nullptr && trace_slot >= 0;
-  ctobs::RunObserver* run_observer = &run->context().observer();
-  if (observed) {
-    run_observer->Enable();
-  }
 
   StashFeed feed(cluster, filter_);
 
@@ -110,10 +108,10 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
   // outlive the run.
   ctrt::AccessTracer& tracer = run->context().tracer();
   tracer.Reset(ctrt::TraceMode::kTrigger);
-  tracer.ArmAccessTrigger(point, [&](const ctrt::AccessEvent& event) {
+  tracer.Arm(ctrt::Hook::kAccess, point, [&](const std::string& value) {
     result.point_hit = true;
-    result.accessed_value = event.value;
-    std::optional<std::string> target = feed.LiveTarget(event.value);
+    result.accessed_value = value;
+    std::optional<std::string> target = feed.LiveTarget(value);
     if (!target.has_value()) {
       return;
     }
@@ -121,7 +119,7 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     result.target_node = *target;
     // The injection phase covers the fault action itself — for pre-read
     // points that includes the recovery wait window.
-    if (observed) {
+    if (run_observer != nullptr) {
       ctobs::PhaseTable& phases = run_observer->phases();
       phases.injection_name = InjectionName(*system_, point.point_id);
       phases.injection_point = point.point_id;
@@ -131,12 +129,12 @@ InjectionResult FaultInjectionTester::TestPoint(const ctrt::DynamicPoint& point,
     Strike(cluster, *target, point.point_id, kind);
   });
 
-  result.outcome = Executor::Execute(*run, &baseline_);
+  result.outcome = Executor::Execute(*run, &baseline_, run_observer);
   result.point_hit = result.point_hit || tracer.trigger_fired();
   total_virtual_ms_.fetch_add(result.outcome.virtual_duration_ms, std::memory_order_relaxed);
   result.trace_hash = recorder.hash();
 
-  if (observed) {
+  if (run_observer != nullptr) {
     ctobs::MetricsShard& metrics = run_observer->metrics();
     if (result.point_hit) {
       metrics.Add("injection.point_hit");
@@ -193,9 +191,9 @@ PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& fir
   ctsim::Cluster& cluster = run->cluster();
   StashFeed feed(cluster, filter_);
 
-  auto strike = [&](const ctrt::AccessEvent& event, int point_id,
-                    ctanalysis::CrashPointKind kind, bool* injected, std::string* target_node) {
-    std::optional<std::string> target = feed.LiveTarget(event.value);
+  auto strike = [&](const std::string& value, int point_id, ctanalysis::CrashPointKind kind,
+                    bool* injected, std::string* target_node) {
+    std::optional<std::string> target = feed.LiveTarget(value);
     if (target.has_value()) {
       *injected = true;
       *target_node = *target;
@@ -204,19 +202,19 @@ PairInjectionResult FaultInjectionTester::TestPair(const ctrt::DynamicPoint& fir
   };
   ctrt::AccessTracer& tracer = run->context().tracer();
   tracer.Reset(ctrt::TraceMode::kTrigger);
-  tracer.ArmAccessTrigger(first, [&](const ctrt::AccessEvent& event) {
+  tracer.Arm(ctrt::Hook::kAccess, first, [&](const std::string& value) {
     // Chain the second injection before delivering the first fault: if the
     // first target is the currently executing node, Strike throws and the
-    // re-arm must already be in place.
-    tracer.RearmAccessTrigger(second, [&](const ctrt::AccessEvent& second_event) {
-      strike(second_event, second.point_id, second_kind, &result.second_injected,
+    // second point must already be armed.
+    tracer.Arm(ctrt::Hook::kAccess, second, [&](const std::string& second_value) {
+      strike(second_value, second.point_id, second_kind, &result.second_injected,
              &result.second_target);
     });
-    strike(event, first.point_id, first_kind, &result.first_injected, &result.first_target);
+    strike(value, first.point_id, first_kind, &result.first_injected, &result.first_target);
   });
 
   result.outcome = Executor::Execute(*run, &baseline_);
-  // The armed/re-armed trigger dies with the run's context.
+  // Both armed points die with the run's context.
   return result;
 }
 

@@ -91,11 +91,12 @@ class FaultInjectionTester {
   void set_injection_mode(InjectionMode mode) { mode_ = mode; }
 
   // Campaign observability. When set, every campaign run (trace_slot >= 0)
-  // gets its RunObserver enabled — the phase table, with the injection named
-  // after its anchor frame, and the simulator counters — and is absorbed
-  // into the observer under its injection slot after the run retires. Observation is passive: it draws no
-  // random numbers and schedules no events, so results, traces and hashes
-  // are bit-identical with or without it.
+  // is observed by its own RunObserver — the phase table, with the injection
+  // named after its anchor frame, and the simulator counters — which is
+  // absorbed into the observer under its injection slot after the run
+  // retires. Observation is passive: it draws no random numbers and schedules
+  // no events, so results, traces and hashes are bit-identical with or
+  // without it.
   void set_observer(ctobs::CampaignObserver* observer) { observer_ = observer; }
 
   // Tests one dynamic crash point; `kind` comes from its static point. Safe

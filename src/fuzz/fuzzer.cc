@@ -134,9 +134,7 @@ RunRecord ExecuteOne(const ctcore::SystemUnderTest& system, const std::set<int>&
   ScheduleOps(*run, system.model(), workload);
   RunRecord record;
   record.outcome = ctcore::Executor::Execute(*run, &baseline);
-  for (const auto& entry : run->context().tracer().dynamic_access_points()) {
-    record.points.insert(entry.first);
-  }
+  record.points = run->context().tracer().dynamic_access_points();
   record.trace_hash = recorder.hash();
   return record;
 }

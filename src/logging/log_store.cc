@@ -12,29 +12,7 @@ void LogStore::Append(Instance instance) {
   }
 }
 
-std::vector<Instance> LogStore::ForNode(const std::string& node) const {
-  std::vector<Instance> out;
-  for (const auto& instance : instances_) {
-    if (instance.node == node) {
-      out.push_back(instance);
-    }
-  }
-  return out;
-}
-
-std::vector<Instance> LogStore::AtLeast(Level level) const {
-  std::vector<Instance> out;
-  for (const auto& instance : instances_) {
-    if (static_cast<int>(instance.level) <= static_cast<int>(level)) {
-      out.push_back(instance);
-    }
-  }
-  return out;
-}
-
 void LogStore::Subscribe(Subscriber fn) { subscribers_.push_back(std::move(fn)); }
-
-void LogStore::Clear() { instances_.clear(); }
 
 void Logger::Log(int statement_id, std::vector<std::string> args) {
   const Statement& stmt = StatementRegistry::Instance().Get(statement_id);

@@ -37,18 +37,10 @@ class LogStore {
 
   const std::vector<Instance>& instances() const { return instances_; }
 
-  // Instances emitted by one node, in order.
-  std::vector<Instance> ForNode(const std::string& node) const;
-
-  // Instances at `level` or more severe.
-  std::vector<Instance> AtLeast(Level level) const;
-
   // Live subscription: Logstash-like agents register here to see each line as
   // it is written (the paper's agents watch log-file changes).
   using Subscriber = std::function<void(const Instance&)>;
   void Subscribe(Subscriber fn);
-
-  void Clear();
 
  private:
   std::vector<Instance> instances_;

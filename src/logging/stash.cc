@@ -77,11 +77,6 @@ std::optional<std::string> CustomStash::Lookup(const std::string& value) const {
   return std::nullopt;
 }
 
-void CustomStash::Clear() {
-  nodes_.clear();
-  value_to_node_.clear();
-}
-
 void LogstashAgent::OnInstance(const Instance& instance) {
   if (instance.node != node_) {
     return;
@@ -100,7 +95,6 @@ void LogstashAgent::OnInstance(const Instance& instance) {
   if (values.empty()) {
     return;
   }
-  forwarded_value_count_ += static_cast<int>(values.size());
   stash_->Process(values);
 }
 

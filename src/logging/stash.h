@@ -52,8 +52,6 @@ class CustomStash {
   const std::map<std::string, std::string>& value_to_node() const { return value_to_node_; }
   const OnlineFilter& filter() const { return filter_; }
 
-  void Clear();
-
  private:
   OnlineFilter filter_;
   std::set<std::string> nodes_;                       // Fig. 6 HashSet
@@ -71,12 +69,9 @@ class LogstashAgent {
   // Called for every log instance in the store; ignores other nodes' lines.
   void OnInstance(const Instance& instance);
 
-  int forwarded_value_count() const { return forwarded_value_count_; }
-
  private:
   std::string node_;
   CustomStash* stash_;
-  int forwarded_value_count_ = 0;
 };
 
 }  // namespace ctlog

@@ -31,7 +31,7 @@ std::string_view PhaseName(Phase phase) {
 
 ScopedPhase::ScopedPhase(RunObserver* observer, const ctsim::EventLoop& loop, Phase phase)
     : loop_(loop) {
-  if (observer == nullptr || !observer->enabled()) {
+  if (observer == nullptr) {
     return;
   }
   stamp_ = &observer->phases()[phase];

@@ -1,13 +1,12 @@
 // Per-run and per-campaign observation state.
 //
-// A RunObserver is owned by the run's RunContext, exactly like the tracer:
-// one metrics shard, the run's phase table and one flow recorder, born
-// disabled so profiling and baseline runs pay nothing. The campaign tester
-// enables it for observed injection runs and, after the run retires, absorbs
-// it into the CampaignObserver, which folds the shard into the campaign's on
-// arrival. Every fold commutes, so the
-// deterministic half of the resulting snapshot is byte-identical at any
-// --jobs count.
+// A RunObserver exists only for an observed run: one metrics shard, the run's
+// phase table and one flow recorder. The campaign tester makes one for each
+// observed injection run, hands it to Executor::Execute and, after the run
+// retires, absorbs it into the CampaignObserver, which folds the shard into
+// the campaign's on arrival. Profiling and baseline runs have none, so they
+// pay nothing. Every fold commutes, so the deterministic half of the resulting
+// snapshot is byte-identical at any --jobs count.
 #ifndef SRC_OBS_OBSERVER_H_
 #define SRC_OBS_OBSERVER_H_
 
@@ -75,9 +74,6 @@ struct PhaseTable {
 
 class RunObserver {
  public:
-  bool enabled() const { return enabled_; }
-  void Enable() { enabled_ = true; }
-
   MetricsShard& metrics() { return metrics_; }
   const MetricsShard& metrics() const { return metrics_; }
   PhaseTable& phases() { return phases_; }
@@ -86,7 +82,6 @@ class RunObserver {
   const ctsim::FlowRecorder& flows() const { return flows_; }
 
  private:
-  bool enabled_ = false;
   MetricsShard metrics_;
   PhaseTable phases_;
   ctsim::FlowRecorder flows_;
@@ -94,8 +89,8 @@ class RunObserver {
 
 // Stamps one phase of a run: construction reads both clocks into the
 // phase's begin, destruction into its end, so the phase stays correct when
-// the body unwinds through NodeCrashedSignal. A null or disabled observer
-// records nothing and reads no clock.
+// the body unwinds through NodeCrashedSignal. A null observer records nothing
+// and reads no clock.
 class ScopedPhase {
  public:
   ScopedPhase(RunObserver* observer, const ctsim::EventLoop& loop, Phase phase);

@@ -2,10 +2,9 @@
 //
 // The tracer used to be a process-wide singleton that every run Reset() by
 // convention — which serialized the whole Phase-2 injection campaign and let a
-// forgotten reset leak an armed trigger into the next run. A RunContext owns
-// the mutable runtime state of exactly one WorkloadRun (today: its
-// AccessTracer); the run owns the context, so trigger state cannot outlive the
-// run it was armed for.
+// forgotten reset leak an armed trigger into the next run. A RunContext holds
+// the run's AccessTracer and nothing else; the run owns the context, so
+// trigger state cannot outlive the run it was armed for.
 //
 // Hooks in mini-system code still call AccessTracer::Instance() (through the
 // CT_* macros), which now resolves to the context bound to the calling thread.
@@ -17,7 +16,6 @@
 #ifndef SRC_RUNTIME_RUN_CONTEXT_H_
 #define SRC_RUNTIME_RUN_CONTEXT_H_
 
-#include "src/obs/observer.h"
 #include "src/runtime/tracer.h"
 
 namespace ctrt {
@@ -31,19 +29,12 @@ class RunContext {
   AccessTracer& tracer() { return tracer_; }
   const AccessTracer& tracer() const { return tracer_; }
 
-  // Per-run observation state (metrics shard, phase table, flow recorder);
-  // disabled by default so unobserved runs pay nothing. Lives here for the
-  // same reason the tracer does: it must not outlive or leak across runs.
-  ctobs::RunObserver& observer() { return observer_; }
-  const ctobs::RunObserver& observer() const { return observer_; }
-
   // The context bound to the calling thread, or the thread's default context
   // if none is bound. Never null.
   static RunContext& Current();
 
  private:
   AccessTracer tracer_;
-  ctobs::RunObserver observer_;
 };
 
 // RAII binder: makes `context` the calling thread's current context for the

@@ -3,14 +3,14 @@
 // Mini-system code paths are compiled with explicit hooks at every modelled
 // access point (CT_PRE_READ before a meta-info-candidate read, CT_POST_WRITE
 // after a write, CT_IO_BEGIN/END around IO calls) plus ScopedFrame markers
-// that maintain the bounded call stack of Definition 1. The AccessTracer
-// routes hook firings to whichever phase is active:
-//   kOff      — hooks are no-ops (plain workload runs, baselines' timing runs)
-//   kProfile  — records ⟨static point, call stack⟩ dynamic points (§3.1.3)
-//   kTrigger  — fires the installed callback the first time one armed dynamic
-//               point is hit (§3.2.2); the callback performs the crash or
-//               shutdown and may abort the current handler by throwing
-//               ctsim::NodeCrashedSignal.
+// that maintain the bounded call stack of Definition 1. Every hook reaches one
+// hit path, which does what the active mode asks:
+//   kOff      — nothing (plain workload runs, baselines' timing runs)
+//   kProfile  — records ⟨static point, call string⟩ dynamic points (§3.1.3)
+//   kTrigger  — runs the armed callback the first time the one armed dynamic
+//               point is hit at the armed hook (§3.2.2); the callback performs
+//               the crash or shutdown and may abort the current handler by
+//               throwing ctsim::NodeCrashedSignal.
 //
 // The hooks are free calls in system code (like the injected RPCs in the
 // paper), so Instance() routes them to the AccessTracer of the RunContext
@@ -21,25 +21,11 @@
 #define SRC_RUNTIME_TRACER_H_
 
 #include <functional>
-#include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/model/program_model.h"
-
 namespace ctrt {
-
-// Bounded call stack: frame strings from the innermost method outward, depth
-// capped at kMaxDepth (the paper bounds call strings to 5; §3.1.3).
-struct CallStack {
-  static constexpr int kMaxDepth = 5;
-  std::vector<std::string> frames;
-
-  // Canonical key "inner<outer<..." used to identify dynamic points.
-  std::string Key() const;
-};
 
 // A dynamic program point: ⟨static point id, calling context⟩ (Definition 1).
 struct DynamicPoint {
@@ -57,18 +43,18 @@ struct DynamicPoint {
   }
 };
 
-// Everything a trigger callback needs about the hook that fired.
-struct AccessEvent {
-  int point_id = -1;
-  ctmodel::AccessKind kind = ctmodel::AccessKind::kRead;
-  std::string value;  // runtime meta-info value being accessed
-  std::string stack_key;
-};
-
 enum class TraceMode { kOff, kProfile, kTrigger };
+
+// The hook a trigger is armed at: an access (PreRead or PostWrite), or the
+// begin or end side of an IO call.
+enum class Hook { kAccess, kIoBegin, kIoEnd };
 
 class AccessTracer {
  public:
+  // Call strings keep at most this many frames, innermost first (the paper
+  // bounds them to 5; §3.1.3).
+  static constexpr int kMaxDepth = 5;
+
   AccessTracer();
   AccessTracer(const AccessTracer&) = delete;
   AccessTracer& operator=(const AccessTracer&) = delete;
@@ -84,23 +70,21 @@ class AccessTracer {
   // --- Profile phase -------------------------------------------------------
   // Restricts recording to the given static crash points (output of the
   // static analysis); hits elsewhere are ignored, mirroring the fact that the
-  // paper only instruments static crash points.
+  // paper only instruments static crash points. IO points record at their
+  // begin hook.
   void SetProfiledPoints(std::set<int> access_points, std::set<int> io_points);
-  const std::map<DynamicPoint, int>& dynamic_access_points() const { return dynamic_access_; }
-  const std::map<DynamicPoint, int>& dynamic_io_points() const { return dynamic_io_; }
+  const std::set<DynamicPoint>& dynamic_access_points() const { return dynamic_access_; }
+  const std::set<DynamicPoint>& dynamic_io_points() const { return dynamic_io_; }
 
   // --- Trigger phase -------------------------------------------------------
-  using TriggerFn = std::function<void(const AccessEvent&)>;
-  // Arms one dynamic access point. The callback runs at the first hit only.
-  void ArmAccessTrigger(DynamicPoint point, TriggerFn fn);
-  // Re-arms a new point after a trigger fired — the multi-crash extension
-  // chains a second injection onto the same run. Safe to call from inside a
-  // trigger callback.
-  void RearmAccessTrigger(DynamicPoint point, TriggerFn fn);
-  // Arms one dynamic IO point; `before` selects the begin or end hook.
-  void ArmIoTrigger(DynamicPoint point, bool before, TriggerFn fn);
+  // Receives the accessed runtime value ("" at an IO hook).
+  using TriggerFn = std::function<void(const std::string& value)>;
+  // Arms `point` at `hook`, replacing whatever was armed, and clears
+  // trigger_fired(). The callback runs at the first hit only. Arming from
+  // inside a firing callback chains the next point onto the same run, as
+  // multi-crash pairs do.
+  void Arm(Hook hook, DynamicPoint point, TriggerFn fn);
   bool trigger_fired() const { return trigger_fired_; }
-  const std::optional<AccessEvent>& fired_event() const { return fired_event_; }
 
   // --- Hooks (called from instrumented system code) -------------------------
   void PreRead(int point_id, const std::string& value);
@@ -113,7 +97,9 @@ class AccessTracer {
   // CT_FRAME passes a string literal.
   void PushFrame(const char* frame);
   void PopFrame();
-  CallStack CaptureStack() const;
+  // The innermost frames, at most the tracer's depth, joined as the canonical
+  // dynamic-point key "inner<outer<...".
+  std::string StackKey() const;
 
   // Process-wide default depth newly constructed tracers start from. The depth
   // ablation sets this before a driver run so every per-run tracer the run
@@ -121,27 +107,20 @@ class AccessTracer {
   static void SetDefaultStackDepth(int depth);
   static int DefaultStackDepth();
 
-  // Counters.
-  uint64_t hook_firings() const { return hook_firings_; }
-
  private:
-  void OnAccess(int point_id, ctmodel::AccessKind kind, const std::string& value);
-  void OnIo(int point_id, bool before);
+  void OnHook(Hook hook, int point_id, const std::string& value);
 
   TraceMode mode_ = TraceMode::kOff;
   std::vector<const char*> stack_;
   std::set<int> profiled_access_points_;
   std::set<int> profiled_io_points_;
-  std::map<DynamicPoint, int> dynamic_access_;
-  std::map<DynamicPoint, int> dynamic_io_;
+  std::set<DynamicPoint> dynamic_access_;
+  std::set<DynamicPoint> dynamic_io_;
 
-  std::optional<DynamicPoint> armed_access_;
-  std::optional<DynamicPoint> armed_io_;
-  bool armed_io_before_ = true;
-  TriggerFn trigger_fn_;
+  Hook armed_hook_ = Hook::kAccess;
+  DynamicPoint armed_;
+  TriggerFn trigger_fn_;  // empty when nothing is armed or the trigger fired
   bool trigger_fired_ = false;
-  std::optional<AccessEvent> fired_event_;
-  uint64_t hook_firings_ = 0;
   int stack_depth_;
 };
 

@@ -124,7 +124,6 @@ class Node {
 
   // Marked by masters whose death takes the cluster down.
   void SetCritical() { critical_ = true; }
-  bool critical() const { return critical_; }
 
  private:
   friend class Cluster;

@@ -93,7 +93,7 @@ TEST(RunContextBinding, WorkerThreadsSeeTheirOwnTracer) {
     EXPECT_EQ(&tracer, &context.tracer());
     tracer.PushFrame("Worker.handle");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ok->store(tracer.CaptureStack().Key() == "Worker.handle");
+    ok->store(tracer.StackKey() == "Worker.handle");
     tracer.PopFrame();
   };
   std::thread ta(probe, std::ref(a), &ok_a);

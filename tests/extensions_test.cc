@@ -217,7 +217,7 @@ TEST(StackDepthOption, DepthOneMergesContexts) {
   ctrt::AccessTracer::SetDefaultStackDepth(1);
   ctyarn::YarnSystem yarn;
   SystemReport shallow = CrashTunerDriver().Run(yarn);
-  ctrt::AccessTracer::SetDefaultStackDepth(ctrt::CallStack::kMaxDepth);
+  ctrt::AccessTracer::SetDefaultStackDepth(ctrt::AccessTracer::kMaxDepth);
   // Depth 1 cannot distinguish the two completeContainer contexts, so the
   // dynamic point count drops.
   EXPECT_LT(shallow.dynamic_crash_points, CachedReport().dynamic_crash_points);

@@ -141,7 +141,6 @@ TEST(RunObserverTest, ScopedPhaseRecordsBothClocksFromTheEventLoop) {
   ctsim::EventLoop loop;
   loop.Schedule(250, [] {});
   ctobs::RunObserver observer;
-  observer.Enable();
   {
     ctobs::ScopedPhase phase(&observer, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();  // advances virtual time to 250
@@ -158,17 +157,9 @@ TEST(RunObserverTest, ScopedPhaseRecordsBothClocksFromTheEventLoop) {
   }
 }
 
-TEST(RunObserverTest, DisabledOrNullObserverRecordsNothing) {
+TEST(RunObserverTest, NullObserverRecordsNothing) {
   ctsim::EventLoop loop;
-  ctobs::RunObserver disabled;
-  {
-    ctobs::ScopedPhase phase(&disabled, loop, ctobs::Phase::kWorkload);
-    ctobs::ScopedPhase null_phase(nullptr, loop, ctobs::Phase::kWorkload);  // a safe no-op
-  }
-  for (const ctobs::PhaseStamp& stamp : disabled.phases().stamps) {
-    EXPECT_FALSE(stamp.recorded);
-  }
-  EXPECT_TRUE(disabled.metrics().empty());
+  { ctobs::ScopedPhase null_phase(nullptr, loop, ctobs::Phase::kWorkload); }  // a safe no-op
 }
 
 TEST(RunObserverTest, ScopedPhaseEndsWhenItsBodyThrowsNodeCrashedSignal) {
@@ -176,7 +167,6 @@ TEST(RunObserverTest, ScopedPhaseEndsWhenItsBodyThrowsNodeCrashedSignal) {
   // injection phase with NodeCrashedSignal; the phase must still end.
   ctsim::EventLoop loop;
   ctobs::RunObserver observer;
-  observer.Enable();
   loop.Schedule(40, [&] {
     ctobs::ScopedPhase phase(&observer, loop, ctobs::Phase::kInjection);
     loop.Schedule(15, [] {});
@@ -320,7 +310,6 @@ TEST(CampaignObserverTest, FinalizeFoldsPhasesIntoPhaseHistograms) {
   campaign.set_system("TestSys");
 
   ctobs::RunObserver run;
-  run.Enable();
   {
     ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
@@ -353,7 +342,6 @@ TEST(CampaignObserverTest, AbsorbOrderDoesNotChangeTheSnapshot) {
       ctsim::EventLoop loop;
       loop.Schedule(static_cast<ctsim::Time>(10 * (slot + 1)), [] {});
       ctobs::RunObserver run;
-      run.Enable();
       {
         ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
         loop.RunToCompletion();
@@ -389,7 +377,6 @@ TEST(SnapshotTest, WallSectionIsSegregatedFromDeterministicFields) {
   const ctobs::CampaignObserver::Clock::time_point start = ctobs::CampaignObserver::Clock::now();
   campaign.AddDriverPhase("campaign", start, start + std::chrono::milliseconds(1500));
   ctobs::RunObserver run;
-  run.Enable();
   campaign.AbsorbRun(0, run);
 
   ctobs::MetricsSnapshot snapshot;
@@ -419,7 +406,6 @@ TEST(ChromeTraceTest, TraceJsonParsesAndCarriesPhases) {
   loop.Schedule(10, [] {});
   ctobs::CampaignObserver campaign;
   ctobs::RunObserver run;
-  run.Enable();
   {
     ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
@@ -470,7 +456,6 @@ TEST(SnapshotTest, V4CarriesFlowsInDeterministicSection) {
   ctobs::CampaignObserver campaign;
   campaign.set_system("TestSys");
   ctobs::RunObserver run;
-  run.Enable();
   {
     ctobs::ScopedPhase phase(&run, loop, ctobs::Phase::kWorkload);
     loop.RunToCompletion();
@@ -503,7 +488,6 @@ TEST(SnapshotTest, V4CarriesFlowsInDeterministicSection) {
 TEST(ChromeTraceTest, FlowArrowsLinkParentAndChildDeliveries) {
   ctobs::CampaignObserver campaign;
   ctobs::RunObserver run;
-  run.Enable();
   ctsim::InternTable symbols;
   run.flows().Record(0, symbols.Intern("gossip"), /*sim_ms=*/10);
   run.flows().Record(1, symbols.Intern("writeRow"), /*sim_ms=*/25);

@@ -67,7 +67,7 @@ void ExpectDifferentialInvariants(const ctcore::SystemUnderTest& system) {
   // against the observed set.
   ctanalysis::CallGraph graph(system.model());
   ctanalysis::ContextEnumeration enumeration(&graph);
-  const int depth = ctrt::CallStack::kMaxDepth;
+  const int depth = ctrt::AccessTracer::kMaxDepth;
   ctanalysis::StaticContextResult unpruned = enumeration.EnumerateAll(depth);
   ctanalysis::StaticContextResult pruned =
       enumeration.EnumerateAll(depth, /*prune_infeasible=*/true);

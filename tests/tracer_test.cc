@@ -1,8 +1,11 @@
-// Tests for the runtime tracer: call-stack capture, profile recording,
-// trigger-once semantics, and the IO hooks.
+// Tests for the runtime tracer: call-string keys, profile recording,
+// trigger-once semantics, chained arming, and the IO hooks.
 #include "src/runtime/tracer.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 namespace ctrt {
 namespace {
@@ -29,11 +32,19 @@ TEST_F(TracerTest, StackCaptureIsBounded) {
   ScopedFrame f5("m5");
   ScopedFrame f6("m6");
   ScopedFrame f7("m7");
-  CallStack stack = tracer.CaptureStack();
-  ASSERT_EQ(stack.frames.size(), static_cast<size_t>(CallStack::kMaxDepth));
-  // Innermost first, then callers.
-  EXPECT_EQ(stack.frames.front(), "m7");
-  EXPECT_EQ(stack.Key(), "m7<m6<m5<m4<m3");
+  // kMaxDepth frames, innermost first, then callers.
+  ASSERT_EQ(AccessTracer::kMaxDepth, 5);
+  EXPECT_EQ(tracer.StackKey(), "m7<m6<m5<m4<m3");
+}
+
+TEST_F(TracerTest, NewTracerTakesTheDefaultStackDepth) {
+  AccessTracer::SetDefaultStackDepth(2);
+  AccessTracer tracer;
+  AccessTracer::SetDefaultStackDepth(AccessTracer::kMaxDepth);  // the tracer keeps 2
+  tracer.PushFrame("outer");
+  tracer.PushFrame("middle");
+  tracer.PushFrame("inner");
+  EXPECT_EQ(tracer.StackKey(), "inner<middle");
 }
 
 TEST_F(TracerTest, ScopedFramePopsOnScopeExit) {
@@ -42,11 +53,11 @@ TEST_F(TracerTest, ScopedFramePopsOnScopeExit) {
     ScopedFrame f("outer");
     {
       ScopedFrame g("inner");
-      EXPECT_EQ(tracer.CaptureStack().Key(), "inner<outer");
+      EXPECT_EQ(tracer.StackKey(), "inner<outer");
     }
-    EXPECT_EQ(tracer.CaptureStack().Key(), "outer");
+    EXPECT_EQ(tracer.StackKey(), "outer");
   }
-  EXPECT_EQ(tracer.CaptureStack().Key(), "");
+  EXPECT_EQ(tracer.StackKey(), "");
 }
 
 TEST_F(TracerTest, ProfileRecordsOnlyArmedPoints) {
@@ -55,13 +66,12 @@ TEST_F(TracerTest, ProfileRecordsOnlyArmedPoints) {
   tracer.SetProfiledPoints({7}, {});
   ScopedFrame f("method");
   tracer.PreRead(7, "a");
-  tracer.PreRead(7, "b");  // same dynamic point, counted twice
+  tracer.PreRead(7, "b");  // same dynamic point, recorded once
   tracer.PreRead(8, "c");  // not armed
   ASSERT_EQ(tracer.dynamic_access_points().size(), 1u);
-  const auto& [point, hits] = *tracer.dynamic_access_points().begin();
+  const DynamicPoint& point = *tracer.dynamic_access_points().begin();
   EXPECT_EQ(point.point_id, 7);
   EXPECT_EQ(point.stack_key, "method");
-  EXPECT_EQ(hits, 2);
 }
 
 TEST_F(TracerTest, DistinctStacksYieldDistinctDynamicPoints) {
@@ -84,9 +94,9 @@ TEST_F(TracerTest, TriggerFiresOnceAtMatchingPointAndStack) {
   tracer.Reset(TraceMode::kTrigger);
   int fired = 0;
   std::string value;
-  tracer.ArmAccessTrigger({7, "target"}, [&](const AccessEvent& event) {
+  tracer.Arm(Hook::kAccess, {7, "target"}, [&](const std::string& accessed) {
     ++fired;
-    value = event.value;
+    value = accessed;
   });
   {
     ScopedFrame f("other");
@@ -101,27 +111,52 @@ TEST_F(TracerTest, TriggerFiresOnceAtMatchingPointAndStack) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(value, "v1");
   EXPECT_TRUE(tracer.trigger_fired());
-  ASSERT_TRUE(tracer.fired_event().has_value());
-  EXPECT_EQ(tracer.fired_event()->point_id, 7);
+}
+
+TEST_F(TracerTest, ArmingInsideAFiringCallbackChainsTheNextPoint) {
+  // The multi-crash pair's chaining: the first callback arms the second
+  // point, which disarms the first.
+  auto& tracer = AccessTracer::Instance();
+  tracer.Reset(TraceMode::kTrigger);
+  std::vector<std::string> fired;
+  tracer.Arm(Hook::kAccess, {1, "site"}, [&](const std::string& value) {
+    fired.push_back("first:" + value);
+    tracer.Arm(Hook::kAccess, {2, "site"},
+               [&](const std::string& second) { fired.push_back("second:" + second); });
+  });
+  ScopedFrame f("site");
+  tracer.PreRead(1, "a");
+  EXPECT_EQ(fired, (std::vector<std::string>{"first:a"}));
+  EXPECT_FALSE(tracer.trigger_fired());  // the second point is armed, not yet hit
+  tracer.PreRead(1, "b");                // the first point is disarmed
+  EXPECT_FALSE(tracer.trigger_fired());
+  tracer.PostWrite(2, "c");
+  tracer.PostWrite(2, "d");  // second hit ignored
+  EXPECT_EQ(fired, (std::vector<std::string>{"first:a", "second:c"}));
+  EXPECT_TRUE(tracer.trigger_fired());
 }
 
 TEST_F(TracerTest, IoProfileRecordsBeginSideOnly) {
   auto& tracer = AccessTracer::Instance();
   tracer.Reset(TraceMode::kProfile);
   tracer.SetProfiledPoints({}, {3});
-  ScopedFrame f("io_site");
-  tracer.IoBegin(3);
-  tracer.IoEnd(3);
+  {
+    ScopedFrame f("io_site");
+    tracer.IoBegin(3);
+  }
+  {
+    ScopedFrame f("end_site");
+    tracer.IoEnd(3);  // the end side records nothing
+  }
   ASSERT_EQ(tracer.dynamic_io_points().size(), 1u);
-  EXPECT_EQ(tracer.dynamic_io_points().begin()->second, 1);
+  EXPECT_EQ(tracer.dynamic_io_points().begin()->stack_key, "io_site");
 }
 
 TEST_F(TracerTest, IoTriggerSelectsBeforeOrAfterSide) {
   auto& tracer = AccessTracer::Instance();
   tracer.Reset(TraceMode::kTrigger);
   int fired_before = 0;
-  tracer.ArmIoTrigger({3, "io_site"}, /*before=*/true,
-                      [&](const AccessEvent&) { ++fired_before; });
+  tracer.Arm(Hook::kIoBegin, {3, "io_site"}, [&](const std::string&) { ++fired_before; });
   {
     ScopedFrame f("io_site");
     tracer.IoEnd(3);  // wrong side
@@ -132,8 +167,7 @@ TEST_F(TracerTest, IoTriggerSelectsBeforeOrAfterSide) {
 
   tracer.Reset(TraceMode::kTrigger);
   int fired_after = 0;
-  tracer.ArmIoTrigger({3, "io_site"}, /*before=*/false,
-                      [&](const AccessEvent&) { ++fired_after; });
+  tracer.Arm(Hook::kIoEnd, {3, "io_site"}, [&](const std::string&) { ++fired_after; });
   {
     ScopedFrame f("io_site");
     tracer.IoBegin(3);
@@ -152,7 +186,6 @@ TEST_F(TracerTest, ResetClearsEverything) {
   tracer.Reset(TraceMode::kOff);
   EXPECT_TRUE(tracer.dynamic_access_points().empty());
   EXPECT_FALSE(tracer.trigger_fired());
-  EXPECT_EQ(tracer.hook_firings(), 0u);
 }
 
 }  // namespace

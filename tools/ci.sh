@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repository CI: warnings-as-errors build, tier-1 tests, the benchmark's
-# recorded-output checks, model lint, a jobs=1-vs-jobs=hw smoke of the
-# parallel injection campaign and the other bench smokes, then ASan+UBSan
-# and TSan builds of the same tree (the two sanitizers cannot share a build).
+# recorded-output checks, model lint and the layering check, a
+# jobs=1-vs-jobs=hw smoke of the parallel injection campaign and the other
+# bench smokes, then ASan+UBSan and TSan builds of the same tree (the two
+# sanitizers cannot share a build).
 # Run from the repository root:
 #   tools/ci.sh [--skip-sanitizers]
 set -euo pipefail
@@ -51,8 +52,15 @@ result = json.loads(sys.argv[1])
 sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)' "$scale8_result" \
   || { echo "scale8 pass does not match the recorded outputs" >&2; exit 1; }
 
-echo "== stage 3: model lint =="
+echo "== stage 3: model lint and layering =="
 ./build/tools/ctlint --summary
+# The layers below the driver include no observation, driver or fuzz header:
+# the simulator (ctsim) and the runtime hooks (ctrt) do not depend on ctobs.
+if grep -rnE '#include "src/(obs|core|fuzz)/' src/common src/sim src/runtime src/logging \
+    src/model src/analysis src/study; then
+  echo "a lower layer includes src/obs, src/core or src/fuzz (lines above)" >&2
+  exit 1
+fi
 
 echo "== stage 4: parallel campaign smoke (jobs=1 vs jobs=hw) =="
 # Times the Phase-2 campaign sequentially and at hardware concurrency and
